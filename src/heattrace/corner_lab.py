@@ -77,9 +77,6 @@ def cone_point_coeff(opening):
 CORNER_EPS_SCHEDULE = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.85, count=14)
 CORNER_BASIS = (-2, -1, 0, 1, 3, 5)  # the cutoff expansion has no even powers >= 2
 
-_GAUSS21 = np.polynomial.legendre.leggauss(21)
-
-
 def _corner_orders(pair, alpha, z_max, tol_mode=1e-16):
     """Bessel orders of the sector mode sum, truncated where the rigorous
     bound (z/2)^nu / Gamma(nu+1) at the largest argument drops below tol_mode."""
@@ -109,20 +106,14 @@ def _corner_orders(pair, alpha, z_max, tol_mode=1e-16):
 def _cumulative_mode_integral(orders, cutoffs, config):
     """F(L) = int_0^L (1/2) R e^{-R^2/2} sum_j I_{nu_j}(R^2/2) dR at each
     cutoff (increasing), by fixed Gauss panels of length <= 0.4."""
-    gx, gw = _GAUSS21
     edges = np.concatenate([[0.0], np.asarray(cutoffs)])
     total = 0.0
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
         n_pan = max(2, int(math.ceil((b - a) / 0.4)))
-        pan = np.linspace(a, b, n_pan + 1)
-        for pa, pb in zip(pan[:-1], pan[1:]):
-            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            nodes = mid + half * gx
-            weights = half * gw
-            for r_node, w in zip(nodes, weights):
-                s = float(bessel_i_scaled_many(orders, 0.5 * r_node * r_node, config).sum())
-                total += w * 0.5 * r_node * s
+        for r_node, w in zip(*quad_fp.panel_nodes(a, b, n_pan, rule=21)):
+            s = float(bessel_i_scaled_many(orders, 0.5 * r_node * r_node, config).sum())
+            total += w * 0.5 * r_node * s
         out.append(total)
     return np.array(out)
 
@@ -217,17 +208,14 @@ def _log_u_grid(taus, mu_max):
     taus = np.asarray(taus)
     breakpoints = [math.log(1e-6)] + [math.log(tau) for tau in taus]
     per_unit = max(4.0, 3.0 * mu_max) / math.pi
-    gx, gw = np.polynomial.legendre.leggauss(10)
     v_chunks, w_chunks, ends = [], [], []
     count = 0
     for v_a, v_b in zip(breakpoints[:-1], breakpoints[1:]):
         n_pan = max(2, int(math.ceil((v_b - v_a) * per_unit)))
-        edges = np.linspace(v_a, v_b, n_pan + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        v_chunks.append((mid[:, None] + half[:, None] * gx[None, :]).ravel())
-        w_chunks.append((half[:, None] * gw[None, :]).ravel())
-        count += n_pan * 10
+        v, w = quad_fp.panel_nodes(v_a, v_b, n_pan)
+        v_chunks.append(v)
+        w_chunks.append(w)
+        count += v.size
         ends.append(count)
     v_nodes = np.concatenate(v_chunks)
     u_nodes = np.exp(v_nodes)
@@ -276,7 +264,7 @@ def _k_imag_scaled_table(mus, us, config):
         u_int = us[cols]
         w_max = math.acosh(1.0 + 50.0 / float(u_int.min()))
         n_pan = max(8, int(4.0 * w_max), int(2.0 * mus.max() * w_max / math.pi))
-        w_nodes, w_wts = _panel_grid(0.0, w_max, n_pan)
+        w_nodes, w_wts = quad_fp.panel_nodes(0.0, w_max, n_pan)
         decay = np.exp(-u_int[:, None] * np.cosh(w_nodes)[None, :])
         osc = np.cos(mus[:, None] * w_nodes[None, :]) * w_wts[None, :]
         raw = osc @ decay.T  # (n_mu, n_u_int)
@@ -287,16 +275,6 @@ def _k_imag_scaled_table(mus, us, config):
         block[mask] = vals[mask]
         out[:, cols] = block
     return out
-
-
-def _panel_grid(a, b, n_panels, rule=10):
-    gx, gw = np.polynomial.legendre.leggauss(rule)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * gx[None, :]).ravel(), (
-        half[:, None] * gw[None, :]
-    ).ravel()
 
 
 def _stable_weight(term, gamma):
@@ -391,7 +369,7 @@ def _term_mu_integral(weight, gap, taus, gamma, config, b_type=False):
         # image form applies and has the closed primitive g_B = g(tau^2/2)/4
         return np.array([0.25 * _primitive_g(0.5 * tau * tau, config) for tau in taus])
     mu_max = (math.log(1e12) + 10.0) / gap
-    mus, mu_wts = _panel_grid(0.0, mu_max, max(8, int(math.ceil(mu_max))))
+    mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, max(8, int(math.ceil(mu_max))))
     u_nodes, u_wts, ends = _log_u_grid(taus, mus.max())
     k_table = _k_imag_scaled_table(mus, u_nodes, config)
     integrand = k_table**2 * (u_nodes * u_wts)[None, :]  # rows: mu, cols: u

@@ -7,6 +7,7 @@ cutoff integral F(1/eps) against a power basis in eps and returns the eps^0
 coefficient.
 """
 
+import functools
 import heapq
 import math
 import warnings
@@ -22,8 +23,30 @@ from .errors import (
     ResidualError,
 )
 
-_GAUSS_LO = np.polynomial.legendre.leggauss(10)
-_GAUSS_HI = np.polynomial.legendre.leggauss(21)
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule(order):
+    """Gauss-Legendre nodes and weights of the given order on [-1, 1].
+
+    Each order is built once per process; the arrays are read-only because
+    every caller shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def panel_nodes(a, b, n_panels, rule=10):
+    """Gauss-Legendre nodes/weights tiling [a, b] with n_panels equal panels,
+    panel by panel in increasing order."""
+    gx, gw = gauss_rule(rule)
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    w = (half[:, None] * gw[None, :]).ravel()
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -69,12 +92,12 @@ def _panel_estimates(f, a, b):
     """(coarse, fine, n_evals) Gauss estimates of int_a^b f."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    xs_lo = mid + half * _GAUSS_LO[0]
-    xs_hi = mid + half * _GAUSS_HI[0]
-    y_lo = _eval_vectorized(f, xs_lo)
-    y_hi = _eval_vectorized(f, xs_hi)
-    coarse = half * float(np.dot(_GAUSS_LO[1], y_lo))
-    fine = half * float(np.dot(_GAUSS_HI[1], y_hi))
+    gx_lo, gw_lo = gauss_rule(10)
+    gx_hi, gw_hi = gauss_rule(21)
+    y_lo = _eval_vectorized(f, mid + half * gx_lo)
+    y_hi = _eval_vectorized(f, mid + half * gx_hi)
+    coarse = half * float(np.dot(gw_lo, y_lo))
+    fine = half * float(np.dot(gw_hi, y_hi))
     return coarse, fine, 31, float(np.abs(y_hi).max())
 
 

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     OverflowRangeError,
 )
+from .quad_fp import panel_nodes
 
 _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _TWO_PI = 2.0 * math.pi
@@ -246,17 +247,6 @@ def bessel_i_scaled_many(nus, x, config=DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Bessel K of imaginary order K_{i mu}(x)
 
-def _panel_nodes(a, b, n_panels, rule=10):
-    """Gauss-Legendre nodes/weights tiling [a, b] with n_panels panels."""
-    gx, gw = np.polynomial.legendre.leggauss(rule)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return x, w
-
-
 def _k_imag_integral(mu, x, config):
     """(value, abs_err) of e^{pi mu / 2} K_{i mu}(x) from the cosine
     integral representation  K_{i mu}(x) = int_0^inf e^{-x cosh u} cos(mu u) du."""
@@ -264,11 +254,11 @@ def _k_imag_integral(mu, x, config):
     # resolve both the Gaussian-ish decay and the cos(mu u) oscillation
     n_panels = max(8, int(4.0 * u_max), int(2.0 * mu * u_max / math.pi))
     n_panels = min(n_panels, config.max_quad_nodes // 10)
-    u, w = _panel_nodes(0.0, u_max, n_panels)
+    u, w = panel_nodes(0.0, u_max, n_panels)
     vals = np.exp(-x * np.cosh(u)) * np.cos(mu * u)
     raw = float(np.dot(w, vals))
     # refined estimate with doubled panels for an error estimate
-    u2, w2 = _panel_nodes(0.0, u_max, 2 * n_panels)
+    u2, w2 = panel_nodes(0.0, u_max, 2 * n_panels)
     vals2 = np.exp(-x * np.cosh(u2)) * np.cos(mu * u2)
     raw2 = float(np.dot(w2, vals2))
     scale = math.exp(min(0.5 * math.pi * mu, _LOG_HUGE))
@@ -352,32 +342,6 @@ def bessel_k_imag(mu, x, config=DEFAULT_CONFIG):
     return scaled * math.exp(-0.5 * math.pi * mu)
 
 
-def _k_imag_scaled_grid(mu, xs, config=DEFAULT_CONFIG):
-    """e^{pi mu/2} K_{i mu}(x) on an array of arguments (vectorized series;
-    integral representation for the large-x stragglers)."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty_like(xs)
-    series_mask = (xs <= 0.5 * math.pi * mu + 16.0) & (xs * xs <= 72.0 * mu) & (mu >= 0.5)
-    xs_s = xs[series_mask]
-    if xs_s.size:
-        lg = _clgamma(complex(1.0, mu))
-        c = np.exp(1j * mu * np.log(0.5 * xs_s) - lg - 0.5 * math.pi * mu)
-        s = c.copy()
-        q = 0.25 * xs_s * xs_s
-        active = np.ones(xs_s.shape, dtype=bool)
-        for k in range(1, config.max_terms):
-            c = c * (q / (k * complex(k, mu)))
-            s += c
-            active = np.abs(c) >= 1e-18 * np.abs(s)
-            if not active.any():
-                break
-        denom = -math.expm1(-_TWO_PI * mu)
-        out[series_mask] = -_TWO_PI * s.imag / denom
-    for i in np.nonzero(~series_mask)[0]:
-        out[i] = _k_imag_scaled_impl(mu, float(xs[i]), config)[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bessel J and its zeros
 
@@ -404,12 +368,12 @@ def _jv_base_integral(nu, x, config):
     """J_nu(x) for 0 <= nu < 1, 12 < x < 25, from Bessel's integral
     (1/pi) int_0^pi cos(x sin t - nu t) dt  -  (sin(nu pi)/pi) int_0^inf e^{-x sinh s - nu s} ds."""
     n_panels = min(max(10, int(x)), config.max_quad_nodes // 10)
-    t, w = _panel_nodes(0.0, math.pi, n_panels)
+    t, w = panel_nodes(0.0, math.pi, n_panels)
     first = float(np.dot(w, np.cos(x * np.sin(t) - nu * t))) / math.pi
     if nu == 0.0:
         return first
     s_max = math.asinh(50.0 / x) + 1.0
-    s, ws = _panel_nodes(0.0, s_max, 12)
+    s, ws = panel_nodes(0.0, s_max, 12)
     second = float(np.dot(ws, np.exp(-x * np.sinh(s) - nu * s))) / math.pi
     return first - math.sin(nu * math.pi) * second
 
@@ -506,7 +470,8 @@ def bessel_j_prime(nu, x, config=DEFAULT_CONFIG):
 
 
 class BesselZeroCache:
-    """Memoizes Bessel zeros; reads are lock free, writes serialized."""
+    """Memoizes Bessel zeros, and the grid point where each zero's march
+    stopped; reads are lock free, writes serialized."""
 
     def __init__(self):
         self._data = {}
@@ -520,25 +485,27 @@ class BesselZeroCache:
             self._data[key] = value
 
 
-def _march_for_zero(f, x0, step, k, max_steps=100000):
-    """k-th sign change of f marching right from x0 in increments of step."""
-    xa = x0
-    fa = f(xa)
+_ZERO_STEP = math.pi / 4.0  # well below the spacing of consecutive zeros
+
+
+def _march_for_zero(f, xa, fa, step, k, max_steps=100000):
+    """k-th sign change of f marching right from xa, where f is fa, in
+    increments of step.
+
+    Returns ((a, b, f(a), f(b)), (x_next, f(x_next))): the bracket, with
+    a == b when f vanishes exactly on a grid point, and the next grid point,
+    where a march for the following sign change continues.
+    """
+    x0 = xa
     found = 0
     for _ in range(max_steps):
         xb = xa + step
         fb = f(xb)
-        if fa == 0.0:
+        if fa == 0.0 or fa * fb < 0.0:
             found += 1
             if found == k:
-                return xa, xa, fa, fa
-            fa = fb
-            xa = xb
-            continue
-        if fa * fb < 0.0:
-            found += 1
-            if found == k:
-                return xa, xb, fa, fb
+                bracket = (xa, xa, fa, fa) if fa == 0.0 else (xa, xb, fa, fb)
+                return bracket, (xb, fb)
         xa, fa = xb, fb
     raise ConvergenceError(
         "zero marching did not find enough sign changes",
@@ -546,50 +513,75 @@ def _march_for_zero(f, x0, step, k, max_steps=100000):
     )
 
 
-def bessel_j_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
-    """k-th positive zero j_{nu,k} of J_nu (k is 1-based)."""
-    if k < 1 or k != int(k):
-        raise DomainError(f"zero index must be a positive integer, got {k}")
-    if not (nu >= 0.0 and math.isfinite(nu)):
-        raise DomainError(f"order must be finite and >= 0, got {nu}")
-    key = ("j", nu, int(k))
+def _cached_zero(kind, nu, k, f, x0, cache):
+    """k-th positive zero of f, memoized under (kind, nu, k).
+
+    Marches from x0 in steps of _ZERO_STEP.  When the cache holds where the
+    march for zero k-1 stopped, the march resumes there: it visits the same
+    accumulated grid points as a march from x0, so the bracket and the root
+    are the same to the bit, for 1 sign change of work instead of k.
+    """
+    key = (kind, nu, k)
+    resume = None
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    f = lambda x: bessel_j(nu, x, config)
-    x0 = max(nu + 0.5 * nu ** (1.0 / 3.0), 0.1) if nu >= 1.0 else 0.05
-    a, b, fa, fb = _march_for_zero(f, x0, math.pi / 4.0, int(k))
+        if k > 1:
+            resume = cache.get((kind + "-next", nu, k - 1))
+    if resume is None:
+        bracket, after = _march_for_zero(f, x0, f(x0), _ZERO_STEP, k)
+    else:
+        bracket, after = _march_for_zero(f, *resume, _ZERO_STEP, 1)
+    a, b, fa, fb = bracket
     root = a if a == b else brent(f, a, b, fa, fb, xtol=1e-14, rtol=1e-15)
     if cache is not None:
         cache.put(key, root)
+        cache.put((kind + "-next", nu, k), after)
     return root
 
 
-def bessel_j_prime_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
-    """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted)."""
+def _check_zero_args(nu, k):
     if k < 1 or k != int(k):
         raise DomainError(f"zero index must be a positive integer, got {k}")
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise DomainError(f"order must be finite and >= 0, got {nu}")
-    key = ("jp", nu, int(k))
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+
+
+def bessel_j_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
+    """k-th positive zero j_{nu,k} of J_nu (k is 1-based).
+
+    With a BesselZeroCache, asking for k = 1, 2, ..., K in turn costs O(K)
+    evaluations of J in all, not O(K^2); the result is the same float with
+    or without the cache.
+    """
+    _check_zero_args(nu, k)
+    f = lambda x: bessel_j(nu, x, config)
+    x0 = max(nu + 0.5 * nu ** (1.0 / 3.0), 0.1) if nu >= 1.0 else 0.05
+    return _cached_zero("j", nu, int(k), f, x0, cache)
+
+
+def bessel_j_prime_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
+    """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted).
+
+    With a BesselZeroCache, asking for k = 1, 2, ..., K in turn costs O(K)
+    evaluations of J in all, not O(K^2); the result is the same float with
+    or without the cache.
+    """
+    _check_zero_args(nu, k)
     if nu == 0.0:
         # J0' = -J1, so the positive zeros of J0' are those of J1
+        key = ("jp", nu, int(k))
+        hit = cache.get(key) if cache is not None else None
+        if hit is not None:
+            return hit
         root = bessel_j_zero(1.0, k, config, cache)
         if cache is not None:
             cache.put(key, root)
         return root
     f = lambda x: bessel_j_prime(nu, x, config)
     x0 = max(nu + 0.1 * nu ** (1.0 / 3.0), 0.05)
-    a, b, fa, fb = _march_for_zero(f, x0, math.pi / 4.0, int(k))
-    root = a if a == b else brent(f, a, b, fa, fb, xtol=1e-14, rtol=1e-15)
-    if cache is not None:
-        cache.put(key, root)
-    return root
+    return _cached_zero("jp", nu, int(k), f, x0, cache)
 
 
 # ---------------------------------------------------------------------------

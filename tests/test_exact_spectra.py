@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heattrace import exact_spectra as es
+from heattrace import special_fns as sf
 from heattrace import trace_coeffs as tc
 from heattrace.errors import DomainError, TailBoundError
 from heattrace.sector_models import DIRICHLET, NEUMANN, BoundaryCondition
@@ -136,6 +137,57 @@ class TestSectorDiskSpectrum:
         spec = es.sector_disk_spectrum(2.0, 1.0, "DN", "N")
         first = spec.first(25)
         assert np.all(np.diff(first) >= -1e-12)
+
+    @pytest.mark.parametrize(
+        "gamma, pair, arc", [(None, None, "D"), (None, None, "N"), (PI / 4.0, "DD", "D")]
+    )
+    def test_counting_bound_is_a_bound(self, gamma, pair, arc):
+        # the n-th eigenvalue (with multiplicity) has N(lambda_n) >= n, so
+        # checking every one checks N at each of its jumps
+        spec = es.sector_disk_spectrum(gamma, 1.0, pair, arc)
+        count = 0
+        for count, lam in enumerate(spec.up_to(20000.0), start=1):
+            assert count <= spec.counting_bound(lam)
+        assert count > 20000.0 * spec.weyl_area / (4.0 * PI) * 0.9
+
+    @pytest.mark.parametrize("arc, per_zero", [("D", 16), ("N", 32)])
+    def test_zero_march_work_is_linear(self, monkeypatch, arc, per_zero):
+        # a march resumed from the previous zero costs O(1) J evaluations per
+        # zero; a march restarted at x0 for every k costs O(k) (45 and 86 here)
+        j_calls = 0
+        bessel_j = sf.bessel_j
+
+        def counted_j(*args, **kwargs):
+            nonlocal j_calls
+            j_calls += 1
+            return bessel_j(*args, **kwargs)
+
+        class CountingCache(sf.BesselZeroCache):
+            puts = 0
+
+            def put(self, key, value):
+                self.puts += 1
+                super().put(key, value)
+
+        cache = CountingCache()
+        computed = 0
+
+        def counting(lookup):
+            def wrapper(*args, **kwargs):
+                nonlocal computed
+                before = cache.puts
+                value = lookup(*args, **kwargs)
+                computed += cache.puts > before
+                return value
+            return wrapper
+
+        monkeypatch.setattr(sf, "bessel_j", counted_j)
+        monkeypatch.setattr(es, "bessel_j_zero", counting(es.bessel_j_zero))
+        monkeypatch.setattr(es, "bessel_j_prime_zero", counting(es.bessel_j_prime_zero))
+        spec = es.sector_disk_spectrum(None, 1.0, None, arc, cache=cache)
+        assert sum(1 for _ in spec.up_to(6000.0)) > 1400
+        assert computed > 800
+        assert j_calls <= per_zero * computed
 
 
 class TestPartialTrace:

@@ -75,6 +75,24 @@ class TestIntegrate:
         assert r1.value == r2.value
 
 
+class TestGaussRule:
+    def test_built_once_and_read_only(self):
+        nodes, weights = quad_fp.gauss_rule(10)
+        assert quad_fp.gauss_rule(10)[0] is nodes
+        ref_x, ref_w = np.polynomial.legendre.leggauss(10)
+        assert np.array_equal(nodes, ref_x) and np.array_equal(weights, ref_w)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_panel_nodes_integrate_polynomials(self):
+        x, w = quad_fp.panel_nodes(0.5, 2.0, 3, rule=21)
+        assert x.shape == w.shape == (63,)
+        assert np.all(np.diff(x) > 0.0)
+        assert float(np.dot(w, x**41)) == pytest.approx((2.0**42 - 0.5**42) / 42.0, rel=1e-13)
+
+
 class TestFinitePart:
     def test_pure_divergence(self):
         r = quad_fp.finite_part(lambda lam: lam)

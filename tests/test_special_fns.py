@@ -179,6 +179,63 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             sf.bessel_j_zero(1.0, 0)
 
+    def test_handoff_band_against_extended_precision(self):
+        # 12 < x < 25 runs Bessel's integral on fixed panels with no error
+        # estimate; x = 25 is the first Hankel point.  The worst error seen
+        # here is 1.3e-13 relative, 1.4e-14 absolute
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        for nu in (0.0, 0.25, 0.5, 0.9, 1.3, 7.0):
+            for x in (12.01, 13.5, 15.0, 18.0, 21.0, 24.0, 24.99, 25.0):
+                ref = float(mp.besselj(nu, x))
+                assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+# orders of disks, of quarter/half-integer sectors, and of sectors with
+# opening 0.7 (orders (j + 1/2) pi / 0.7), up to the largest the spectra reach
+MARCH_ORDERS = (0.0, 0.25, 0.5, 1.0, 4.0 / 3.0, 2.0, 7.5, 13.3, 30.0, 61.7, 100.0,
+                0.5 * math.pi / 0.7, 3.5 * math.pi / 0.7)
+
+
+class TestZeroMarch:
+    @pytest.mark.parametrize("zero", [sf.bessel_j_zero, sf.bessel_j_prime_zero])
+    def test_warm_cache_equals_cold_march(self, zero):
+        for nu in MARCH_ORDERS:
+            cache = sf.BesselZeroCache()
+            warm = [zero(nu, k, cache=cache) for k in range(1, 41)]
+            cold = [zero(nu, k) for k in range(1, 41)]
+            assert warm == cold, nu
+            assert all(a < b for a, b in zip(warm, warm[1:])), nu
+
+    def test_against_extended_precision(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        for nu in (0.0, 0.25, 4.0 / 3.0, 7.5, 13.3, 30.0):
+            cache = sf.BesselZeroCache()
+            jp_cache = sf.BesselZeroCache()
+            for k in range(1, 8):
+                z = sf.bessel_j_zero(nu, k, cache=cache)
+                zp = sf.bessel_j_prime_zero(nu, k, cache=jp_cache)
+                if k not in (1, 2, 7):
+                    continue
+                assert z == pytest.approx(float(mp.besseljzero(nu, k)), abs=1e-11)
+                # mpmath counts x = 0 as the first zero of J0'
+                ref_p = mp.besseljzero(nu, k + 1 if nu == 0.0 else k, derivative=1)
+                assert zp == pytest.approx(float(ref_p), abs=1e-11)
+
+    def test_resume_after_exact_grid_zero(self):
+        # zeros at 1.0 and 3.0 fall on the grid 0, 0.25, 0.5, ...; 2.1 does not
+        f = lambda x: (x - 1.0) * (x - 2.1) * (x - 3.0)
+        step = 0.25
+        expect = [(1.0, 1.0), (2.0, 2.25), (3.0, 3.0)]
+        state = (0.0, f(0.0))
+        for k, (a, b) in enumerate(expect, start=1):
+            bracket, state = sf._march_for_zero(f, *state, step, 1)
+            assert bracket[:2] == (a, b)
+            cold_bracket, cold_state = sf._march_for_zero(f, 0.0, f(0.0), step, k)
+            assert (cold_bracket, cold_state) == (bracket, state)
+        assert state[0] == 3.25
+
 
 class TestErfc:
     def test_definition_values(self):
