@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad_fp
-from .errors import DomainError, UnsupportedBCError
+from .errors import ConvergenceError, DomainError, UnsupportedBCError
 from .special_fns import (
     DEFAULT_CONFIG,
+    _I_MANY_X_MAX,
     _clgamma,
     bessel_i_scaled,
     bessel_i_scaled_many,
@@ -111,9 +112,12 @@ def _cumulative_mode_integral(orders, cutoffs, config):
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
         n_pan = max(2, int(math.ceil((b - a) / 0.4)))
-        for r_node, w in zip(*quad_fp.panel_nodes(a, b, n_pan, rule=21)):
-            s = float(bessel_i_scaled_many(orders, 0.5 * r_node * r_node, config).sum())
-            total += w * 0.5 * r_node * s
+        r_nodes, w_nodes = quad_fp.panel_nodes(a, b, n_pan, rule=21)
+        # one (nodes x orders) block per segment; rows are summed one by one
+        # and accumulated in node order
+        block = bessel_i_scaled_many(orders, 0.5 * r_nodes * r_nodes, config)
+        for r_node, w, row in zip(r_nodes, w_nodes, block):
+            total += w * 0.5 * r_node * float(row.sum())
         out.append(total)
     return np.array(out)
 
@@ -130,13 +134,23 @@ def corner_finite_part(
 
     Returns the FinitePartResult whose finite_part is the numerical corner
     coefficient; corner_coeff(CornerKind(pair, alpha)) is the closed form it
-    must reproduce.
+    must reproduce.  The mode sum evaluates I_nu up to 1/(2 eps^2), and
+    bessel_i_scaled_many stops at 700, so the smallest eps must be
+    >= 1/sqrt(1400) = 0.0267; a schedule below that raises DomainError
+    before any integral is computed.
     """
     if not 0.0 < alpha < 2.0 * math.pi:
         raise DomainError(f"corner angle must lie in (0, 2*pi), got {alpha}")
     eps = np.asarray(tuple(eps_schedule), dtype=float)
     cutoffs = 1.0 / eps  # increasing, since eps decreases
-    z_max = 0.5 * cutoffs[-1] ** 2
+    z_max = 0.5 * cutoffs.max() ** 2
+    if not z_max <= _I_MANY_X_MAX:
+        raise DomainError(
+            f"eps_schedule goes down to eps = {float(eps.min())!r}; the mode sum "
+            f"evaluates I_nu up to 1/(2 eps^2), which must stay <= {_I_MANY_X_MAX:g}, so "
+            f"the smallest eps must be >= 1/sqrt({2.0 * _I_MANY_X_MAX:g}) = "
+            f"{(2.0 * _I_MANY_X_MAX) ** -0.5:.6g}"
+        )
     orders = _corner_orders(pair, alpha, z_max, tol_mode=tol_mode)
     values = _cumulative_mode_integral(orders, cutoffs, config)
     table = dict(zip((float(c) for c in cutoffs), values))
@@ -224,19 +238,27 @@ def _log_u_grid(taus, mu_max):
 
 
 def _k_imag_scaled_table(mus, us, config):
-    """e^{pi mu/2} K_{i mu}(u) on the grid mus x us, batched.
+    """e^{pi mu/2} K_{i mu}(u) on the grid mus x us (us ascending), batched.
 
-    The complex-series recurrence runs on the whole 2D block; entries where
-    the series would cancel catastrophically (u beyond ~pi mu/2 + 16) are
-    overwritten from the cosine integral representation, evaluated as one
-    matrix product over a shared cosh grid.
+    Each entry comes from the branch the scalar route
+    (special_fns._k_imag_scaled_impl) would take.  The complex series serves
+    the entries where it is preferred (mu >= 0.5, u <= pi mu/2 + 16,
+    u^2 <= 72 mu), unless its error estimate
+    4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}) exceeds 1e-11 of the
+    value and the integral's rounding floor is lower.  Every other entry
+    comes from the cosine integral representation: one matrix product over a
+    shared cosh grid, built in blocks of at most 256 columns.  Each column of
+    the series stops on its own convergence test and is frozen there; as us
+    ascends, the converged columns are a prefix and leave the block.
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
-    series_ok = (us[None, :] <= 0.5 * math.pi * mus[:, None] + 16.0) & (
-        us[None, :] ** 2 <= 72.0 * mus[:, None]
+    # the test of special_fns._series_preferred, entry by entry
+    series_ok = (
+        (mus[:, None] >= 0.5)
+        & (us[None, :] <= 0.5 * math.pi * mus[:, None] + 16.0)
+        & (us[None, :] ** 2 <= 72.0 * mus[:, None])
     )
-    out = np.empty((mus.size, us.size))
 
     lg = np.array([_clgamma(complex(1.0, m)) for m in mus])
     log_u = np.log(0.5 * us)
@@ -245,35 +267,54 @@ def _k_imag_scaled_table(mus, us, config):
         - lg[:, None]
         - 0.5 * math.pi * mus[:, None]
     )
-    # keep the recurrence off the catastrophic entries
+    # keep the recurrence off the entries the series does not serve
     c = np.where(series_ok, c, 0.0)
     s = c.copy()
+    largest = np.abs(c)
     q = 0.25 * us * us
+    # the series runs on the live columns lo:hi; no entry past hi uses it
+    served = np.nonzero(series_ok.any(axis=0))[0]
+    lo, hi = 0, int(served[-1]) + 1 if served.size else 0
+    c = c[:, :hi]
     for k in range(1, config.max_terms):
-        c = c * (q[None, :] / (k * (k + 1j * mus[:, None])))
-        s += c
-        if np.abs(c).max() < 1e-18 * max(np.abs(s).max(), 1e-300):
+        if lo == hi:
             break
+        c = c * (q[None, lo:hi] / (k * (k + 1j * mus[:, None])))
+        s[:, lo:hi] += c
+        size = np.abs(c)
+        np.maximum(largest[:, lo:hi], size, out=largest[:, lo:hi])
+        done = size.max(axis=0) < 1e-18 * np.maximum(np.abs(s[:, lo:hi]).max(axis=0), 1e-300)
+        c[:, done] = 0.0  # a converged column adds nothing more
+        skip = done.size if done.all() else int(np.argmin(done))
+        lo += skip
+        c = c[:, skip:]
+    if lo < hi:
+        raise ConvergenceError("batched K_imu series did not converge", {"u": float(us[lo])})
     denom = -np.expm1(-_TWO_PI * mus)
-    denom[mus == 0.0] = 1.0  # mu=0 handled by the integral branch below
-    out[:] = -_TWO_PI * s.imag / denom[:, None]
+    denom[mus == 0.0] = 1.0  # mu = 0 rows come from the integral below
+    out = -_TWO_PI * s.imag / denom[:, None]
+    # a series entry that fails the 1e-11 test is replaced where the
+    # integral's rounding floor (as _k_imag_integral estimates it) is lower
+    err = 4e-16 * _TWO_PI * largest / denom[:, None]
+    err_int = 1e-16 * np.arccosh(1.0 + 50.0 / us)[None, :] * np.exp(
+        np.minimum(0.5 * math.pi * mus, 700.0)[:, None] - us[None, :]
+    )
+    lossy = err > 1e-11 * np.maximum(np.abs(out), 1e-300)
+    need_int = ~series_ok | (lossy & (err_int < err))
 
-    need_int = ~series_ok | (mus[:, None] < 0.5)
     cols = np.nonzero(need_int.any(axis=0))[0]
     if cols.size:
-        u_int = us[cols]
-        w_max = math.acosh(1.0 + 50.0 / float(u_int.min()))
+        w_max = math.acosh(1.0 + 50.0 / float(us[cols].min()))
         n_pan = max(8, int(4.0 * w_max), int(2.0 * mus.max() * w_max / math.pi))
         w_nodes, w_wts = quad_fp.panel_nodes(0.0, w_max, n_pan)
-        decay = np.exp(-u_int[:, None] * np.cosh(w_nodes)[None, :])
+        cosh_w = np.cosh(w_nodes)
         osc = np.cos(mus[:, None] * w_nodes[None, :]) * w_wts[None, :]
-        raw = osc @ decay.T  # (n_mu, n_u_int)
         scale = np.exp(np.minimum(0.5 * math.pi * mus, 700.0))
-        vals = raw * scale[:, None]
-        mask = need_int[:, cols]
-        block = out[:, cols]
-        block[mask] = vals[mask]
-        out[:, cols] = block
+        for start in range(0, cols.size, 256):
+            block = cols[start:start + 256]
+            decay = np.exp(-us[block, None] * cosh_w[None, :])
+            vals = (osc @ decay.T) * scale[:, None]  # (n_mu, len(block))
+            out[:, block] = np.where(need_int[:, block], vals, out[:, block])
     return out
 
 

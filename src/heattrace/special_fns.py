@@ -24,6 +24,7 @@ from .errors import (
 from .quad_fp import panel_nodes
 
 _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
+_I_MANY_X_MAX = 700.0  # bessel_i_scaled_many's argument cap
 _TWO_PI = 2.0 * math.pi
 
 
@@ -218,30 +219,55 @@ def bessel_i(nu, x, config=DEFAULT_CONFIG):
 
 
 def bessel_i_scaled_many(nus, x, config=DEFAULT_CONFIG):
-    """e^{-x} I_nu(x) for an array of orders at one argument x <= 700.
+    """e^{-x} I_nu(x) for an array of orders at arguments 0 <= x <= 700.
 
     Vectorized forward series used by the corner-contribution mode sums;
-    the x cap keeps the scaled first term representable.
+    the x cap keeps the scaled first term representable.  A scalar x gives
+    one value per order.  A 1-D array x gives a (len(x), len(nus)) block
+    whose row i is, bit for bit, the scalar call at x[i]: every row takes
+    the same steps and stops at the same term as that call, and a row that
+    has converged is frozen (its term set to 0) while the others run on.
     """
     nus = np.asarray(nus, dtype=float)
     if nus.size and (nus.min() < 0.0 or not np.isfinite(nus).all()):
         raise DomainError("orders must be finite and >= 0")
-    if not (0.0 <= x <= 700.0):
-        raise DomainError(f"argument must lie in [0, 700], got {x}")
-    if x == 0.0:
-        return np.where(nus == 0.0, 1.0, 0.0)
-    log_half = math.log(0.5 * x)
-    lg = np.array([math.lgamma(v + 1.0) for v in nus])
-    with np.errstate(under="ignore"):
-        t = np.exp(nus * log_half - lg - x)
-    s = t.copy()
-    q = 0.25 * x * x
-    for k in range(config.max_terms):
-        t *= q / ((k + 1.0) * (nus + k + 1.0))
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError(f"argument must be a scalar or a 1-D array, got shape {xs.shape}")
+    rows = np.atleast_1d(xs)
+    bad = ~((rows >= 0.0) & (rows <= _I_MANY_X_MAX))
+    if bad.any():
+        raise DomainError(f"argument must lie in [0, {_I_MANY_X_MAX:g}], got {rows[bad][0]}")
+    s = np.zeros((rows.size, nus.size))
+    s[rows == 0.0] = np.where(nus == 0.0, 1.0, 0.0)
+    if nus.size:
+        # 0.5 * v underflows only at v = 0 and at the smallest subnormal
+        log_half = np.array(
+            [math.log(0.5 * v) if 0.5 * v > 0.0 else math.log(v or 1.0) - math.log(2.0)
+             for v in rows]
+        )
+        lg = np.array([math.lgamma(v + 1.0) for v in nus])
+        with np.errstate(under="ignore"):
+            t = np.exp(nus * log_half[:, None] - lg - rows[:, None])
+        t[rows == 0.0] = 0.0  # rows at x = 0 are final already
         s += t
-        if t.max() < 1e-18 * max(s.max(), 1e-300):
-            return s
-    raise ConvergenceError("vectorized I series did not converge", {"x": x})
+        q = 0.25 * rows * rows
+        lo = 0  # the rows before lo have converged and left the block
+        for k in range(config.max_terms):
+            t *= q[:, None] / ((k + 1.0) * (nus + k + 1.0))
+            s[lo:] += t
+            done = t.max(axis=1) < 1e-18 * np.maximum(s[lo:].max(axis=1), 1e-300)
+            if done.all():
+                break
+            t[done] = 0.0  # a converged row is frozen: it adds nothing more
+            skip = int(np.argmin(done))
+            lo += skip
+            t, q = t[skip:], q[skip:]
+        else:
+            raise ConvergenceError(
+                "vectorized I series did not converge", {"x": float(rows[lo:][~done][0])}
+            )
+    return s if xs.ndim else s[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +320,10 @@ def _k_imag_series(mu, x, config):
 
 
 def _series_preferred(mu, x):
-    # the complex series loses ~x^2/(4 mu) digits of e for x < mu and
-    # ~x - pi mu/2 beyond; the integral representation loses ~pi mu/2 net
+    # the complex series loses ~x^2/(4 mu) nats for x < mu and about two
+    # nats per unit of x beyond pi mu/2 (27 nats at mu = 11.73, x = 29.04,
+    # where x - pi mu/2 = 10.6), so near the edge x = pi mu/2 + 16 its error
+    # estimate decides; the integral representation loses ~pi mu/2 net
     return mu >= 0.5 and x <= 0.5 * math.pi * mu + 16.0 and x * x <= 72.0 * mu
 
 

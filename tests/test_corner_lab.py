@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from heattrace import corner_lab as cl
+from heattrace import quad_fp
+from heattrace import special_fns as sf
 from heattrace.errors import DomainError, UnsupportedBCError
 
 PI = math.pi
@@ -105,6 +107,42 @@ class TestFinitePartRoute:
         assert -2 in result.divergent_coeffs
         assert len(result.epsilons_used) == 14
 
+    @staticmethod
+    def _count_i_calls(monkeypatch):
+        calls = []
+        many = cl.bessel_i_scaled_many
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return many(*args, **kwargs)
+
+        monkeypatch.setattr(cl, "bessel_i_scaled_many", counted)
+        return calls
+
+    def test_one_i_block_per_cutoff_segment(self, monkeypatch):
+        # one (nodes x orders) block per segment of the cutoff ladder, not
+        # one call per Gauss node (1,848 calls for the default schedule)
+        calls = self._count_i_calls(monkeypatch)
+        eps = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.8, count=9)
+        result = cl.corner_finite_part("DN", PI / 2.0, eps_schedule=eps)
+        assert 0 < len(calls) <= len(eps)
+        assert result.finite_part == pytest.approx(closed_mixed(PI / 2.0), abs=1e-3)
+
+    def test_eps_below_the_i_argument_limit_fails_up_front(self, monkeypatch):
+        # the last cutoff 1/eps puts I_nu at 1/(2 eps^2) = 1048 > 700
+        calls = self._count_i_calls(monkeypatch)
+        eps = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.85, count=16)
+        with pytest.raises(DomainError, match=r"eps_schedule.*1/sqrt\(1400\)"):
+            cl.corner_finite_part("NN", 1.05, eps_schedule=eps)
+        assert calls == []
+
+    def test_eps_just_above_the_i_argument_limit_is_accepted(self):
+        ratio = (0.0268 / 0.25) ** (1.0 / 13.0)
+        eps = quad_fp.default_eps_schedule(eps_max=0.25, ratio=ratio, count=14)
+        assert 1.0 / math.sqrt(1400.0) < eps[-1] < 0.02681
+        result = cl.corner_finite_part("NN", 1.05, eps_schedule=eps)
+        assert result.finite_part == pytest.approx(closed_same(1.05), abs=1e-4)
+
 
 class TestTermContributions:
     def test_c_term(self):
@@ -128,8 +166,46 @@ class TestTermContributions:
             val = cl.term_contributions("C", gamma, radius=8.0)
             assert val == pytest.approx(closed_same(gamma), abs=1e-3)
 
+    def test_c_term_narrow_angle(self):
+        # large mu rows: where the series cancels but the integral's rounding
+        # floor is higher still, the K table keeps the series
+        val = cl.term_contributions("C", 0.5, radius=8.0)
+        assert val == pytest.approx(closed_same(0.5), rel=1e-8)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             cl.term_contributions("Z", 1.0)
         with pytest.raises(DomainError):
             cl.term_contributions("C", 7.0)
+
+
+class TestKTable:
+    @pytest.mark.parametrize("gamma, row_step, col_step", [(1.5, 2, 7), (0.5, 6, 41)])
+    def test_matches_scalar_route(self, gamma, row_step, col_step, monkeypatch):
+        """The batched table against _k_imag_scaled_impl on a subsample of the
+        grid term_contributions("C", gamma) tabulates: to 1e-9 relative where
+        the scalar estimate is below 1e-12 relative, elsewhere within twice
+        that estimate.  On the gamma = 1.5 grid a table that trusts the
+        series up to u = pi mu/2 + 16 is 1-3 % low at mu ~ 11, u ~ 29."""
+        grids = []
+        table = cl._k_imag_scaled_table
+
+        def capture(mus, us, config):
+            out = table(mus, us, config)
+            grids.append((mus, us, out))
+            return out
+
+        monkeypatch.setattr(cl, "_k_imag_scaled_table", capture)
+        cl.term_contributions("C", gamma)
+        mus, us, out = grids[0]
+        assert np.all(np.diff(us) > 0.0)
+        tight = 0
+        for i in range(0, mus.size, row_step):
+            for j in range(0, us.size, col_step):
+                value, err = sf._k_imag_scaled_impl(float(mus[i]), float(us[j]), sf.DEFAULT_CONFIG)
+                if err < 1e-12 * abs(value):
+                    tight += 1
+                    assert out[i, j] == pytest.approx(value, rel=1e-9), (mus[i], us[j])
+                else:
+                    assert abs(out[i, j] - value) <= 2.0 * err + 1e-9 * abs(value), (mus[i], us[j])
+        assert tight > 5000

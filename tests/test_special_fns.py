@@ -63,6 +63,40 @@ class TestBesselI:
             for nu, v in zip(nus, many):
                 assert v == pytest.approx(sf.bessel_i_scaled(float(nu), x), rel=1e-11, abs=1e-280)
 
+    def test_block_rows_equal_scalar_calls(self):
+        # rows stop at different steps (x = 0 at once, x = 700 last) and in
+        # any order; each row is the scalar call's float, bit for bit
+        nus = np.arange(0.0, 150.0) * 3.0 + 0.25
+        nus[0] = 0.0
+        xs = np.array([0.3, 0.0, 700.0, 12.5, 1e-8, 399.0, 0.0, 85.0, 699.9])
+        block = sf.bessel_i_scaled_many(nus, xs)
+        assert block.shape == (xs.size, nus.size)
+        for x, row in zip(xs, block):
+            assert np.array_equal(row, sf.bessel_i_scaled_many(nus, float(x)))
+        assert block[1, 0] == 1.0 and not block[1, 1:].any()
+
+    def test_scalar_argument_keeps_1d_result(self):
+        nus = np.array([0.0, 1.5, 4.0])
+        assert sf.bessel_i_scaled_many(nus, 2.0).shape == (3,)
+        assert sf.bessel_i_scaled_many(nus, np.float64(0.0)).shape == (3,)
+        assert sf.bessel_i_scaled_many(nus, np.array([2.0])).shape == (1, 3)
+
+    @pytest.mark.parametrize("bad", [700.5, -1.0, float("nan")])
+    def test_block_argument_domain(self, bad):
+        with pytest.raises(DomainError, match="argument"):
+            sf.bessel_i_scaled_many([0.0, 1.0], np.array([0.5, bad, 3.0]))
+
+    @given(
+        nus=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=6),
+        xs=st.lists(st.floats(min_value=0.0, max_value=700.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_against_scalar_property(self, nus, xs):
+        block = sf.bessel_i_scaled_many(nus, np.array(xs))
+        for x, row in zip(xs, block):
+            for nu, v in zip(nus, row):
+                assert v == pytest.approx(sf.bessel_i_scaled(nu, x), rel=1e-11, abs=1e-280)
+
     @given(
         nu=st.floats(min_value=0.0, max_value=50.0),
         x=st.floats(min_value=0.0, max_value=500.0),
