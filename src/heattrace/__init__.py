@@ -70,6 +70,7 @@ from .trace_coeffs import (
     disk_spec,
     distinguish,
     rectangle_spec,
+    sector_spec,
 )
 
 __version__ = "0.1.0"

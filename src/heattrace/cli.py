@@ -9,40 +9,15 @@ separated, header row, newline endings) for grids and trace samples.
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import corner_lab, exact_spectra, sector_models, trace_coeffs
-from .errors import HeatTraceError, ValidationError
+from .errors import DomainError, HeatTraceError, ValidationError
 from .sector_models import BoundaryCondition, SectorSpec
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_VALIDATION = 2
-
-
-def thread_cap():
-    """Worker-thread cap from HEATTRACE_THREADS (>= 1).
-
-    Evaluation is currently serial, so any cap is honored trivially; results
-    are identical for every value.
-    """
-    raw = os.environ.get("HEATTRACE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"HEATTRACE_THREADS must be an integer >= 1, got {raw!r}",
-            field="HEATTRACE_THREADS",
-        )
-    if n < 1:
-        raise ValidationError(
-            f"HEATTRACE_THREADS must be an integer >= 1, got {n}",
-            field="HEATTRACE_THREADS",
-        )
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +32,10 @@ def _reject_unknown(obj, allowed, where):
 
 
 def _parse_bc(raw, where):
-    if raw == "D":
-        return BoundaryCondition.dirichlet(), None
-    if raw == "N":
-        return BoundaryCondition.neumann(), None
+    """(condition, None), or (None, v) for {"R": {"integral": v}}."""
+    bc = raw if raw in ("D", "N") else None
     if isinstance(raw, dict) and set(raw) == {"R"}:
         body = raw["R"]
-        if isinstance(body, (int, float)):
-            if body <= 0:
-                raise ValidationError(f"{where}.bc.R: kappa must be > 0", field=where)
-            return BoundaryCondition.robin(float(body)), None
         if isinstance(body, dict) and set(body) == {"integral"}:
             integral = body["integral"]
             if not isinstance(integral, (int, float)) or integral <= 0:
@@ -74,11 +43,16 @@ def _parse_bc(raw, where):
                     f"{where}.bc.R.integral: must be a number > 0", field=where
                 )
             return None, float(integral)  # kappa fixed later from the length
-    raise ValidationError(
-        f'{where}.bc: expected "D", "N", {{"R": kappa}} or '
-        f'{{"R": {{"integral": value}}}}, got {raw!r}',
-        field=where,
-    )
+        if isinstance(body, (int, float)):
+            bc = ("R", body)
+    try:
+        return BoundaryCondition.parse(bc), None
+    except DomainError:
+        raise ValidationError(
+            f'{where}.bc: expected "D", "N", {{"R": kappa > 0}} or '
+            f'{{"R": {{"integral": value}}}}, got {raw!r}',
+            field=where,
+        ) from None
 
 
 def _parse_edge(raw, where):
@@ -228,6 +202,24 @@ def _emit(report, as_json, out=None):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _bc_arg(raw, field):
+    """A D, N or R:kappa argument as a BoundaryCondition."""
+    try:
+        return BoundaryCondition.parse(raw)
+    except DomainError as exc:
+        raise ValidationError(f"{field}: {exc}", field=field) from None
+
+
+def _floats_arg(raw, field):
+    """A comma-separated list of numbers."""
+    try:
+        return [float(v) for v in raw.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"{field}: expected comma-separated numbers, got {raw!r}", field=field
+        ) from None
+
+
 def cmd_coeffs(args):
     spec = load_polygon_spec(args.spec)
     coeffs = (
@@ -300,17 +292,13 @@ def cmd_kernel(args):
     axes = _parse_grid(args.grid)
     if args.model == "sector":
         names = ("t", "r", "theta", "r0", "theta0")
-        spec = SectorSpec(
-            args.gamma,
-            _bc_from_string(args.bc0),
-            _bc_from_string(args.bc1),
-        )
+        spec = SectorSpec(args.gamma, _bc_arg(args.bc0, "--bc0"), _bc_arg(args.bc1, "--bc1"))
         fn = lambda t, r, th, r0, th0: sector_models.sector_heat_kernel(
             spec, t, r, th, r0, th0
         )
     else:
         names = ("t", "x", "y", "x0", "y0")
-        bc = _bc_from_string(args.bc0)
+        bc = _bc_arg(args.bc0, "--bc0")
         fn = lambda t, x, y, x0, y0: sector_models.half_plane_kernel(bc, t, x, y, x0, y0)
     missing = [n for n in names if n not in axes]
     if missing:
@@ -327,23 +315,13 @@ def cmd_kernel(args):
     return EXIT_OK
 
 
-def _bc_from_string(raw):
-    if raw == "D":
-        return BoundaryCondition.dirichlet()
-    if raw == "N":
-        return BoundaryCondition.neumann()
-    if raw.startswith("R:"):
-        return BoundaryCondition.robin(float(raw[2:]))
-    raise ValidationError(f"boundary condition must be D, N or R:kappa, got {raw!r}")
-
-
 def cmd_greens(args):
-    s_values = [float(v) for v in args.s.split(",")]
+    s_values = _floats_arg(args.s, "--s")
     points = [((args.r, args.phi), (args.r0, args.phi0))]
     if args.model == "halfplane":
-        model = _bc_from_string(args.bc0)
+        model = _bc_arg(args.bc0, "--bc0")
     else:
-        model = SectorSpec(args.gamma, _bc_from_string(args.bc0), _bc_from_string(args.bc1))
+        model = SectorSpec(args.gamma, _bc_arg(args.bc0, "--bc0"), _bc_arg(args.bc1, "--bc1"))
     report = {"model": args.model, "residuals": {}}
     worst = 0.0
     for s in s_values:
@@ -356,29 +334,37 @@ def cmd_greens(args):
     return EXIT_OK if worst <= args.tol else EXIT_NUMERICAL
 
 
-def _spectrum_from_args(args):
+def _trace_fit_domain(args):
+    """(spectrum, polygon spec) of the domain a trace-fit samples."""
     if args.domain == "rectangle":
-        bcs = [s.strip() for s in args.bc.split(",")]
+        bcs = args.bc.split(",")
         if len(bcs) != 4:
             raise ValidationError(
                 "--bc needs four entries (left,right,bottom,top)", field="--bc"
             )
-        parse = lambda s: ("R", float(s[2:])) if s.startswith("R:") else s
-        return exact_spectra.rectangle_spectrum(
-            args.a, args.b, (parse(bcs[0]), parse(bcs[1])), (parse(bcs[2]), parse(bcs[3]))
+        left, right, bottom, top = (_bc_arg(s.strip(), "--bc") for s in bcs)
+        return (
+            exact_spectra.rectangle_spectrum(args.a, args.b, (left, right), (bottom, top)),
+            trace_coeffs.rectangle_spec(args.a, args.b, (bottom, right, top, left)),
         )
+    arc = _bc_arg(args.arc, "--arc")
     if args.domain == "disk":
-        return exact_spectra.sector_disk_spectrum(None, args.radius, None, args.arc)
-    return exact_spectra.sector_disk_spectrum(
-        args.gamma, args.radius, args.pair, args.arc
+        return (
+            exact_spectra.sector_disk_spectrum(None, args.radius, None, args.arc),
+            trace_coeffs.disk_spec(args.radius, arc),
+        )
+    bc0, bc1 = (_bc_arg(c, "--pair") for c in args.pair)
+    return (
+        exact_spectra.sector_disk_spectrum(args.gamma, args.radius, args.pair, args.arc),
+        trace_coeffs.sector_spec(args.gamma, args.radius, bc0, bc1, arc),
     )
 
 
 def cmd_trace_fit(args):
-    window = tuple(float(v) for v in args.window.split(","))
+    window = tuple(_floats_arg(args.window, "--window"))
     if len(window) != 2:
         raise ValidationError("--window must be tmin,tmax", field="--window")
-    spectrum = _spectrum_from_args(args)
+    spectrum, spec = _trace_fit_domain(args)
     samples = exact_spectra.trace_samples(spectrum, window, args.samples)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -396,63 +382,19 @@ def cmd_trace_fit(args):
         "residual_norm": report_fit.residual_norm,
         "condition_number": report_fit.condition_number,
     }
-    closed = _closed_form_for_args(args)
-    if closed is not None:
-        report["closed_form"] = {
-            "a_minus1": closed.a_minus1,
-            "a_minus_half": closed.a_minus_half,
-            "a_0": closed.a_0,
-        }
-        report["difference"] = {
-            "a_minus1": report_fit.a_minus1 - closed.a_minus1,
-            "a_minus_half": report_fit.a_minus_half - closed.a_minus_half,
-            "a_0": report_fit.a_0 - closed.a_0,
-        }
+    closed = trace_coeffs.coefficients(spec)
+    report["closed_form"] = {
+        "a_minus1": closed.a_minus1,
+        "a_minus_half": closed.a_minus_half,
+        "a_0": closed.a_0,
+    }
+    report["difference"] = {
+        "a_minus1": report_fit.a_minus1 - closed.a_minus1,
+        "a_minus_half": report_fit.a_minus_half - closed.a_minus_half,
+        "a_0": report_fit.a_0 - closed.a_0,
+    }
     _emit(report, args.json)
     return EXIT_OK
-
-
-def _closed_form_for_args(args):
-    """Closed-form trace coefficients of the sampled domain, when it is
-    expressible as a polygon spec."""
-    if args.domain == "rectangle":
-        bcs = [s.strip() for s in args.bc.split(",")]
-        conv = lambda s: (
-            BoundaryCondition.robin(float(s[2:]))
-            if s.startswith("R:")
-            else _bc_from_string(s)
-        )
-        left, right, bottom, top = (conv(s) for s in bcs)
-        return trace_coeffs.coefficients(
-            trace_coeffs.rectangle_spec(args.a, args.b, (bottom, right, top, left))
-        )
-    if args.domain == "disk":
-        return trace_coeffs.coefficients(
-            trace_coeffs.disk_spec(args.radius, _bc_from_string(args.arc))
-        )
-    # truncated sector: two straight edges, one arc, corner angle gamma at
-    # the tip and right angles where the straight edges meet the arc
-    bc0 = _bc_from_string(args.pair[0])
-    bc1 = _bc_from_string(args.pair[1])
-    arc = _bc_from_string(args.arc)
-    rho = args.radius
-    edges = (
-        trace_coeffs.EdgeSpec(rho, bc0),
-        trace_coeffs.EdgeSpec(
-            args.gamma * rho, arc, geodesic_curvature_integral=args.gamma
-        ),
-        trace_coeffs.EdgeSpec(rho, bc1),
-    )
-    loop = trace_coeffs.BoundaryLoop(
-        edges=edges, angles=(math.pi / 2.0, math.pi / 2.0, args.gamma)
-    )
-    return trace_coeffs.coefficients(
-        trace_coeffs.PolygonSpec(
-            area=0.5 * args.gamma * rho * rho,
-            loops=(loop,),
-            gauss_curvature_integral=0.0,
-        )
-    )
 
 
 def cmd_distinguish(args):
@@ -552,7 +494,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -346,9 +346,12 @@ def _fit_against_tau(taus, values):
     """Coefficient of tau^0 in a {tau^2, tau, 1, 1/tau} weighted LS fit."""
     taus = np.asarray(taus, dtype=float)
     design = np.stack([taus**2, taus, np.ones_like(taus), 1.0 / taus], axis=1)
-    scale = np.abs(design).max(axis=0)
-    coef, *_ = np.linalg.lstsq(design / scale, np.asarray(values), rcond=None)
-    return float((coef / scale)[2])
+    # unit weights: multiplying by 1.0 is exact, so the solve sees the plain
+    # column-scaled design
+    coef, _, _ = quad_fp.weighted_lstsq(
+        design, np.asarray(values, dtype=float), np.ones_like(taus)
+    )
+    return float(coef[2])
 
 
 def term_contributions(term, gamma, radius=8.0, t=0.01, config=DEFAULT_CONFIG):

@@ -15,24 +15,13 @@ import numpy as np
 
 from ._rootfind import brent
 from .errors import DomainError, TailBoundError, UnsupportedBCError
+from .quad_fp import weighted_lstsq
 from .sector_models import BoundaryCondition
 from .special_fns import (
     BesselZeroCache,
     bessel_j_prime_zero,
     bessel_j_zero,
 )
-
-
-def _as_bc(bc):
-    if isinstance(bc, BoundaryCondition):
-        return bc
-    if bc == "D":
-        return BoundaryCondition.dirichlet()
-    if bc == "N":
-        return BoundaryCondition.neumann()
-    if isinstance(bc, tuple) and len(bc) == 2 and bc[0] == "R":
-        return BoundaryCondition.robin(bc[1])
-    raise DomainError(f"cannot interpret boundary condition {bc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +37,8 @@ class _Interval1D:
         if not length > 0.0:
             raise DomainError(f"interval length must be positive, got {length}")
         self.length = length
-        self.bc0 = _as_bc(bc0)
-        self.bc1 = _as_bc(bc1)
+        self.bc0 = BoundaryCondition.parse(bc0)
+        self.bc1 = BoundaryCondition.parse(bc1)
         self._vals = []
 
     def _wavenumber(self, m):
@@ -248,6 +237,10 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
         raise UnsupportedBCError("arc condition must be 'D' or 'N'")
     if cache is None:
         cache = BesselZeroCache()
+    # crude rigorous counting with x = radius sqrt(lam): families with
+    # nu > x have no zero <= x (j_{nu,1} > nu), zeros within a family are
+    # spaced by more than 3, and the family count is bounded by the order
+    # density; expanding (#families)(x/3 + 1) gives the constants below
     if gamma is None:
         area = math.pi * radius * radius
 
@@ -255,12 +248,8 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
             # nu sequence 0, 1, 1, 2, 2, ... encodes disk multiplicities
             return (j + 1) // 2
 
-        def factory():
-            return _family_merge_stream(
-                lambda nu: _BesselFamily(float(nu), radius, arc_bc, cache), orders
-            )
-
-        max_nu_per_x = lambda x: 2.0 * x + 1.0
+        c1 = 2.0 * radius * radius / 3.0
+        c2 = radius * (2.0 + 1.0 / 3.0)
     else:
         if not 0.0 < gamma < 2.0 * math.pi:
             raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}")
@@ -270,30 +259,21 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
         h = math.pi / gamma
         offset = {"DD": 1.0, "NN": 0.0, "DN": 0.5, "ND": 0.5}[edge_pair]
 
-        def orders(j, h=h, offset=offset):
+        def orders(j):
             return (j + offset) * h
 
-        def factory():
-            return _family_merge_stream(
-                lambda nu: _BesselFamily(float(nu), radius, arc_bc, cache), orders
-            )
-
-    # crude rigorous counting with x = radius sqrt(lam): families with
-    # nu > x have no zero <= x (j_{nu,1} > nu), zeros within a family are
-    # spaced by more than 3, and the family count is bounded by the order
-    # density; expanding (#families)(x/3 + 1) gives the constants below
-    if gamma is None:
-        c1 = 2.0 * radius * radius / 3.0
-        c2 = radius * (2.0 + 1.0 / 3.0)
-        c3 = 1.0
-    else:
         c1 = radius * radius / (3.0 * h)
         c2 = radius * (1.0 / h + 1.0 / 3.0)
-        c3 = 1.0
+
+    def factory():
+        return _family_merge_stream(
+            lambda nu: _BesselFamily(float(nu), radius, arc_bc, cache), orders
+        )
+
     return Spectrum(
         factory=factory,
         weyl_area=area,
-        counting_constants=(c1, c2, c3),
+        counting_constants=(c1, c2, 1.0),
         description=("disk" if gamma is None else f"sector gamma={gamma}")
         + f" radius={radius} arc={arc_bc}",
     )
@@ -391,24 +371,17 @@ def fit_asymptotics(samples, cond_limit=1e10):
     if ts[0] <= 0.0 or ts[-1] > 0.2:
         raise DomainError("sample times must lie in (0, 0.2]")
     design = np.stack([ts**p for p in _FIT_POWERS], axis=1)
-    sig = tails + 1e-12
-    w = 1.0 / sig
-    a_mat = design * w[:, None]
-    col_scale = np.abs(a_mat).max(axis=0)
-    coef_scaled, _, _, sing = np.linalg.lstsq(a_mat / col_scale, vals * w, rcond=None)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0.0 else math.inf
+    coef, cond, resid_norm = weighted_lstsq(design, vals, 1.0 / (tails + 1e-12))
     if cond > cond_limit:
         raise DomainError(
             f"fit basis is too collinear on this window (cond {cond:.2e})"
         )
-    coef = coef_scaled / col_scale
-    resid = vals - design @ coef
     return FitReport(
         a_minus1=float(coef[0]),
         a_minus_half=float(coef[1]),
         a_0=float(coef[2]),
         nuisance={"t^1/2": float(coef[3]), "t": float(coef[4])},
-        residual_norm=float(np.sqrt(np.mean(resid**2))),
+        residual_norm=resid_norm,
         window=(float(ts[0]), float(ts[-1])),
         condition_number=cond,
     )

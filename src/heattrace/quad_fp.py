@@ -11,7 +11,7 @@ import functools
 import heapq
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class FinitePartResult:
     condition_number: float
     epsilons_used: tuple
     residual_norm: float = 0.0
-    all_coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         eps = self.epsilons_used
@@ -177,6 +176,25 @@ def default_eps_schedule(eps_max=0.5, ratio=0.8, count=12):
     return tuple(eps_max * ratio**k for k in range(count))
 
 
+def weighted_lstsq(design, values, weights):
+    """Weighted least squares: the coef minimising
+    sum_i (weights_i (values_i - (design @ coef)_i))^2.
+
+    The weighted design's columns are scaled to unit max norm before the
+    solve.  Returns (coef, cond, rms): the coefficients, the 2-norm
+    condition number of the scaled weighted design (inf when it is
+    singular), and the root mean square of the unweighted residual
+    values - design @ coef.  Callers apply their own gate to cond and rms.
+    """
+    a_mat = design * weights[:, None]
+    col_scale = np.abs(a_mat).max(axis=0)
+    coef_scaled, _, _, sing = np.linalg.lstsq(a_mat / col_scale, values * weights, rcond=None)
+    cond = float(sing[0] / sing[-1]) if sing[-1] > 0.0 else math.inf
+    coef = coef_scaled / col_scale
+    resid = values - design @ coef
+    return coef, cond, float(np.sqrt(np.mean(resid**2)))
+
+
 DEFAULT_BASIS = (-2, -1, 0, 1)
 
 
@@ -223,16 +241,9 @@ def finite_part(
         errs = np.asarray(value_errs, dtype=float)
     design = eps[:, None] ** np.asarray(basis, dtype=float)[None, :]
     w = 1.0 / np.sqrt(eps)  # squared weight 1/eps
-    a_mat = design * w[:, None]
-    col_scale = np.abs(a_mat).max(axis=0)
-    a_scaled = a_mat / col_scale
-    coef_scaled, _, _, sing = np.linalg.lstsq(a_scaled, values * w, rcond=None)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0.0 else math.inf
+    coef, cond, resid_norm = weighted_lstsq(design, values, w)
     if cond > cond_limit:
         raise IllConditionedFitError("finite-part fit is ill conditioned", cond)
-    coef = coef_scaled / col_scale
-    resid = values - design @ coef
-    resid_norm = float(np.sqrt(np.mean(resid**2)))
     if errs.any():
         budget = 10.0 * float(errs.max())
         if resid_norm > budget and budget > 0.0:
@@ -247,5 +258,4 @@ def finite_part(
         condition_number=max(cond, 1.0),
         epsilons_used=tuple(float(e) for e in eps),
         residual_norm=resid_norm,
-        all_coeffs=coeffs,
     )

@@ -62,6 +62,29 @@ class BoundaryCondition:
     def robin(cls, kappa):
         return cls("R", float(kappa))
 
+    @classmethod
+    def parse(cls, raw):
+        """The one reader of boundary-condition input: a BoundaryCondition
+        (returned as is), "D", "N", "R:kappa" or ("R", kappa).
+
+        Raises DomainError on any other value, and on a Robin kappa that is
+        not a number > 0.
+        """
+        if isinstance(raw, cls):
+            return raw
+        if raw in ("D", "N"):
+            return cls(raw)
+        kappa = raw[2:] if isinstance(raw, str) and raw.startswith("R:") else None
+        if isinstance(raw, tuple) and len(raw) == 2 and raw[0] == "R":
+            kappa = raw[1]
+        try:
+            return cls.robin(kappa)
+        except (TypeError, ValueError):
+            raise DomainError(
+                'boundary condition must be "D", "N", "R:kappa" or ("R", kappa) '
+                f"with kappa > 0, got {raw!r}"
+            ) from None
+
 
 DIRICHLET = BoundaryCondition.dirichlet()
 NEUMANN = BoundaryCondition.neumann()

@@ -9,7 +9,6 @@ unscaled value over- or underflows.
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -499,18 +498,16 @@ def bessel_j_prime(nu, x, config=DEFAULT_CONFIG):
 
 class BesselZeroCache:
     """Memoizes Bessel zeros, and the grid point where each zero's march
-    stopped; reads are lock free, writes serialized."""
+    stopped."""
 
     def __init__(self):
         self._data = {}
-        self._lock = threading.Lock()
 
     def get(self, key):
         return self._data.get(key)
 
     def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
+        self._data[key] = value
 
 
 _ZERO_STEP = math.pi / 4.0  # well below the spacing of consecutive zeros

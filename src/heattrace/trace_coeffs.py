@@ -171,6 +171,28 @@ def _vertex_kind(angle, edge_before, edge_after):
     return CornerKind(pair, angle)
 
 
+def _assemble(spec, **form_terms):
+    """TraceCoefficients from the a_0 entries specific to one form of the
+    curvature term plus everything both forms share: a_{-1}, a_{-1/2}, and
+    the Robin, vertex and cone entries of a_0."""
+    edges = spec.all_edges()
+    a_minus1 = spec.area / (4.0 * math.pi)
+    non_d = math.fsum(e.length for e in edges if not e.is_dirichlet)
+    dir_len = math.fsum(e.length for e in edges if e.is_dirichlet)
+    a_minus_half = (non_d - dir_len) / (8.0 * math.sqrt(math.pi))
+    breakdown = dict(form_terms)
+    breakdown["robin"] = -math.fsum(
+        e.robin_integral for e in edges if e.bc.kind == "R"
+    ) / (2.0 * math.pi)
+    for i, (angle, before, after) in enumerate(spec.all_vertices()):
+        breakdown[f"vertex_{i}"] = corner_coeff(_vertex_kind(angle, before, after))
+    for i, opening in enumerate(spec.cone_points):
+        breakdown[f"cone_{i}"] = cone_point_coeff(opening)
+    # fsum rounds correctly, so a_0 does not depend on the entry order
+    a_0 = math.fsum(breakdown.values())
+    return TraceCoefficients(a_minus1, a_minus_half, a_0, breakdown)
+
+
 def coefficients(spec):
     """Heat-trace coefficients of the polygon:
 
@@ -184,28 +206,12 @@ def coefficients(spec):
     the trace and its t^0 coefficient must decrease; the exactly solvable
     rectangle oracles confirm the magnitude kappa l/(2 pi) and the sign.
     """
-    edges = spec.all_edges()
-    a_minus1 = spec.area / (4.0 * math.pi)
-    non_d = math.fsum(e.length for e in edges if not e.is_dirichlet)
-    dir_len = math.fsum(e.length for e in edges if e.is_dirichlet)
-    a_minus_half = (non_d - dir_len) / (8.0 * math.sqrt(math.pi))
-    breakdown = {
-        "gauss_curvature": spec.gauss_integral() / (12.0 * math.pi),
-        "geodesic_curvature": math.fsum(
-            e.geodesic_curvature_integral for e in edges
-        )
-        / (12.0 * math.pi),
-        "robin": -math.fsum(
-            e.robin_integral for e in edges if e.bc.kind == "R"
-        )
-        / (2.0 * math.pi),
-    }
-    for i, (angle, before, after) in enumerate(spec.all_vertices()):
-        breakdown[f"vertex_{i}"] = corner_coeff(_vertex_kind(angle, before, after))
-    for i, opening in enumerate(spec.cone_points):
-        breakdown[f"cone_{i}"] = cone_point_coeff(opening)
-    a_0 = math.fsum(breakdown.values())
-    return TraceCoefficients(a_minus1, a_minus_half, a_0, breakdown)
+    kg = math.fsum(e.geodesic_curvature_integral for e in spec.all_edges())
+    return _assemble(
+        spec,
+        gauss_curvature=spec.gauss_integral() / (12.0 * math.pi),
+        geodesic_curvature=kg / (12.0 * math.pi),
+    )
 
 
 def coefficients_gb(spec):
@@ -214,28 +220,17 @@ def coefficients_gb(spec):
         a_0 = chi/6 - sum (pi - alpha_j)/12 pi + Robin + corner sums,
 
     with the same (negative) Robin edge term as coefficients(); identical to
-    it whenever the curvature data is Gauss-Bonnet consistent.
+    it whenever the curvature data is Gauss-Bonnet consistent.  A spec with
+    an Euler characteristic has no cone points.
     """
     if spec.euler_characteristic is None:
         raise DomainError("coefficients_gb needs euler_characteristic")
     spec.gauss_integral()  # raises on inconsistent redundant data
-    edges = spec.all_edges()
-    a_minus1 = spec.area / (4.0 * math.pi)
-    non_d = math.fsum(e.length for e in edges if not e.is_dirichlet)
-    dir_len = math.fsum(e.length for e in edges if e.is_dirichlet)
-    a_minus_half = (non_d - dir_len) / (8.0 * math.sqrt(math.pi))
-    breakdown = {
-        "euler": spec.euler_characteristic / 6.0,
-        "angle_defect": -spec.curvature_defect_sum() / (12.0 * math.pi),
-        "robin": -math.fsum(
-            e.robin_integral for e in edges if e.bc.kind == "R"
-        )
-        / (2.0 * math.pi),
-    }
-    for i, (angle, before, after) in enumerate(spec.all_vertices()):
-        breakdown[f"vertex_{i}"] = corner_coeff(_vertex_kind(angle, before, after))
-    a_0 = math.fsum(breakdown.values())
-    return TraceCoefficients(a_minus1, a_minus_half, a_0, breakdown)
+    return _assemble(
+        spec,
+        euler=spec.euler_characteristic / 6.0,
+        angle_defect=-spec.curvature_defect_sum() / (12.0 * math.pi),
+    )
 
 
 @dataclass(frozen=True)
@@ -293,6 +288,24 @@ def disk_spec(radius, bc):
     loop = BoundaryLoop(edges=(edge,), angles=())
     return PolygonSpec(
         area=math.pi * radius * radius,
+        loops=(loop,),
+        gauss_curvature_integral=0.0,
+    )
+
+
+def sector_spec(gamma, radius, bc0, bc1, arc):
+    """Circular sector of opening gamma truncated at the given radius: two
+    straight edges with conditions bc0 and bc1, joined at the tip by the
+    corner gamma, and an arc with condition arc that meets each straight
+    edge at a right angle.  The conditions are BoundaryCondition objects."""
+    edges = (
+        EdgeSpec(radius, bc0),
+        EdgeSpec(gamma * radius, arc, geodesic_curvature_integral=gamma),
+        EdgeSpec(radius, bc1),
+    )
+    loop = BoundaryLoop(edges=edges, angles=(math.pi / 2.0, math.pi / 2.0, gamma))
+    return PolygonSpec(
+        area=0.5 * gamma * radius * radius,
         loops=(loop,),
         gauss_curvature_integral=0.0,
     )

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -274,16 +273,30 @@ class TestDistinguish:
         assert json.loads(out)["verdict"] == "inconclusive"
 
 
-class TestEnvironment:
-    def test_thread_cap_validation(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("HEATTRACE_THREADS", "not-a-number")
-        spec = write_spec(tmp_path / "square.json", square_payload())
-        code, _, err = run(["coeffs", "--spec", spec], capsys)
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            pytest.param(["kernel", "--model", "halfplane", "--bc0", "R:abc"], "--bc0",
+                         id="kernel-R:abc"),
+            pytest.param(["kernel", "--model", "halfplane", "--bc0", "R:-1"], "--bc0",
+                         id="kernel-R:-1"),
+            pytest.param(["greens", "--model", "halfplane", "--bc0", "R:0"], "--bc0",
+                         id="greens-R:0"),
+            pytest.param(["greens", "--model", "halfplane", "--bc0", "N", "--s", "1,x"], "--s",
+                         id="greens-s"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--bc", "D,D,D,R:abc"], "--bc",
+                         id="trace-fit-R:abc"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--bc", "D,D,D,X"], "--bc",
+                         id="trace-fit-X"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--window", "a,b"], "--window",
+                         id="trace-fit-window"),
+        ],
+    )
+    def test_exit_2_names_the_field(self, argv, field, tmp_path, capsys):
+        if argv[0] == "kernel":
+            argv = argv + ["--grid", "t=0.2;x=0.0;y=0.5;x0=0.3;y0=0.8",
+                           "--out", str(tmp_path / "k.csv")]
+        code, _, err = run(argv, capsys)
         assert code == 2
-        assert "HEATTRACE_THREADS" in err
-
-    def test_thread_cap_accepts_positive(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("HEATTRACE_THREADS", "4")
-        spec = write_spec(tmp_path / "square.json", square_payload())
-        code, out, _ = run(["coeffs", "--spec", spec], capsys)
-        assert code == 0
+        assert f"validation error: {field}: " in err

@@ -170,3 +170,25 @@ class TestFinitePart:
             fps[c] = r.finite_part
         assert abs(fps[0.5] - fps[1.0]) <= 1e-5
         assert abs(fps[2.0] - fps[1.0]) <= 1e-5
+
+
+class TestWeightedLstsq:
+    def test_recovers_exact_weighted_fit(self):
+        x = np.linspace(0.1, 1.0, 9)
+        design = np.stack([np.ones_like(x), x, x**2], axis=1)
+        values = 2.0 - 3.0 * x + 0.5 * x**2
+        coef, cond, rms = quad_fp.weighted_lstsq(design, values, 1.0 / x)
+        np.testing.assert_allclose(coef, [2.0, -3.0, 0.5], rtol=1e-12)
+        assert rms <= 1e-14
+        assert cond >= 1.0
+
+    def test_unit_weights_match_plain_column_scaled_solve(self):
+        # the corner-term fit passes unit weights and must keep its bits
+        taus = np.linspace(0.5, 2.0, 7)
+        design = np.stack([taus**2, taus, np.ones_like(taus), 1.0 / taus], axis=1)
+        values = np.cos(3.0 * taus)  # outside the span: nonzero residual
+        scale = np.abs(design).max(axis=0)
+        plain, *_ = np.linalg.lstsq(design / scale, values, rcond=None)
+        coef, _, rms = quad_fp.weighted_lstsq(design, values, np.ones_like(taus))
+        assert coef.tolist() == (plain / scale).tolist()
+        assert rms > 0.0

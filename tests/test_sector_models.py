@@ -26,6 +26,23 @@ def image_kernel_dd(n, t, r, th, r0, th0):
     return total
 
 
+class TestBoundaryConditionParse:
+    def test_instance_passes_through(self):
+        bc = sm.BoundaryCondition.robin(2.0)
+        assert sm.BoundaryCondition.parse(bc) is bc
+
+    def test_forms_agree(self):
+        parse = sm.BoundaryCondition.parse
+        assert parse("R:1.5") == parse(("R", 1.5)) == sm.BoundaryCondition.robin(1.5)
+        assert parse("D") == sm.DIRICHLET
+        assert parse("N") == sm.NEUMANN
+
+    @pytest.mark.parametrize("raw", ["X", "R:abc", ("R", None), "R:0", "R:nan"])
+    def test_rejects(self, raw):
+        with pytest.raises(DomainError):
+            sm.BoundaryCondition.parse(raw)
+
+
 class TestAngularModes:
     def test_dd_first_mode(self):
         spec = sm.SectorSpec(PI)

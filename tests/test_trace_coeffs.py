@@ -147,6 +147,35 @@ class TestGaussBonnetForm:
             assert c.a_0 > 1.0 / 6.0 + robin_term
 
 
+def corner_term(bc_a, bc_b, alpha):
+    """Closed-form corner coefficient: mixed when exactly one edge is D."""
+    if (bc_a == "D") != (bc_b == "D"):
+        return -(PI**2 + 2.0 * alpha**2) / (48.0 * PI * alpha)
+    return (PI**2 - alpha**2) / (24.0 * PI * alpha)
+
+
+class TestSectorSpec:
+    @pytest.mark.parametrize("gamma", [PI / 3.0, PI / 2.0, 1.5 * PI])
+    @pytest.mark.parametrize("arc", ["D", "N"])
+    @pytest.mark.parametrize("pair", ["DD", "NN", "DN"])
+    def test_coefficients(self, pair, arc, gamma):
+        radius = 1.3
+        bc = {"D": DIRICHLET, "N": NEUMANN}
+        spec = tc.sector_spec(gamma, radius, bc[pair[0]], bc[pair[1]], bc[arc])
+        c = tc.coefficients(spec)
+        expect_a0 = (
+            corner_term(pair[0], pair[1], gamma)
+            + corner_term(pair[0], arc, PI / 2.0)
+            + corner_term(arc, pair[1], PI / 2.0)
+            + gamma / (12.0 * PI)
+        )
+        edges = ((radius, pair[0]), (gamma * radius, arc), (radius, pair[1]))
+        signed = sum(-ell if kind == "D" else ell for ell, kind in edges)
+        assert c.a_0 == pytest.approx(expect_a0, abs=1e-14)
+        assert c.a_minus_half == pytest.approx(signed / (8.0 * SQRT_PI), rel=1e-14)
+        assert c.a_minus1 == pytest.approx(gamma * radius**2 / (8.0 * PI), rel=1e-14)
+
+
 class TestInvariances:
     def test_phantom_vertex_additivity(self):
         base = tc.rectangle_spec(1.0, 1.0, (DIRICHLET,) * 4)
