@@ -42,12 +42,12 @@ from .sector_models import (
     greens_kl,
     half_plane_kernel,
     laplace_consistency,
+    mode_order,
     model_residual,
     sector_heat_kernel,
 )
 from .special_fns import (
     BesselZeroCache,
-    SpecialFnConfig,
     bessel_i,
     bessel_i_scaled,
     bessel_i_scaled_many,

@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import corner_lab, exact_spectra, sector_models, trace_coeffs
-from .errors import DomainError, HeatTraceError, ValidationError
+from .errors import DomainError, HeatTraceError, UnsupportedBCError, ValidationError
 from .sector_models import BoundaryCondition, SectorSpec
 
 EXIT_OK = 0
@@ -202,12 +202,25 @@ def _emit(report, as_json, out=None):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _bc_arg(raw, field):
-    """A D, N or R:kappa argument as a BoundaryCondition."""
+def _arg(field, build, *args):
+    """build(*args), the object an argument describes, with the DomainError
+    or UnsupportedBCError it raises reported as a validation error of that
+    argument.  Only construction is wrapped: a DomainError raised later, deep
+    in a computation, stays a numerical failure."""
     try:
-        return BoundaryCondition.parse(raw)
-    except DomainError as exc:
+        return build(*args)
+    except (DomainError, UnsupportedBCError) as exc:
         raise ValidationError(f"{field}: {exc}", field=field) from None
+
+
+def _sector_arg(args):
+    """The SectorSpec of --gamma, --bc0 and --bc1.  Each SectorSpec call adds
+    one argument to those already checked, so an error names its cause."""
+    bc0 = _arg("--bc0", BoundaryCondition.parse, args.bc0)
+    bc1 = _arg("--bc1", BoundaryCondition.parse, args.bc1)
+    _arg("--gamma", SectorSpec, args.gamma)
+    _arg("--bc0", SectorSpec, args.gamma, bc0)
+    return _arg("--bc1", SectorSpec, args.gamma, bc0, bc1)
 
 
 def _floats_arg(raw, field):
@@ -230,7 +243,7 @@ def cmd_coeffs(args):
 
 
 def cmd_corner(args):
-    kind = corner_lab.CornerKind(args.pair, args.angle)
+    kind = _arg("--angle", corner_lab.CornerKind, args.pair, args.angle)
     report = {
         "pair": args.pair,
         "angle": args.angle,
@@ -292,13 +305,13 @@ def cmd_kernel(args):
     axes = _parse_grid(args.grid)
     if args.model == "sector":
         names = ("t", "r", "theta", "r0", "theta0")
-        spec = SectorSpec(args.gamma, _bc_arg(args.bc0, "--bc0"), _bc_arg(args.bc1, "--bc1"))
+        spec = _sector_arg(args)
         fn = lambda t, r, th, r0, th0: sector_models.sector_heat_kernel(
             spec, t, r, th, r0, th0
         )
     else:
         names = ("t", "x", "y", "x0", "y0")
-        bc = _bc_arg(args.bc0, "--bc0")
+        bc = _arg("--bc0", BoundaryCondition.parse, args.bc0)
         fn = lambda t, x, y, x0, y0: sector_models.half_plane_kernel(bc, t, x, y, x0, y0)
     missing = [n for n in names if n not in axes]
     if missing:
@@ -319,9 +332,9 @@ def cmd_greens(args):
     s_values = _floats_arg(args.s, "--s")
     points = [((args.r, args.phi), (args.r0, args.phi0))]
     if args.model == "halfplane":
-        model = _bc_arg(args.bc0, "--bc0")
+        model = _arg("--bc0", BoundaryCondition.parse, args.bc0)
     else:
-        model = SectorSpec(args.gamma, _bc_arg(args.bc0, "--bc0"), _bc_arg(args.bc1, "--bc1"))
+        model = _sector_arg(args)
     report = {"model": args.model, "residuals": {}}
     worst = 0.0
     for s in s_values:
@@ -342,28 +355,34 @@ def _trace_fit_domain(args):
             raise ValidationError(
                 "--bc needs four entries (left,right,bottom,top)", field="--bc"
             )
-        left, right, bottom, top = (_bc_arg(s.strip(), "--bc") for s in bcs)
+        left, right, bottom, top = (_arg("--bc", BoundaryCondition.parse, s.strip()) for s in bcs)
+        # --a is the length of the bottom and top edges, --b of the sides
+        _arg("--a", trace_coeffs.EdgeSpec, args.a, bottom)
+        _arg("--b", trace_coeffs.EdgeSpec, args.b, left)
         return (
             exact_spectra.rectangle_spectrum(args.a, args.b, (left, right), (bottom, top)),
             trace_coeffs.rectangle_spec(args.a, args.b, (bottom, right, top, left)),
         )
-    arc = _bc_arg(args.arc, "--arc")
-    if args.domain == "disk":
-        return (
-            exact_spectra.sector_disk_spectrum(None, args.radius, None, args.arc),
-            trace_coeffs.disk_spec(args.radius, arc),
-        )
-    bc0, bc1 = (_bc_arg(c, "--pair") for c in args.pair)
-    return (
-        exact_spectra.sector_disk_spectrum(args.gamma, args.radius, args.pair, args.arc),
-        trace_coeffs.sector_spec(args.gamma, args.radius, bc0, bc1, arc),
+    arc = _arg("--arc", BoundaryCondition.parse, args.arc)
+    spectrum = _arg(
+        "--radius", exact_spectra.sector_disk_spectrum, None, args.radius, None, args.arc
     )
+    if args.domain == "disk":
+        return spectrum, trace_coeffs.disk_spec(args.radius, arc)
+    # with the radius checked, the sector spectrum can only reject --gamma
+    bc0, bc1 = (_arg("--pair", BoundaryCondition.parse, c) for c in args.pair)
+    spectrum = _arg(
+        "--gamma", exact_spectra.sector_disk_spectrum, args.gamma, args.radius, args.pair, args.arc
+    )
+    return spectrum, trace_coeffs.sector_spec(args.gamma, args.radius, bc0, bc1, arc)
 
 
 def cmd_trace_fit(args):
     window = tuple(_floats_arg(args.window, "--window"))
     if len(window) != 2:
         raise ValidationError("--window must be tmin,tmax", field="--window")
+    _arg("--window", exact_spectra.sample_times, window)
+    _arg("--samples", exact_spectra.sample_times, window, args.samples)
     spectrum, spec = _trace_fit_domain(args)
     samples = exact_spectra.trace_samples(spectrum, window, args.samples)
     if args.csv:

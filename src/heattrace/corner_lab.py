@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad_fp
-from .errors import ConvergenceError, DomainError, UnsupportedBCError
+from .errors import ConvergenceError, DomainError
+from .sector_models import mode_order
 from .special_fns import (
-    DEFAULT_CONFIG,
     _I_MANY_X_MAX,
+    _MAX_TERMS,
     _clgamma,
+    _series_preferred,
     bessel_i_scaled,
     bessel_i_scaled_many,
 )
@@ -77,34 +79,27 @@ def cone_point_coeff(opening):
 
 CORNER_EPS_SCHEDULE = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.85, count=14)
 CORNER_BASIS = (-2, -1, 0, 1, 3, 5)  # the cutoff expansion has no even powers >= 2
+_MODE_TOL = 1e-16  # truncation bound of the corner mode ladder
 
-def _corner_orders(pair, alpha, z_max, tol_mode=1e-16):
-    """Bessel orders of the sector mode sum, truncated where the rigorous
-    bound (z/2)^nu / Gamma(nu+1) at the largest argument drops below tol_mode."""
-    h = math.pi / alpha
-    if pair == "DD":
-        start = h
-    elif pair == "NN":
-        start = 0.0
-    elif pair == "DN":
-        start = 0.5 * h
-    else:
-        raise UnsupportedBCError(
-            f"no sector mode sum for pair {pair!r}; Robin corners use the Neumann formula"
-        )
+
+def _corner_orders(pair, alpha, z_max):
+    """Bessel orders mode_order(pair, alpha, j), j = 0, 1, ..., of the sector
+    mode sum, truncated where the rigorous bound (z/2)^nu / Gamma(nu+1) at
+    the largest argument drops below 1e-16.  Robin pairs have no ladder
+    (their corners use the Neumann formula) and raise UnsupportedBCError."""
     log_half = math.log(0.5 * z_max)
-    log_tol = math.log(tol_mode)
+    log_tol = math.log(_MODE_TOL)
     orders = []
-    nu = start
+    nu = mode_order(pair, alpha, 0)
     while nu <= z_max or nu * log_half - math.lgamma(nu + 1.0) > log_tol:
         orders.append(nu)
-        nu += h
+        nu = mode_order(pair, alpha, len(orders))
         if len(orders) > 100_000:
             raise DomainError("mode ladder did not truncate; angle too large?")
     return np.asarray(orders)
 
 
-def _cumulative_mode_integral(orders, cutoffs, config):
+def _cumulative_mode_integral(orders, cutoffs):
     """F(L) = int_0^L (1/2) R e^{-R^2/2} sum_j I_{nu_j}(R^2/2) dR at each
     cutoff (increasing), by fixed Gauss panels of length <= 0.4."""
     edges = np.concatenate([[0.0], np.asarray(cutoffs)])
@@ -115,22 +110,16 @@ def _cumulative_mode_integral(orders, cutoffs, config):
         r_nodes, w_nodes = quad_fp.panel_nodes(a, b, n_pan, rule=21)
         # one (nodes x orders) block per segment; rows are summed one by one
         # and accumulated in node order
-        block = bessel_i_scaled_many(orders, 0.5 * r_nodes * r_nodes, config)
+        block = bessel_i_scaled_many(orders, 0.5 * r_nodes * r_nodes)
         for r_node, w, row in zip(r_nodes, w_nodes, block):
             total += w * 0.5 * r_node * float(row.sum())
         out.append(total)
     return np.array(out)
 
 
-def corner_finite_part(
-    pair,
-    alpha,
-    eps_schedule=CORNER_EPS_SCHEDULE,
-    basis=CORNER_BASIS,
-    tol_mode=1e-16,
-    config=DEFAULT_CONFIG,
-):
-    """Full finite-part extraction for the renormalized corner integral.
+def corner_finite_part(pair, alpha, eps_schedule=CORNER_EPS_SCHEDULE):
+    """Full finite-part extraction for the renormalized corner integral,
+    fitted against CORNER_BASIS.
 
     Returns the FinitePartResult whose finite_part is the numerical corner
     coefficient; corner_coeff(CornerKind(pair, alpha)) is the closed form it
@@ -151,39 +140,33 @@ def corner_finite_part(
             f"the smallest eps must be >= 1/sqrt({2.0 * _I_MANY_X_MAX:g}) = "
             f"{(2.0 * _I_MANY_X_MAX) ** -0.5:.6g}"
         )
-    orders = _corner_orders(pair, alpha, z_max, tol_mode=tol_mode)
-    values = _cumulative_mode_integral(orders, cutoffs, config)
+    orders = _corner_orders(pair, alpha, z_max)
+    values = _cumulative_mode_integral(orders, cutoffs)
     table = dict(zip((float(c) for c in cutoffs), values))
     return quad_fp.finite_part(
-        lambda lam: table[float(lam)], basis=basis, eps_schedule=eps
+        lambda lam: table[float(lam)], basis=CORNER_BASIS, eps_schedule=eps
     )
 
 
-def corner_coeff_numeric(pair, alpha, tol=1e-4, **kwargs):
-    """Numerical corner coefficient via the renormalized radial integral of
-    the truncated sector mode sum.
-
-    tol sets the per-mode truncation threshold of the Bessel-order ladder
-    (with a wide safety factor); the default schedule and basis deliver a
-    finite part within ~1e-6 of corner_coeff, far inside the 1e-4 contract.
-    """
-    result = corner_finite_part(pair, alpha, tol_mode=min(1e-12, 1e-3 * tol), **kwargs)
-    return result.finite_part
+def corner_coeff_numeric(pair, alpha):
+    """Numerical corner coefficient: corner_finite_part(pair, alpha).finite_part,
+    within ~1e-6 of corner_coeff at the default schedule."""
+    return corner_finite_part(pair, alpha).finite_part
 
 
-def i0_radial_finite_part(eps_max=0.15, count=14, config=DEFAULT_CONFIG):
+def i0_radial_finite_part(eps_max=0.15):
     """Finite part of int_0^{1/eps} (1/2) R e^{-R^2/2} I_0(R^2/2) dR.
 
     This is the difference between the N-N and D-D mode sums (the extra zero
     mode); its finite part vanishes because the cutoff expansion carries only
     odd powers of eps.
     """
-    eps_schedule = quad_fp.default_eps_schedule(eps_max=eps_max, ratio=0.85, count=count)
+    eps_schedule = quad_fp.default_eps_schedule(eps_max=eps_max, ratio=0.85, count=14)
 
     def integrand(r):
         r = np.atleast_1d(r)
         return np.array(
-            [0.5 * rv * bessel_i_scaled(0.0, 0.5 * rv * rv, config) for rv in r]
+            [0.5 * rv * bessel_i_scaled(0.0, 0.5 * rv * rv) for rv in r]
         )
 
     eps = np.asarray(eps_schedule)
@@ -208,9 +191,9 @@ def i0_radial_finite_part(eps_max=0.15, count=14, config=DEFAULT_CONFIG):
 _TERM_NAMES = ("A", "B", "C", "E", "F")
 
 
-def _primitive_g(u, config=DEFAULT_CONFIG):
+def _primitive_g(u):
     """g(u) = e^{-u} u (I_0(u) + I_1(u)), the primitive with g'(u) = e^{-u} I_0(u)."""
-    return u * (bessel_i_scaled(0.0, u, config) + bessel_i_scaled(1.0, u, config))
+    return u * (bessel_i_scaled(0.0, u) + bessel_i_scaled(1.0, u))
 
 
 def _log_u_grid(taus, mu_max):
@@ -237,15 +220,14 @@ def _log_u_grid(taus, mu_max):
     return u_nodes, w_nodes, ends
 
 
-def _k_imag_scaled_table(mus, us, config):
+def _k_imag_scaled_table(mus, us):
     """e^{pi mu/2} K_{i mu}(u) on the grid mus x us (us ascending), batched.
 
     Each entry comes from the branch the scalar route
     (special_fns._k_imag_scaled_impl) would take.  The complex series serves
-    the entries where it is preferred (mu >= 0.5, u <= pi mu/2 + 16,
-    u^2 <= 72 mu), unless its error estimate
-    4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}) exceeds 1e-11 of the
-    value and the integral's rounding floor is lower.  Every other entry
+    the entries where special_fns._series_preferred picks it, unless its
+    error estimate 4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu})
+    exceeds 1e-11 of the value and the integral's rounding floor is lower.  Every other entry
     comes from the cosine integral representation: one matrix product over a
     shared cosh grid, built in blocks of at most 256 columns.  Each column of
     the series stops on its own convergence test and is frozen there; as us
@@ -253,12 +235,7 @@ def _k_imag_scaled_table(mus, us, config):
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
-    # the test of special_fns._series_preferred, entry by entry
-    series_ok = (
-        (mus[:, None] >= 0.5)
-        & (us[None, :] <= 0.5 * math.pi * mus[:, None] + 16.0)
-        & (us[None, :] ** 2 <= 72.0 * mus[:, None])
-    )
+    series_ok = _series_preferred(mus[:, None], us[None, :])
 
     lg = np.array([_clgamma(complex(1.0, m)) for m in mus])
     log_u = np.log(0.5 * us)
@@ -276,7 +253,7 @@ def _k_imag_scaled_table(mus, us, config):
     served = np.nonzero(series_ok.any(axis=0))[0]
     lo, hi = 0, int(served[-1]) + 1 if served.size else 0
     c = c[:, :hi]
-    for k in range(1, config.max_terms):
+    for k in range(1, _MAX_TERMS):
         if lo == hi:
             break
         c = c * (q[None, lo:hi] / (k * (k + 1j * mus[:, None])))
@@ -354,9 +331,13 @@ def _fit_against_tau(taus, values):
     return float(coef[2])
 
 
-def term_contributions(term, gamma, radius=8.0, t=0.01, config=DEFAULT_CONFIG):
+_TERM_RADIUS = 8.0  # truncation radius of the sector in term_contributions
+_TERM_T = 0.01  # anchor time of its Laplace-variable fit
+
+
+def term_contributions(term, gamma):
     """Fitted t^0 part of the named Green's-function term's diagonal trace
-    over the sector truncated at the given radius.
+    over the sector truncated at radius R = 8, anchored at t = 0.01.
 
     The angular integral over the diagonal is done in closed form (the
     bracket weights reduce to sinh/cosh ratios); the remaining radial and mu
@@ -374,10 +355,8 @@ def term_contributions(term, gamma, radius=8.0, t=0.01, config=DEFAULT_CONFIG):
         raise DomainError(f"term must be one of {_TERM_NAMES}, got {term!r}")
     if not 0.0 < gamma < 2.0 * math.pi:
         raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}")
-    if radius <= 0.0 or t <= 0.0:
-        raise DomainError("radius and t must be positive")
-    ts = np.exp(np.linspace(math.log(t / 3.0), math.log(3.0 * t), 7))
-    taus = radius / np.sqrt(ts)
+    ts = np.exp(np.linspace(math.log(_TERM_T / 3.0), math.log(3.0 * _TERM_T), 7))
+    taus = _TERM_RADIUS / np.sqrt(ts)
     taus = np.sort(taus)
 
     if term == "A":
@@ -386,7 +365,7 @@ def term_contributions(term, gamma, radius=8.0, t=0.01, config=DEFAULT_CONFIG):
         return _fit_against_tau(taus, values)
     if term == "B":
         w, _ = _stable_weight("B", gamma)
-        values = _term_mu_integral(w, 0.0, taus, gamma, config, b_type=True)
+        values = _term_mu_integral(w, 0.0, taus, b_type=True)
         return _fit_against_tau(taus, values)
     if term == "F":
         # F = -2 B1 + B2 with int_0^g B1 dphi = (1/2) int_0^g B2 dphi:
@@ -394,28 +373,28 @@ def term_contributions(term, gamma, radius=8.0, t=0.01, config=DEFAULT_CONFIG):
         return _fit_against_tau(taus, np.zeros_like(taus))
     if term == "C":
         w, gap = _stable_weight("C", gamma)
-        values = _term_mu_integral(w, gap, taus, gamma, config)
+        values = _term_mu_integral(w, gap, taus)
         return _fit_against_tau(taus, values)
     # E = 2*C1 - C2
     w1, gap1 = _stable_weight("C1", gamma)
     w2, gap2 = _stable_weight("C", gamma)
-    v1 = _term_mu_integral(w1, gap1, taus, gamma, config)
-    v2 = _term_mu_integral(w2, gap2, taus, gamma, config)
+    v1 = _term_mu_integral(w1, gap1, taus)
+    v2 = _term_mu_integral(w2, gap2, taus)
     return _fit_against_tau(taus, 2.0 * v1 - v2)
 
 
-def _term_mu_integral(weight, gap, taus, gamma, config, b_type=False):
+def _term_mu_integral(weight, gap, taus, b_type=False):
     """g(tau) = (1/pi^2) int_0^inf SW(mu) q~(mu, tau) dmu for each tau,
     with q~(mu, tau) = e^{pi mu} int_0^tau u K_{i mu}(u)^2 du."""
     if b_type:
         # after pairing with q~ the B weight decays only algebraically in mu,
         # but its reduced weight is angle independent, so the gamma = pi
         # image form applies and has the closed primitive g_B = g(tau^2/2)/4
-        return np.array([0.25 * _primitive_g(0.5 * tau * tau, config) for tau in taus])
+        return np.array([0.25 * _primitive_g(0.5 * tau * tau) for tau in taus])
     mu_max = (math.log(1e12) + 10.0) / gap
     mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, max(8, int(math.ceil(mu_max))))
     u_nodes, u_wts, ends = _log_u_grid(taus, mus.max())
-    k_table = _k_imag_scaled_table(mus, u_nodes, config)
+    k_table = _k_imag_scaled_table(mus, u_nodes)
     integrand = k_table**2 * (u_nodes * u_wts)[None, :]  # rows: mu, cols: u
     cum = np.cumsum(integrand, axis=1)
     q_cols = cum[:, np.asarray(ends) - 1]  # (n_mu, n_tau)

@@ -16,7 +16,7 @@ import numpy as np
 from ._rootfind import brent
 from .errors import DomainError, TailBoundError, UnsupportedBCError
 from .quad_fp import weighted_lstsq
-from .sector_models import BoundaryCondition
+from .sector_models import BoundaryCondition, mode_order
 from .special_fns import (
     BesselZeroCache,
     bessel_j_prime_zero,
@@ -110,7 +110,6 @@ class Spectrum:
     factory: object  # () -> iterator of eigenvalues, ascending
     weyl_area: float
     counting_constants: tuple
-    description: str = ""
 
     def __iter__(self):
         yield from self._extend()
@@ -182,7 +181,6 @@ def rectangle_spectrum(a, b, bc_x, bc_y):
         factory=lambda: _sorted_sum_stream(fx, fy),
         weyl_area=a * b,
         counting_constants=(c1, c2, c3),
-        description=f"rectangle {a} x {b}",
     )
 
 
@@ -228,11 +226,13 @@ def _family_merge_stream(make_family, orders):
 def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
     """Spectrum of a circular sector (or full disk when gamma is None).
 
-    For the sector, the angular orders are j pi/gamma (DD), (j-1) pi/gamma
-    (NN), or (j-1/2) pi/gamma (DN) and the radial condition picks zeros of
-    J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk uses integer
-    orders with multiplicity two for m >= 1.
+    For the sector, the angular orders are sector_models.mode_order(edge_pair,
+    gamma, j) for the pair DD, NN, DN or ND, and the radial condition picks
+    zeros of J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk uses
+    integer orders with multiplicity two for m >= 1.
     """
+    if not radius > 0.0:
+        raise DomainError(f"radius must be positive, got {radius}")
     if arc_bc not in ("D", "N"):
         raise UnsupportedBCError("arc condition must be 'D' or 'N'")
     if cache is None:
@@ -253,14 +253,12 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
     else:
         if not 0.0 < gamma < 2.0 * math.pi:
             raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}")
-        if edge_pair not in ("DD", "NN", "DN", "ND"):
-            raise UnsupportedBCError("straight-edge pair must be DD, NN, DN or ND")
+        mode_order(edge_pair, gamma, 0)  # raises for a pair with no ladder
         area = 0.5 * gamma * radius * radius
         h = math.pi / gamma
-        offset = {"DD": 1.0, "NN": 0.0, "DN": 0.5, "ND": 0.5}[edge_pair]
 
         def orders(j):
-            return (j + offset) * h
+            return mode_order(edge_pair, gamma, j)
 
         c1 = radius * radius / (3.0 * h)
         c2 = radius * (1.0 / h + 1.0 / 3.0)
@@ -270,13 +268,7 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
             lambda nu: _BesselFamily(float(nu), radius, arc_bc, cache), orders
         )
 
-    return Spectrum(
-        factory=factory,
-        weyl_area=area,
-        counting_constants=(c1, c2, 1.0),
-        description=("disk" if gamma is None else f"sector gamma={gamma}")
-        + f" radius={radius} arc={arc_bc}",
-    )
+    return Spectrum(factory=factory, weyl_area=area, counting_constants=(c1, c2, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +296,36 @@ def partial_trace(spectrum, t, cutoff, tol=None):
     return value, tail
 
 
-def choose_cutoff(spectrum, t_min, tail_tol=1e-12):
+_TAIL_TOL = 1e-12  # trace tail bound at the smallest sample time
+
+
+def choose_cutoff(spectrum, t_min):
     """Smallest power-of-two-ish cutoff whose tail bound at t_min is below
-    tail_tol."""
+    1e-12."""
     cutoff = 16.0 / t_min
-    while spectrum.tail_bound(t_min, cutoff) > tail_tol:
+    while spectrum.tail_bound(t_min, cutoff) > _TAIL_TOL:
         cutoff *= 1.5
     return cutoff
 
 
-def trace_samples(spectrum, window=(0.002, 0.05), n=12, tail_tol=1e-12):
-    """[(t_k, partial trace, tail bound)] on a log-spaced grid, with the
-    cutoff chosen from the rigorous tail bound at the smallest time."""
+def sample_times(window=(0.002, 0.05), n=12):
+    """n log-spaced times from t_min to t_max, window = (t_min, t_max).
+
+    Raises DomainError unless 0 < t_min < t_max <= 0.2 and n >= 8.
+    """
     t_min, t_max = window
     if not 0.0 < t_min < t_max <= 0.2:
         raise DomainError("window must satisfy 0 < t_min < t_max <= 0.2")
     if n < 8:
         raise DomainError("need at least 8 samples")
-    cutoff = choose_cutoff(spectrum, t_min, tail_tol)
-    ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), n))
+    return np.exp(np.linspace(math.log(t_min), math.log(t_max), n))
+
+
+def trace_samples(spectrum, window=(0.002, 0.05), n=12):
+    """[(t_k, partial trace, tail bound)] at sample_times(window, n), with the
+    cutoff chosen from the rigorous tail bound at the smallest time."""
+    ts = sample_times(window, n)
+    cutoff = choose_cutoff(spectrum, window[0])
     eigs = np.fromiter(spectrum.up_to(cutoff), dtype=float)
     out = []
     for t in ts:
@@ -352,9 +355,10 @@ class FitReport:
 
 
 _FIT_POWERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_FIT_COND_LIMIT = 1e10  # fit_asymptotics raises DomainError above this
 
 
-def fit_asymptotics(samples, cond_limit=1e10):
+def fit_asymptotics(samples):
     """Weighted least squares of trace samples against
 
         a_{-1} t^{-1} + a_{-1/2} t^{-1/2} + a_0 + b_1 t^{1/2} + b_2 t,
@@ -372,7 +376,7 @@ def fit_asymptotics(samples, cond_limit=1e10):
         raise DomainError("sample times must lie in (0, 0.2]")
     design = np.stack([ts**p for p in _FIT_POWERS], axis=1)
     coef, cond, resid_norm = weighted_lstsq(design, vals, 1.0 / (tails + 1e-12))
-    if cond > cond_limit:
+    if cond > _FIT_COND_LIMIT:
         raise DomainError(
             f"fit basis is too collinear on this window (cond {cond:.2e})"
         )
@@ -387,9 +391,9 @@ def fit_asymptotics(samples, cond_limit=1e10):
     )
 
 
-def fit_spectrum(spectrum, window=(0.002, 0.05), n=12, tail_tol=1e-12):
+def fit_spectrum(spectrum, window=(0.002, 0.05), n=12):
     """Convenience: sample the partial trace and fit the coefficients."""
-    return fit_asymptotics(trace_samples(spectrum, window, n, tail_tol))
+    return fit_asymptotics(trace_samples(spectrum, window, n))
 
 
 def write_trace_samples(fileobj, samples):

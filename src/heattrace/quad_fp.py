@@ -196,15 +196,10 @@ def weighted_lstsq(design, values, weights):
 
 
 DEFAULT_BASIS = (-2, -1, 0, 1)
+_FP_COND_LIMIT = 1e8  # finite_part raises IllConditionedFitError above this
 
 
-def finite_part(
-    F,
-    basis=DEFAULT_BASIS,
-    eps_schedule=None,
-    value_errs=None,
-    cond_limit=1e8,
-):
+def finite_part(F, basis=DEFAULT_BASIS, eps_schedule=None, value_errs=None):
     """Finite part of a cutoff integral: the eps^0 coefficient of F(1/eps).
 
     F maps a cutoff Lambda = 1/eps to the integral value (a float or a
@@ -242,7 +237,7 @@ def finite_part(
     design = eps[:, None] ** np.asarray(basis, dtype=float)[None, :]
     w = 1.0 / np.sqrt(eps)  # squared weight 1/eps
     coef, cond, resid_norm = weighted_lstsq(design, values, w)
-    if cond > cond_limit:
+    if cond > _FP_COND_LIMIT:
         raise IllConditionedFitError("finite-part fit is ill conditioned", cond)
     if errs.any():
         budget = 10.0 * float(errs.max())

@@ -21,12 +21,7 @@ from .errors import (
     UnsupportedBCError,
     WeakEnvelopeError,
 )
-from .special_fns import (
-    DEFAULT_CONFIG,
-    _k_imag_scaled_impl,
-    bessel_i_scaled,
-    erfcx,
-)
+from .special_fns import _MAX_TERMS, _k_imag_scaled_impl, bessel_i_scaled, erfcx
 
 _TWO_PI = 2.0 * math.pi
 
@@ -119,48 +114,53 @@ class AngularMode:
     eigenfn: object  # theta -> phi_j(theta)
 
 
+# c of the order ladder (j + c) pi/gamma for each straight-edge pair
+_LADDER_OFFSET = {"DD": 1.0, "NN": 0.0, "DN": 0.5, "ND": 0.5}
+
+
+def mode_order(pair, gamma, j):
+    """Bessel order of the j-th (0-based) angular mode of a sector of opening
+    gamma whose straight edges carry the pair DD, NN, DN or ND:
+
+        (j + c) pi/gamma,  c = 1 (DD), 0 (NN), 1/2 (DN, ND).
+
+    This is the one place the ladder is written; the sector kernel, the
+    corner mode sum and the sector spectra all read their orders here.
+    Raises UnsupportedBCError for a pair that has no ladder (Robin edges).
+    """
+    try:
+        c = _LADDER_OFFSET[pair]
+    except KeyError:
+        raise UnsupportedBCError(
+            f"no sector mode ladder for pair {pair!r}; the pair must be DD, NN, DN or ND"
+        ) from None
+    return (j + c) * (math.pi / gamma)
+
+
 def angular_modes(spec, j):
     """j-th (1-based) angular mode of the sector cross section.
 
-    Orders: j pi/gamma (D-D), (j-1) pi/gamma (N-N, constant first mode),
-    (j-1/2) pi/gamma (mixed).  All eigenfunctions have unit L^2 norm on
-    [0, gamma]; the N-N constant mode therefore carries sqrt(1/gamma).
+    The order is mode_order(spec.pair, spec.gamma, j - 1).  The
+    eigenfunctions are sines from a Dirichlet edge at theta = 0 and cosines
+    from a Neumann one; all have unit L^2 norm on [0, gamma], so the N-N
+    constant mode carries sqrt(1/gamma).
     """
     if j < 1 or j != int(j):
         raise DomainError(f"mode index must be a positive integer, got {j}")
     g = spec.gamma
-    pair = spec.pair
-    if pair == "DD":
-        order = j * math.pi / g
-        amp = math.sqrt(2.0 / g)
-        fn = lambda theta, k=order: amp * math.sin(k * theta)
-    elif pair == "NN":
-        order = (j - 1) * math.pi / g
-        if j == 1:
-            amp = math.sqrt(1.0 / g)
-            fn = lambda theta, a=amp: a if np.isscalar(theta) else np.full_like(np.asarray(theta, float), a)
-        else:
-            amp = math.sqrt(2.0 / g)
-            fn = lambda theta, k=order: amp * math.cos(k * theta)
-    elif pair == "DN":
-        order = (j - 0.5) * math.pi / g
-        amp = math.sqrt(2.0 / g)
-        fn = lambda theta, k=order: amp * math.sin(k * theta)
-    elif pair == "ND":
-        order = (j - 0.5) * math.pi / g
-        amp = math.sqrt(2.0 / g)
-        fn = lambda theta, k=order: amp * math.cos(k * theta)
-    else:  # pragma: no cover - SectorSpec already rejects Robin
-        raise UnsupportedBCError(f"no angular modes for pair {pair}")
+    order = mode_order(spec.pair, g, j - 1)
+    amp = math.sqrt(2.0 / g)
+    if order == 0.0:
+        a = math.sqrt(1.0 / g)
+        fn = lambda theta: a if np.isscalar(theta) else np.full_like(np.asarray(theta, float), a)
+    elif spec.bc_at_0.kind == "D":
+        fn = lambda theta: amp * math.sin(order * theta)
+    else:
+        fn = lambda theta: amp * math.cos(order * theta)
     return AngularMode(index=int(j), order=order, eigenfn=fn)
 
 
-def _mode_amplitudes(spec, theta, theta0, j):
-    mode = angular_modes(spec, j)
-    return mode.order, mode.eigenfn(theta) * mode.eigenfn(theta0)
-
-
-def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12, config=DEFAULT_CONFIG):
+def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     """Separated-variables sector heat kernel
 
         H(t, r, th, r0, th0) = (1/2t) e^{-(r^2+r0^2)/4t}
@@ -184,16 +184,15 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12, config=DEFAULT_
     amp2 = 2.0 / spec.gamma
     acc = 0.0
     log_half_z = math.log(0.5 * z) if z > 0.0 else -math.inf
-    for j in range(1, config.max_terms + 1):
-        order, phi2 = _mode_amplitudes(spec, theta, theta0, j)
-        acc += bessel_i_scaled(order, z, config) * phi2
+    for j in range(1, _MAX_TERMS + 1):
+        mode = angular_modes(spec, j)
+        acc += bessel_i_scaled(mode.order, z) * (mode.eigenfn(theta) * mode.eigenfn(theta0))
+        next_order = mode_order(spec.pair, spec.gamma, j)
         # rigorous term bound: e^{-z} I_nu(z) <= (z/2)^nu / Gamma(nu+1)
         if z == 0.0:
-            next_order = angular_modes(spec, j + 1).order
             if next_order > 0.0:
                 break
             continue
-        next_order = angular_modes(spec, j + 1).order
         log_bound = next_order * log_half_z - math.lgamma(next_order + 1.0)
         if j >= 5 and log_bound < math.log(tol / (4.0 * amp2 * max(pref, 1e-300))) - math.log(2.0):
             break
@@ -270,7 +269,7 @@ def _bracket_terms(spec, phi, phi0):
     return terms
 
 
-def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10, config=DEFAULT_CONFIG):
+def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     """Sector Green's function of s + Laplacian via the Kontorovich-Lebedev
     integral
 
@@ -307,7 +306,7 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10, config=DEFAULT_CONFIG):
             key = (m, x)
             hit = k_cache.get(key)
             if hit is None:
-                hit = _k_imag_scaled_impl(float(m), x, config)[0]
+                hit = _k_imag_scaled_impl(float(m), x)[0]
                 k_cache[key] = hit
             out[i] = hit
         return out
@@ -325,7 +324,7 @@ def _distance(r, phi, r0, phi0):
     return math.sqrt(max(r * r + r0 * r0 - 2.0 * r * r0 * math.cos(phi - phi0), 0.0))
 
 
-def greens_half_plane_images(bc, s, r, phi, r0, phi0, config=DEFAULT_CONFIG):
+def greens_half_plane_images(bc, s, r, phi, r0, phi0):
     """gamma = pi closed form: (1/2 pi)[K_0(sqrt s d) -+ K_0(sqrt s d*)] with
     d, d* the direct and reflected distances (method of images)."""
     if bc.kind not in ("D", "N"):
@@ -336,8 +335,8 @@ def greens_half_plane_images(bc, s, r, phi, r0, phi0, config=DEFAULT_CONFIG):
     )
     sign = -1.0 if bc.kind == "D" else 1.0
     rs = math.sqrt(s)
-    k0d = _k_imag_scaled_impl(0.0, rs * d_direct, config)[0]
-    k0r = _k_imag_scaled_impl(0.0, rs * d_reflect, config)[0]
+    k0d = _k_imag_scaled_impl(0.0, rs * d_direct)[0]
+    k0r = _k_imag_scaled_impl(0.0, rs * d_reflect)[0]
     return (k0d + sign * k0r) / _TWO_PI
 
 
@@ -381,7 +380,7 @@ def half_plane_kernel(bc, t, x, y, x0, y0):
     return value
 
 
-def laplace_consistency(model, s, points, tol=1e-7, config=DEFAULT_CONFIG):
+def laplace_consistency(model, s, points, tol=1e-7):
     """Max residual |int_0^inf e^{-s t} H(t, z, z') dt - G(s, z, z')| over
     the given off-diagonal point pairs.
 
@@ -398,15 +397,15 @@ def laplace_consistency(model, s, points, tol=1e-7, config=DEFAULT_CONFIG):
     worst = 0.0
     for (r, phi), (r0, phi0) in pairs:
         if isinstance(model, SectorSpec):
-            h = lambda t: sector_heat_kernel(model, t, r, phi, r0, phi0, tol=tol * 1e-3, config=config)
-            g_val = greens_kl(model, s, r, phi, r0, phi0, tol=tol * 1e-2, config=config)
+            h = lambda t: sector_heat_kernel(model, t, r, phi, r0, phi0, tol=tol * 1e-3)
+            g_val = greens_kl(model, s, r, phi, r0, phi0, tol=tol * 1e-2)
         else:
             def h(t, bc=model):
                 x, y = r * math.cos(phi), r * math.sin(phi)
                 x1, y1 = r0 * math.cos(phi0), r0 * math.sin(phi0)
                 return half_plane_kernel(bc, t, x, y, x1, y1)
 
-            g_val = greens_half_plane_images(model, s, r, phi, r0, phi0, config)
+            g_val = greens_half_plane_images(model, s, r, phi, r0, phi0)
         d = _distance(r, phi, r0, phi0)
         if d == 0.0:
             raise DiagonalPointError("Laplace consistency needs off-diagonal points")
@@ -466,9 +465,12 @@ _MODELS = {
     "sf_R": {"dims": 3, "factor": 0.5, "second_deriv": (True, True, False)},
 }
 
+_FD_STEP = 1e-3  # central-difference step of model_residual
 
-def model_residual(model, grid, h=1e-3, kappa=1.0, check_step=True):
-    """Max |(t L - c Id) model| over the grid, by central differences.
+
+def model_residual(model, grid, kappa=1.0):
+    """Max |(t L - c Id) model| over the grid, by central differences with
+    step 1e-3, checked against the half step.
 
     The lifted operator in side-face coordinates is
         t L = (1/2) sqrt{t} d_{sqrt t} - d_XX - X/2 d_X - d_{xi xi}
@@ -512,12 +514,10 @@ def model_residual(model, grid, h=1e-3, kappa=1.0, check_step=True):
             spatial += -0.5 * mesh[axis] * (fp - fm) / (2.0 * step)
         return float(np.max(np.abs(spatial - spec["factor"] * f0)))
 
-    res = residual_at(h)
-    if check_step:
-        res_half = residual_at(0.5 * h)
-        if res > 1e-5 and res_half < res / 3.0:
-            raise StepSizeError(
-                f"residual {res:.3e} is discretization dominated; retry with h <= {h/2}"
-            )
-        res = min(res, res_half)
-    return res
+    res = residual_at(_FD_STEP)
+    res_half = residual_at(0.5 * _FD_STEP)
+    if res > 1e-5 and res_half < res / 3.0:
+        raise StepSizeError(
+            f"residual {res:.3e} is discretization dominated at step {_FD_STEP:g}"
+        )
+    return min(res, res_half)

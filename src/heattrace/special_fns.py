@@ -9,7 +9,6 @@ unscaled value over- or underflows.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +24,9 @@ from .quad_fp import panel_nodes
 _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _I_MANY_X_MAX = 700.0  # bessel_i_scaled_many's argument cap
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SpecialFnConfig:
-    """Evaluation policy: target relative tolerance and work caps."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 20000
-    max_quad_nodes: int = 40000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise DomainError("rel_tol must lie in (0, 1e-6]")
-        if self.max_terms < 50:
-            raise DomainError("max_terms must be >= 50")
-        if self.max_quad_nodes < 100:
-            raise DomainError("max_quad_nodes must be >= 100")
-
-
-DEFAULT_CONFIG = SpecialFnConfig()
+_MAX_TERMS = 20000  # term cap of every series and continued fraction
+_MAX_PANELS = 4000  # panel cap of the K_{i mu} and J integral representations
+_K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +61,7 @@ def _clgamma(z):
 # ---------------------------------------------------------------------------
 # modified Bessel function I_nu, real order nu >= 0
 
-def _ive_series(nu, x, config):
+def _ive_series(nu, x):
     """e^{-x} I_nu(x) by the (all-positive) power series, anchored at its
     largest term so that no intermediate value under- or overflows."""
     if x == 0.0:
@@ -93,7 +75,7 @@ def _ive_series(nu, x, config):
     s = 1.0
     t = 1.0
     k = k0
-    for _ in range(config.max_terms):
+    for _ in range(_MAX_TERMS):
         t *= q / ((k + 1.0) * (nu + k + 1.0))
         s += t
         k += 1
@@ -134,13 +116,13 @@ def _ive_asymptotic(nu, x):
     return s / math.sqrt(_TWO_PI * x)
 
 
-def _ive_ratio_cf(nu, x, config):
+def _ive_ratio_cf(nu, x):
     """Continued fraction for I_{nu+1}(x) / I_nu(x) (modified Lentz)."""
     tiny = 1e-300
     f = tiny
     c = f
     d = 0.0
-    for j in range(1, config.max_terms):
+    for j in range(1, _MAX_TERMS):
         b = 2.0 * (nu + j) / x
         d = b + d
         if d == 0.0:
@@ -156,13 +138,13 @@ def _ive_ratio_cf(nu, x, config):
     raise ConvergenceError("I ratio continued fraction stalled", {"nu": nu, "x": x})
 
 
-def _ive_ladder(nu, x, config):
+def _ive_ladder(nu, x):
     """e^{-x} I_nu(x) for nu >= 1, x > max(20, 2 nu): stable downward
     recurrence seeded by the continued-fraction ratio, normalized at the
     fractional base order where the large-argument expansion is exact."""
     nu_base = nu - math.floor(nu)
     steps = int(round(nu - nu_base))
-    ratio = _ive_ratio_cf(nu, x, config)
+    ratio = _ive_ratio_cf(nu, x)
     f_hi = ratio  # order nu + 1
     f = 1.0       # order nu
     log_top = 0.0
@@ -182,7 +164,7 @@ def _ive_ladder(nu, x, config):
     return math.exp(ln_val)
 
 
-def bessel_i_scaled(nu, x, config=DEFAULT_CONFIG):
+def bessel_i_scaled(nu, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x).
 
     Power series for x <= max(20, 2 nu); for larger x the value follows from
@@ -194,19 +176,19 @@ def bessel_i_scaled(nu, x, config=DEFAULT_CONFIG):
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"argument must be finite and >= 0, got {x}")
     if x <= max(20.0, 2.0 * nu):
-        return _ive_series(nu, x, config)
+        return _ive_series(nu, x)
     if nu < 1.0 or x >= 10.0 * nu * nu:
         return _ive_asymptotic(nu, x)
-    return _ive_ladder(nu, x, config)
+    return _ive_ladder(nu, x)
 
 
-def bessel_i(nu, x, config=DEFAULT_CONFIG):
+def bessel_i(nu, x):
     """Modified Bessel function I_nu(x) for nu >= 0, x >= 0.
 
     Raises OverflowRangeError when e^x I_nu(x) exceeds the double range;
     use bessel_i_scaled there.
     """
-    scaled = bessel_i_scaled(nu, x, config)
+    scaled = bessel_i_scaled(nu, x)
     if scaled == 0.0:
         return 0.0
     ln_val = math.log(scaled) + x
@@ -217,7 +199,7 @@ def bessel_i(nu, x, config=DEFAULT_CONFIG):
     return math.exp(ln_val)
 
 
-def bessel_i_scaled_many(nus, x, config=DEFAULT_CONFIG):
+def bessel_i_scaled_many(nus, x):
     """e^{-x} I_nu(x) for an array of orders at arguments 0 <= x <= 700.
 
     Vectorized forward series used by the corner-contribution mode sums;
@@ -252,7 +234,7 @@ def bessel_i_scaled_many(nus, x, config=DEFAULT_CONFIG):
         s += t
         q = 0.25 * rows * rows
         lo = 0  # the rows before lo have converged and left the block
-        for k in range(config.max_terms):
+        for k in range(_MAX_TERMS):
             t *= q[:, None] / ((k + 1.0) * (nus + k + 1.0))
             s[lo:] += t
             done = t.max(axis=1) < 1e-18 * np.maximum(s[lo:].max(axis=1), 1e-300)
@@ -272,13 +254,13 @@ def bessel_i_scaled_many(nus, x, config=DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Bessel K of imaginary order K_{i mu}(x)
 
-def _k_imag_integral(mu, x, config):
+def _k_imag_integral(mu, x):
     """(value, abs_err) of e^{pi mu / 2} K_{i mu}(x) from the cosine
     integral representation  K_{i mu}(x) = int_0^inf e^{-x cosh u} cos(mu u) du."""
     u_max = math.acosh(1.0 + 50.0 / x)
     # resolve both the Gaussian-ish decay and the cos(mu u) oscillation
     n_panels = max(8, int(4.0 * u_max), int(2.0 * mu * u_max / math.pi))
-    n_panels = min(n_panels, config.max_quad_nodes // 10)
+    n_panels = min(n_panels, _MAX_PANELS)
     u, w = panel_nodes(0.0, u_max, n_panels)
     vals = np.exp(-x * np.cosh(u)) * np.cos(mu * u)
     raw = float(np.dot(w, vals))
@@ -291,7 +273,7 @@ def _k_imag_integral(mu, x, config):
     return raw2 * scale, err
 
 
-def _k_imag_series(mu, x, config):
+def _k_imag_series(mu, x):
     """(value, abs_err) of e^{pi mu/2} K_{i mu}(x) through the complex power
     series for I_{i mu}(x):  K_{i mu} = -pi Im I_{i mu} / sinh(pi mu)."""
     c = cmath.exp(
@@ -302,7 +284,7 @@ def _k_imag_series(mu, x, config):
     s = c
     max_abs = abs(c)
     q = 0.25 * x * x
-    for k in range(1, config.max_terms):
+    for k in range(1, _MAX_TERMS):
         c *= q / (k * complex(k, mu))
         s += c
         a = abs(c)
@@ -319,27 +301,29 @@ def _k_imag_series(mu, x, config):
 
 
 def _series_preferred(mu, x):
+    """Whether the complex series is the first route for (mu, x); for
+    scalars a bool, for arrays the elementwise mask."""
     # the complex series loses ~x^2/(4 mu) nats for x < mu and about two
     # nats per unit of x beyond pi mu/2 (27 nats at mu = 11.73, x = 29.04,
     # where x - pi mu/2 = 10.6), so near the edge x = pi mu/2 + 16 its error
     # estimate decides; the integral representation loses ~pi mu/2 net
-    return mu >= 0.5 and x <= 0.5 * math.pi * mu + 16.0 and x * x <= 72.0 * mu
+    return (mu >= 0.5) & (x <= 0.5 * math.pi * mu + 16.0) & (x * x <= 72.0 * mu)
 
 
-def _k_imag_scaled_impl(mu, x, config):
+def _k_imag_scaled_impl(mu, x):
     """(value, abs_err) for e^{pi mu/2} K_{i mu}(x); never raises on accuracy."""
     if mu == 0.0 or (mu < 0.5 and not _series_preferred(mu, x)):
-        return _k_imag_integral(mu, x, config)
+        return _k_imag_integral(mu, x)
     first = _k_imag_series if _series_preferred(mu, x) else _k_imag_integral
     second = _k_imag_integral if first is _k_imag_series else _k_imag_series
-    v, e = first(mu, x, config)
+    v, e = first(mu, x)
     if e <= 1e-11 * max(abs(v), 1e-300):
         return v, e
-    v2, e2 = second(mu, x, config)
+    v2, e2 = second(mu, x)
     return (v2, e2) if e2 < e else (v, e)
 
 
-def bessel_k_imag_scaled(mu, x, config=DEFAULT_CONFIG):
+def bessel_k_imag_scaled(mu, x):
     """e^{pi mu / 2} K_{i mu}(x), a real number of moderate size.
 
     Raises AccuracyLossError when cancellation leaves fewer than ~9 correct
@@ -349,30 +333,30 @@ def bessel_k_imag_scaled(mu, x, config=DEFAULT_CONFIG):
         raise DomainError(f"mu must be finite and >= 0, got {mu}")
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"argument must be finite and > 0, got {x}")
-    value, err = _k_imag_scaled_impl(mu, x, config)
+    value, err = _k_imag_scaled_impl(mu, x)
     achieved = err / max(abs(value), 1e-300)
-    if achieved > max(100.0 * config.rel_tol, 1e-9):
+    if achieved > _K_ACCURACY:
         raise AccuracyLossError(
             f"cancellation in K_(i {mu})({x}) exceeds the accuracy budget", achieved
         )
     return value
 
 
-def bessel_k_imag(mu, x, config=DEFAULT_CONFIG):
+def bessel_k_imag(mu, x):
     """Modified Bessel function of imaginary order K_{i mu}(x), real valued.
 
     Evaluated from the integral representation
     int_0^inf e^{-x cosh u} cos(mu u) du, switching to a cancellation-free
     complex series when the oscillatory factor makes direct quadrature lossy.
     """
-    scaled = bessel_k_imag_scaled(mu, x, config)
+    scaled = bessel_k_imag_scaled(mu, x)
     return scaled * math.exp(-0.5 * math.pi * mu)
 
 
 # ---------------------------------------------------------------------------
 # Bessel J and its zeros
 
-def _jv_series(nu, x, config):
+def _jv_series(nu, x):
     """Power series for J_nu(x); accurate for x <= 12 (alternating terms)."""
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
@@ -383,7 +367,7 @@ def _jv_series(nu, x, config):
     q = -0.25 * x * x
     s = 1.0
     t = 1.0
-    for k in range(1, config.max_terms):
+    for k in range(1, _MAX_TERMS):
         t *= q / (k * (nu + k))
         s += t
         if abs(t) < 1e-18 * max(abs(s), 1e-30):
@@ -391,10 +375,10 @@ def _jv_series(nu, x, config):
     raise ConvergenceError("J series did not converge", {"nu": nu, "x": x})
 
 
-def _jv_base_integral(nu, x, config):
+def _jv_base_integral(nu, x):
     """J_nu(x) for 0 <= nu < 1, 12 < x < 25, from Bessel's integral
     (1/pi) int_0^pi cos(x sin t - nu t) dt  -  (sin(nu pi)/pi) int_0^inf e^{-x sinh s - nu s} ds."""
-    n_panels = min(max(10, int(x)), config.max_quad_nodes // 10)
+    n_panels = min(max(10, int(x)), _MAX_PANELS)
     t, w = panel_nodes(0.0, math.pi, n_panels)
     first = float(np.dot(w, np.cos(x * np.sin(t) - nu * t))) / math.pi
     if nu == 0.0:
@@ -428,21 +412,21 @@ def _jv_base_hankel(nu, x):
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
 
 
-def _jv_base(nu, x, config):
-    return _jv_base_hankel(nu, x) if x >= 25.0 else _jv_base_integral(nu, x, config)
+def _jv_base(nu, x):
+    return _jv_base_hankel(nu, x) if x >= 25.0 else _jv_base_integral(nu, x)
 
 
-def bessel_j(nu, x, config=DEFAULT_CONFIG):
+def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x) for nu >= 0, x >= 0."""
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise DomainError(f"order must be finite and >= 0, got {nu}")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"argument must be finite and >= 0, got {x}")
     if x <= 12.0:
-        return _jv_series(nu, x, config)
+        return _jv_series(nu, x)
     nu_base = nu - math.floor(nu)
     if nu < 1.0:
-        return _jv_base(nu, x, config)
+        return _jv_base(nu, x)
     # downward (Miller) recurrence from well above the turning point,
     # normalized against directly computed base-order values
     n_extra = math.ceil(max(0.0, x - nu) + 15.0 + 2.0 * x ** (1.0 / 3.0))
@@ -463,8 +447,8 @@ def bessel_j(nu, x, config=DEFAULT_CONFIG):
             rescales += 1
         if k == want or k <= 1:
             saved[k] = (f, rescales)
-    j0 = _jv_base(nu_base, x, config)
-    j1 = _jv_base(nu_base + 1.0, x, config)
+    j0 = _jv_base(nu_base, x)
+    j1 = _jv_base(nu_base + 1.0, x)
     # normalize at whichever base order is farther from a zero of J
     f0, r0 = saved[0]
     f1, r1 = saved[1]
@@ -487,13 +471,13 @@ def bessel_j(nu, x, config=DEFAULT_CONFIG):
     return sign * math.exp(log_mag)
 
 
-def bessel_j_prime(nu, x, config=DEFAULT_CONFIG):
+def bessel_j_prime(nu, x):
     """Derivative J'_nu(x) via J'_nu = (nu/x) J_nu - J_{nu+1}."""
     if x == 0.0:
         if nu == 1.0:
             return 0.5
-        return 0.0 if nu > 1.0 else -bessel_j(nu + 1.0, x, config)
-    return (nu / x) * bessel_j(nu, x, config) - bessel_j(nu + 1.0, x, config)
+        return 0.0 if nu > 1.0 else -bessel_j(nu + 1.0, x)
+    return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
 
 
 class BesselZeroCache:
@@ -573,7 +557,7 @@ def _check_zero_args(nu, k):
         raise DomainError(f"order must be finite and >= 0, got {nu}")
 
 
-def bessel_j_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
+def bessel_j_zero(nu, k, cache=None):
     """k-th positive zero j_{nu,k} of J_nu (k is 1-based).
 
     With a BesselZeroCache, asking for k = 1, 2, ..., K in turn costs O(K)
@@ -581,12 +565,12 @@ def bessel_j_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
     or without the cache.
     """
     _check_zero_args(nu, k)
-    f = lambda x: bessel_j(nu, x, config)
+    f = lambda x: bessel_j(nu, x)
     x0 = max(nu + 0.5 * nu ** (1.0 / 3.0), 0.1) if nu >= 1.0 else 0.05
     return _cached_zero("j", nu, int(k), f, x0, cache)
 
 
-def bessel_j_prime_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
+def bessel_j_prime_zero(nu, k, cache=None):
     """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted).
 
     With a BesselZeroCache, asking for k = 1, 2, ..., K in turn costs O(K)
@@ -596,15 +580,8 @@ def bessel_j_prime_zero(nu, k, config=DEFAULT_CONFIG, cache=None):
     _check_zero_args(nu, k)
     if nu == 0.0:
         # J0' = -J1, so the positive zeros of J0' are those of J1
-        key = ("jp", nu, int(k))
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            return hit
-        root = bessel_j_zero(1.0, k, config, cache)
-        if cache is not None:
-            cache.put(key, root)
-        return root
-    f = lambda x: bessel_j_prime(nu, x, config)
+        return bessel_j_zero(1.0, k, cache=cache)
+    f = lambda x: bessel_j_prime(nu, x)
     x0 = max(nu + 0.1 * nu ** (1.0 / 3.0), 0.05)
     return _cached_zero("jp", nu, int(k), f, x0, cache)
 

@@ -291,6 +291,32 @@ class TestBadArguments:
                          id="trace-fit-X"),
             pytest.param(["trace-fit", "--domain", "rectangle", "--window", "a,b"], "--window",
                          id="trace-fit-window"),
+            pytest.param(["kernel", "--model", "sector", "--bc0", "R:1"], "--bc0",
+                         id="kernel-sector-R:1"),
+            pytest.param(["greens", "--model", "sector", "--bc0", "R:1"], "--bc0",
+                         id="greens-sector-R:1"),
+            pytest.param(["greens", "--model", "sector", "--bc1", "R:1"], "--bc1",
+                         id="greens-sector-bc1-R:1"),
+            pytest.param(["kernel", "--model", "sector", "--gamma", "7"], "--gamma",
+                         id="kernel-sector-gamma"),
+            pytest.param(["greens", "--model", "sector", "--gamma", "0"], "--gamma",
+                         id="greens-sector-gamma"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--samples", "3"], "--samples",
+                         id="trace-fit-samples"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--window", "0.05,0.002"],
+                         "--window", id="trace-fit-window-order"),
+            pytest.param(["trace-fit", "--domain", "sector", "--gamma", "7"], "--gamma",
+                         id="trace-fit-sector-gamma"),
+            pytest.param(["corner", "--pair", "DD", "--angle", "7"], "--angle",
+                         id="corner-angle"),
+            pytest.param(["trace-fit", "--domain", "disk", "--radius", "-1"], "--radius",
+                         id="trace-fit-disk-radius"),
+            pytest.param(["trace-fit", "--domain", "sector", "--radius", "0"], "--radius",
+                         id="trace-fit-sector-radius"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--a", "0"], "--a",
+                         id="trace-fit-rectangle-a"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--b", "-2"], "--b",
+                         id="trace-fit-rectangle-b"),
         ],
     )
     def test_exit_2_names_the_field(self, argv, field, tmp_path, capsys):

@@ -92,6 +92,12 @@ class TestFinitePartRoute:
             dd_single = cl.corner_coeff_numeric("DD", alpha)
             assert abs(dn - dd_double + dd_single) <= 1e-5
 
+    def test_numeric_coefficient_is_the_finite_part(self):
+        # one truncation of the mode ladder for both numerical routes
+        assert cl.corner_coeff_numeric("DD", PI / 2.0) == cl.corner_finite_part(
+            "DD", PI / 2.0
+        ).finite_part
+
     def test_i0_finite_part_vanishes(self):
         result = cl.i0_radial_finite_part()
         assert abs(result.finite_part) <= 1e-6
@@ -146,30 +152,30 @@ class TestFinitePartRoute:
 
 class TestTermContributions:
     def test_c_term(self):
-        val = cl.term_contributions("C", PI / 2.0, radius=8.0)
+        val = cl.term_contributions("C", PI / 2.0)
         assert val == pytest.approx(1.0 / 16.0, abs=1e-3)
 
     def test_e_term(self):
-        val = cl.term_contributions("E", PI / 2.0, radius=8.0)
+        val = cl.term_contributions("E", PI / 2.0)
         assert val == pytest.approx(-1.0 / 16.0, abs=1e-3)
 
     def test_f_term_no_contribution(self):
         for gamma in (PI / 2.0, 1.1):
-            assert abs(cl.term_contributions("F", gamma, radius=8.0)) <= 1e-3
+            assert abs(cl.term_contributions("F", gamma)) <= 1e-3
 
     def test_a_and_b_terms_no_t0_part(self):
-        assert abs(cl.term_contributions("A", PI / 2.0, radius=8.0)) <= 1e-6
-        assert abs(cl.term_contributions("B", PI / 2.0, radius=8.0)) <= 1e-3
+        assert abs(cl.term_contributions("A", PI / 2.0)) <= 1e-6
+        assert abs(cl.term_contributions("B", PI / 2.0)) <= 1e-3
 
     def test_c_term_other_angles(self):
         for gamma in (PI / 3.0, 2.0 * PI / 3.0):
-            val = cl.term_contributions("C", gamma, radius=8.0)
+            val = cl.term_contributions("C", gamma)
             assert val == pytest.approx(closed_same(gamma), abs=1e-3)
 
     def test_c_term_narrow_angle(self):
         # large mu rows: where the series cancels but the integral's rounding
         # floor is higher still, the K table keeps the series
-        val = cl.term_contributions("C", 0.5, radius=8.0)
+        val = cl.term_contributions("C", 0.5)
         assert val == pytest.approx(closed_same(0.5), rel=1e-8)
 
     def test_validation(self):
@@ -190,8 +196,8 @@ class TestKTable:
         grids = []
         table = cl._k_imag_scaled_table
 
-        def capture(mus, us, config):
-            out = table(mus, us, config)
+        def capture(mus, us):
+            out = table(mus, us)
             grids.append((mus, us, out))
             return out
 
@@ -202,7 +208,7 @@ class TestKTable:
         tight = 0
         for i in range(0, mus.size, row_step):
             for j in range(0, us.size, col_step):
-                value, err = sf._k_imag_scaled_impl(float(mus[i]), float(us[j]), sf.DEFAULT_CONFIG)
+                value, err = sf._k_imag_scaled_impl(float(mus[i]), float(us[j]))
                 if err < 1e-12 * abs(value):
                     tight += 1
                     assert out[i, j] == pytest.approx(value, rel=1e-9), (mus[i], us[j])

@@ -196,8 +196,8 @@ class TestPartialTrace:
         # Jacobi theta sum S; equals 1/(4 pi t) - 1/4 + (exp. small)
         spec = es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("N", "N"))
         for t in (0.01, 0.03):
-            cutoff = es.choose_cutoff(spec, t, 1e-13)
-            value, tail = es.partial_trace(spec, t, cutoff)
+            value, tail = es.partial_trace(spec, t, 40.0 / t)
+            assert tail <= 1e-13
             s = theta_sum_dirichlet(t)
             assert value == pytest.approx(s * (s + 1.0), abs=1e-12)
             assert value == pytest.approx(1.0 / (4.0 * PI * t) - 0.25, abs=1e-6)

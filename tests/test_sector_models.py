@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from heattrace import corner_lab as cl
+from heattrace import exact_spectra as es
 from heattrace import sector_models as sm
 from heattrace.errors import (
     DiagonalPointError,
@@ -79,6 +81,48 @@ class TestAngularModes:
     def test_robin_rejected(self):
         with pytest.raises(UnsupportedBCError):
             sm.SectorSpec(1.0, sm.BoundaryCondition.robin(1.0), sm.DIRICHLET)
+
+
+LADDER_ANGLES = (PI / 3.0, 1.05, 1.6, 2.3, 1.5 * PI)
+
+
+class TestModeOrder:
+    @pytest.mark.parametrize("pair", ["DD", "NN", "DN", "ND"])
+    @pytest.mark.parametrize("gamma", LADDER_ANGLES)
+    def test_one_ladder_for_kernel_corner_and_spectrum(self, pair, gamma, monkeypatch):
+        """angular_modes, the corner mode sum and the sector spectrum's
+        Bessel families read the same order floats, bit for bit."""
+        ladder = [sm.mode_order(pair, gamma, j) for j in range(40)]
+        bc = {"D": sm.DIRICHLET, "N": sm.NEUMANN}
+        spec = sm.SectorSpec(gamma, bc[pair[0]], bc[pair[1]])
+        assert [sm.angular_modes(spec, j + 1).order for j in range(40)] == ladder
+        corner = list(cl._corner_orders(pair, gamma, 50.0))
+        assert len(corner) > 10
+        assert corner == [sm.mode_order(pair, gamma, j) for j in range(len(corner))]
+
+        families = []
+
+        class Recorded(es._BesselFamily):
+            def __init__(self, nu, *args):
+                families.append(nu)
+                super().__init__(nu, *args)
+
+        monkeypatch.setattr(es, "_BesselFamily", Recorded)
+        es.sector_disk_spectrum(gamma, 1.0, pair, "D").first(60)
+        assert len(families) >= 4
+        assert families == ladder[:len(families)]
+
+    def test_offsets(self):
+        assert sm.mode_order("DD", 2.0, 0) == PI / 2.0
+        assert sm.mode_order("NN", 2.0, 0) == 0.0
+        assert sm.mode_order("DN", 2.0, 1) == sm.mode_order("ND", 2.0, 1) == 1.5 * PI / 2.0
+
+    @pytest.mark.parametrize("pair", ["RR", "DR", "NR", "XX"])
+    def test_no_ladder_for_robin_pairs(self, pair):
+        with pytest.raises(UnsupportedBCError):
+            sm.mode_order(pair, 1.0, 0)
+        with pytest.raises(UnsupportedBCError):
+            cl._corner_orders(pair, 1.0, 50.0)
 
 
 class TestSectorHeatKernel:

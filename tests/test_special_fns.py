@@ -126,9 +126,8 @@ class TestBesselKImag:
 
     def test_series_and_integral_routes_agree(self):
         # both internal branches cover (mu=2, x=3); they must coincide
-        cfg = sf.DEFAULT_CONFIG
-        v_series, _ = sf._k_imag_series(2.0, 3.0, cfg)
-        v_integral, _ = sf._k_imag_integral(2.0, 3.0, cfg)
+        v_series, _ = sf._k_imag_series(2.0, 3.0)
+        v_integral, _ = sf._k_imag_integral(2.0, 3.0)
         assert v_series == pytest.approx(v_integral, rel=1e-11)
 
     def test_against_extended_precision_grid(self):
@@ -296,15 +295,3 @@ class TestErfc:
                 assert sf.erfcx(x) == pytest.approx(expect, rel=1e-13)
         # far tail: asymptotic 1/(x sqrt(pi))
         assert sf.erfcx(1e5) == pytest.approx(1.0 / (1e5 * math.sqrt(math.pi)), rel=1e-9)
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            sf.SpecialFnConfig(rel_tol=1e-5)
-        with pytest.raises(DomainError):
-            sf.SpecialFnConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            sf.SpecialFnConfig(max_terms=10)
-        cfg = sf.SpecialFnConfig(rel_tol=1e-10, max_terms=100)
-        assert cfg.rel_tol == 1e-10
