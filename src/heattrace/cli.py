@@ -11,6 +11,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import corner_lab, exact_spectra, sector_models, trace_coeffs
 from .errors import DomainError, HeatTraceError, UnsupportedBCError, ValidationError
 from .sector_models import BoundaryCondition, SectorSpec
@@ -250,11 +252,8 @@ def cmd_corner(args):
         "closed_form": corner_lab.corner_coeff(kind),
     }
     if args.numeric:
-        if args.pair not in ("DD", "NN", "DN"):
-            raise ValidationError(
-                f"--numeric supports DD, NN, DN (no Robin sector model); got {args.pair}",
-                field="pair",
-            )
+        # the numeric route sums sector modes: the pair needs a mode ladder
+        _arg("--pair", sector_models.mode_order, args.pair, args.angle, 0)
         result = corner_lab.corner_finite_part(args.pair, args.angle)
         report["finite_part"] = result.finite_part
         report["difference"] = result.finite_part - report["closed_form"]
@@ -302,39 +301,51 @@ def _parse_grid(raw, where="--grid"):
 
 
 def cmd_kernel(args):
+    """Every point of the grid in one kernel call, one CSV row each."""
     axes = _parse_grid(args.grid)
+    # name -> (upper end, whether 0 is allowed) of each checked axis
     if args.model == "sector":
         names = ("t", "r", "theta", "r0", "theta0")
         spec = _sector_arg(args)
-        fn = lambda t, r, th, r0, th0: sector_models.sector_heat_kernel(
-            spec, t, r, th, r0, th0
-        )
+        ranges = {"t": (math.inf, False), "r": (math.inf, True), "r0": (math.inf, True),
+                  "theta": (spec.gamma, True), "theta0": (spec.gamma, True)}
+        kernel = lambda *cols: sector_models.sector_heat_kernel(spec, *cols)
     else:
         names = ("t", "x", "y", "x0", "y0")
         bc = _arg("--bc0", BoundaryCondition.parse, args.bc0)
-        fn = lambda t, x, y, x0, y0: sector_models.half_plane_kernel(bc, t, x, y, x0, y0)
+        ranges = {"t": (math.inf, False), "y": (math.inf, True), "y0": (math.inf, True)}
+        kernel = lambda *cols: sector_models.half_plane_kernel(bc, *cols)
     missing = [n for n in names if n not in axes]
     if missing:
         raise ValidationError(f"--grid is missing {missing}", field="--grid")
-    rows = [[]]
-    for name in names:
-        rows = [r + [v] for r in rows for v in axes[name]]
+    for name, (hi, zero_ok) in ranges.items():
+        _arg("--grid", sector_models.check_coordinate, name, axes[name], hi, zero_ok)
+    # the first axis varies slowest
+    cols = [c.ravel() for c in np.meshgrid(*(axes[n] for n in names), indexing="ij")]
+    values = kernel(*cols)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + ",H\n")
-        for row in rows:
-            value = fn(*row)
-            fh.write(",".join(f"{v:.17e}" for v in row) + f",{value:.17e}\n")
-    sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
+        for row in zip(*cols, values):
+            fh.write(",".join(f"{v:.17e}" for v in row) + "\n")
+    sys.stdout.write(f"wrote {values.size} rows to {args.out}\n")
     return EXIT_OK
 
 
 def cmd_greens(args):
     s_values = _floats_arg(args.s, "--s")
-    points = [((args.r, args.phi), (args.r0, args.phi0))]
+    _arg("--s", sector_models.check_coordinate, "s", s_values, math.inf, False)
     if args.model == "halfplane":
         model = _arg("--bc0", BoundaryCondition.parse, args.bc0)
+        gamma, zero_ok = math.pi, True
     else:
         model = _sector_arg(args)
+        gamma, zero_ok = model.gamma, False  # the KL integral needs r, r0 > 0
+    for name in ("r", "r0"):
+        _arg(f"--{name}", sector_models.check_coordinate, name, getattr(args, name),
+             math.inf, zero_ok)
+    for name in ("phi", "phi0"):
+        _arg(f"--{name}", sector_models.check_coordinate, name, getattr(args, name), gamma, True)
+    points = [((args.r, args.phi), (args.r0, args.phi0))]
     report = {"model": args.model, "residuals": {}}
     worst = 0.0
     for s in s_values:

@@ -21,7 +21,15 @@ from .errors import (
     UnsupportedBCError,
     WeakEnvelopeError,
 )
-from .special_fns import _MAX_TERMS, _k_imag_scaled_impl, bessel_i_scaled, erfcx
+from .special_fns import (
+    _I_MANY_X_MAX,
+    _LOG_HUGE,
+    _MAX_TERMS,
+    _k_imag_scaled_impl,
+    bessel_i_scaled,
+    bessel_i_scaled_many,
+    erfcx,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -132,7 +140,8 @@ def mode_order(pair, gamma, j):
         c = _LADDER_OFFSET[pair]
     except KeyError:
         raise UnsupportedBCError(
-            f"no sector mode ladder for pair {pair!r}; the pair must be DD, NN, DN or ND"
+            f"no sector mode ladder for pair {pair!r} (Robin edges have none); "
+            "the pair must be DD, NN, DN or ND"
         ) from None
     return (j + c) * (math.pi / gamma)
 
@@ -160,6 +169,25 @@ def angular_modes(spec, j):
     return AngularMode(index=int(j), order=order, eigenfn=fn)
 
 
+def check_coordinate(name, values, hi, zero_ok):
+    """`values` (a number or an array) as a float array, after checking that
+    each is a finite number in [0, hi], or in (0, hi] when not zero_ok.
+
+    The one range check of point coordinates: the kernels, the Green's
+    functions and the CLI's arguments all call it.  Raises DomainError
+    naming the coordinate and its first value out of range.
+    """
+    v = np.asarray(values, dtype=float)
+    ok = np.isfinite(v) & ((v >= 0.0) if zero_ok else (v > 0.0)) & (v <= hi)
+    if not ok.all():
+        want = (">= 0" if zero_ok else "> 0") if hi == math.inf else f"in [0, {hi!r}]"
+        raise DomainError(f"{name} must be {want}, got {float(v[~ok].flat[0])!r}")
+    return v
+
+
+_KERNEL_ROWS = 128  # points per I-block of sector_heat_kernel; bounds its memory
+
+
 def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     """Separated-variables sector heat kernel
 
@@ -168,40 +196,95 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
 
     evaluated with the Gaussian prefactor folded into the scaled Bessel
     function so that nothing overflows.  Truncation error is kept below tol.
+
+    The five coordinates are numbers or arrays that broadcast together; the
+    result has their broadcast shape, and is a float when all five are
+    numbers.  Each point keeps its own cutoff (see _mode_counts).  The
+    e^{-z} I_nu(z) of all points with z <= 700 come from bessel_i_scaled_many
+    blocks of at most _KERNEL_ROWS points; a point beyond the cap takes
+    bessel_i_scaled one order at a time.
     """
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if r < 0.0 or r0 < 0.0:
-        raise DomainError("radii must be >= 0")
-    for ang in (theta, theta0):
-        if not 0.0 <= ang <= spec.gamma:
-            raise DomainError(f"angle {ang} outside [0, {spec.gamma}]")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
+    t = check_coordinate("t", t, math.inf, False)
+    r = check_coordinate("r", r, math.inf, True)
+    r0 = check_coordinate("r0", r0, math.inf, True)
+    theta = check_coordinate("theta", theta, spec.gamma, True)
+    theta0 = check_coordinate("theta0", theta0, spec.gamma, True)
+    points = np.broadcast_arrays(t, r, theta, r0, theta0)
+    shape = points[0].shape
+    t, r, theta, r0, theta0 = (a.ravel() for a in points)
     z = r * r0 / (2.0 * t)
     log_pref = -((r - r0) ** 2) / (4.0 * t)
-    pref = math.exp(log_pref) / (2.0 * t) if log_pref > -745.0 else 0.0
-    if pref == 0.0:
-        return 0.0
-    amp2 = 2.0 / spec.gamma
-    acc = 0.0
-    log_half_z = math.log(0.5 * z) if z > 0.0 else -math.inf
-    for j in range(1, _MAX_TERMS + 1):
-        mode = angular_modes(spec, j)
-        acc += bessel_i_scaled(mode.order, z) * (mode.eigenfn(theta) * mode.eigenfn(theta0))
-        next_order = mode_order(spec.pair, spec.gamma, j)
-        # rigorous term bound: e^{-z} I_nu(z) <= (z/2)^nu / Gamma(nu+1)
-        if z == 0.0:
-            if next_order > 0.0:
-                break
-            continue
-        log_bound = next_order * log_half_z - math.lgamma(next_order + 1.0)
-        if j >= 5 and log_bound < math.log(tol / (4.0 * amp2 * max(pref, 1e-300))) - math.log(2.0):
-            break
-    else:
-        raise ToleranceError(
-            "sector heat kernel series did not reach the requested tolerance",
-            math.exp(log_bound) * amp2 * pref,
-        )
-    return pref * acc
+    pref = np.where(log_pref > -745.0, np.exp(log_pref) / (2.0 * t), 0.0)
+    out = np.zeros(z.size)
+    # by increasing z, so that a block's rows need similar mode counts and
+    # leave its series in turn
+    live = np.flatnonzero(pref > 0.0)
+    live = live[np.argsort(z[live], kind="stable")]
+    counts = _mode_counts(spec, z[live], pref[live], tol)
+    for start in range(0, live.size, _KERNEL_ROWS):
+        rows = live[start:start + _KERNEL_ROWS]
+        n = counts[start:start + _KERNEL_ROWS]
+        out[rows] = pref[rows] * _mode_sums(spec, n, z[rows], theta[rows], theta0[rows])
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _mode_counts(spec, z, pref, tol):
+    """How many modes each point keeps.
+
+    A point at z = 0 keeps the first mode only.  Any other keeps the first
+    j >= 5 modes after which the rigorous bound e^{-z} I_nu(z) <=
+    (z/2)^nu / Gamma(nu+1) of the next order nu is below its share of tol.
+    Raises ToleranceError when a point would need more than _MAX_TERMS.
+    """
+    counts = np.ones(z.size, dtype=int)
+    pos = np.flatnonzero(z > 0.0)
+    log_half_z = np.log(z[pos]) + math.log(0.5)
+    amp2 = 2.0 / spec.gamma  # bounds every |phi_j(theta) phi_j(theta0)|
+    log_share = np.log(tol / (8.0 * amp2 * np.maximum(pref[pos], 1e-300)))
+    open_rows = np.arange(pos.size)  # indices into pos still without a cutoff
+    j = 5
+    while open_rows.size:
+        if j > _MAX_TERMS:
+            log_err = log_bound[0, -1] + math.log(amp2 * pref[pos[open_rows[0]]])
+            raise ToleranceError(
+                "sector heat kernel series did not reach the requested tolerance",
+                math.exp(log_err) if log_err < _LOG_HUGE else math.inf,
+            )
+        js = np.arange(j, min(2 * j, _MAX_TERMS + 1))
+        nxt = mode_order(spec.pair, spec.gamma, js)
+        lg = np.array([math.lgamma(v + 1.0) for v in nxt])
+        log_bound = nxt * log_half_z[open_rows, None] - lg
+        below = log_bound < log_share[open_rows, None]
+        found = below.any(axis=1)
+        counts[pos[open_rows[found]]] = js[below[found].argmax(axis=1)]
+        open_rows = open_rows[~found]
+        log_bound = log_bound[~found]
+        j = int(js[-1]) + 1
+    return counts
+
+
+def _mode_sums(spec, counts, z, theta, theta0):
+    """sum_{j < counts} e^{-z} I_{mu_j}(z) phi_j(theta) phi_j(theta0) per
+    point, added mode by mode."""
+    m = int(counts.max())
+    orders = mode_order(spec.pair, spec.gamma, np.arange(m))
+    # unit-norm eigenfunctions: sines from a Dirichlet edge at theta = 0,
+    # cosines from a Neumann one; the N-N constant mode has norm 1/gamma
+    trig = np.sin if spec.bc_at_0.kind == "D" else np.cos
+    weights = np.where(orders == 0.0, 1.0, 2.0) / spec.gamma \
+        * trig(theta[:, None] * orders) * trig(theta0[:, None] * orders)
+    i_vals = np.zeros((z.size, m))
+    small = z <= _I_MANY_X_MAX
+    if small.any():
+        i_vals[small] = bessel_i_scaled_many(orders, z[small])
+    for row in np.flatnonzero(~small):  # Python floats: scalar calls run faster on them
+        n, x = int(counts[row]), float(z[row])
+        i_vals[row, :n] = [bessel_i_scaled(nu, x) for nu in orders[:n].tolist()]
+    kept = np.arange(m) < counts[:, None]
+    # cumsum adds left to right, so the masked zeros leave each sum unchanged
+    return np.cumsum(np.where(kept, i_vals * weights, 0.0), axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +362,11 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     The integrand is assembled from exponentially scaled pieces and truncated
     using the per-term angular decay gaps.
     """
-    if s <= 0.0:
-        raise DomainError(f"spectral parameter must be positive, got {s}")
-    if r <= 0.0 or r0 <= 0.0:
-        raise DomainError("radii must be positive for the KL integral")
-    for ang in (phi, phi0):
-        if not 0.0 <= ang <= spec.gamma:
-            raise DomainError(f"angle {ang} outside [0, {spec.gamma}]")
+    check_coordinate("s", s, math.inf, False)
+    check_coordinate("r", r, math.inf, False)  # K_{i mu} has no value at 0
+    check_coordinate("r0", r0, math.inf, False)
+    check_coordinate("phi", phi, spec.gamma, True)
+    check_coordinate("phi0", phi0, spec.gamma, True)
     if r == r0 and phi == phi0:
         raise DiagonalPointError("on-diagonal Green's evaluation is rejected")
     terms = _bracket_terms(spec, phi, phi0)
@@ -351,33 +432,35 @@ def half_plane_kernel(bc, t, x, y, x0, y0):
         -(kappa/sqrt(4 pi t)) e^{-(x-x0)^2/4t} e^{-(y+y0)^2/4t}
             erfcx((y+y0)/sqrt(4t) + kappa sqrt t),
 
-    which equals the textbook erfc form but never over- or underflows.
+    which equals the textbook erfc form but never over- or underflows.  The
+    coordinates are numbers or arrays that broadcast together; the result
+    has their broadcast shape, and is a float when all five are numbers.
     """
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if y < 0.0 or y0 < 0.0:
-        raise DomainError("points must lie in the closed half-plane y >= 0")
+    t = check_coordinate("t", t, math.inf, False)
+    y = check_coordinate("y", y, math.inf, True)
+    y0 = check_coordinate("y0", y0, math.inf, True)
     four_t = 4.0 * t
-    gx = math.exp(-((x - x0) ** 2) / four_t)
-    direct = gx * math.exp(-((y - y0) ** 2) / four_t) / (math.pi * four_t)
-    image = gx * math.exp(-((y + y0) ** 2) / four_t) / (math.pi * four_t)
+    gx = np.exp(-np.subtract(x, x0) ** 2 / four_t)
+    direct = gx * np.exp(-((y - y0) ** 2) / four_t) / (math.pi * four_t)
+    image = gx * np.exp(-((y + y0) ** 2) / four_t) / (math.pi * four_t)
     if bc.kind == "D":
-        return direct - image
-    if bc.kind == "N":
-        return direct + image
-    kappa = bc.robin_kappa
-    arg = (y + y0) / math.sqrt(four_t) + kappa * math.sqrt(t)
-    corr = (
-        -kappa
-        / math.sqrt(math.pi * four_t)
-        * gx
-        * math.exp(-((y + y0) ** 2) / four_t)
-        * erfcx(arg)
-    )
-    value = direct + image + corr
-    if not math.isfinite(value):
-        raise ToleranceError("half-plane kernel evaluation is not finite", math.inf)
-    return value
+        value = direct - image
+    elif bc.kind == "N":
+        value = direct + image
+    else:
+        kappa = bc.robin_kappa
+        arg = (y + y0) / np.sqrt(four_t) + kappa * np.sqrt(t)
+        corr = (
+            -kappa
+            / np.sqrt(math.pi * four_t)
+            * gx
+            * np.exp(-((y + y0) ** 2) / four_t)
+            * _ERFCX_VEC(arg)
+        )
+        value = direct + image + corr
+        if not np.isfinite(value).all():
+            raise ToleranceError("half-plane kernel evaluation is not finite", math.inf)
+    return value if np.ndim(value) else float(value)
 
 
 def laplace_consistency(model, s, points, tol=1e-7):
@@ -388,9 +471,9 @@ def laplace_consistency(model, s, points, tol=1e-7):
     D/N BoundaryCondition (half-plane kernel vs image Green's function).
     Points are pairs ((r, phi), (r0, phi0)) in polar coordinates; for the
     half-plane they are interpreted as such with the wall at phi in {0, pi}.
+    Each quadrature panel hands its whole node array to the kernel.
     """
-    if s <= 0.0:
-        raise DomainError(f"spectral parameter must be positive, got {s}")
+    check_coordinate("s", s, math.inf, False)
     pairs = list(points)
     if not pairs:
         raise DomainError("need at least one point pair")
@@ -400,25 +483,19 @@ def laplace_consistency(model, s, points, tol=1e-7):
             h = lambda t: sector_heat_kernel(model, t, r, phi, r0, phi0, tol=tol * 1e-3)
             g_val = greens_kl(model, s, r, phi, r0, phi0, tol=tol * 1e-2)
         else:
-            def h(t, bc=model):
-                x, y = r * math.cos(phi), r * math.sin(phi)
-                x1, y1 = r0 * math.cos(phi0), r0 * math.sin(phi0)
-                return half_plane_kernel(bc, t, x, y, x1, y1)
-
+            x, y = r * math.cos(phi), r * math.sin(phi)
+            x0, y0 = r0 * math.cos(phi0), r0 * math.sin(phi0)
+            h = lambda t: half_plane_kernel(model, t, x, y, x0, y0)
             g_val = greens_half_plane_images(model, s, r, phi, r0, phi0)
         d = _distance(r, phi, r0, phi0)
         if d == 0.0:
             raise DiagonalPointError("Laplace consistency needs off-diagonal points")
+        integrand = lambda t: np.exp(-s * t) * h(t)
         # integrand vanishes like e^{-d^2/4t} near 0 and like e^{-s t} at infinity
         t_lo = d * d / (4.0 * (abs(math.log(tol)) + 60.0))
-        body = quad_fp.integrate(
-            lambda t: np.array([math.exp(-s * tv) * h(tv) for tv in np.atleast_1d(t)]),
-            t_lo,
-            1.0,
-            tol=tol * 1e-2,
-        )
+        body = quad_fp.integrate(integrand, t_lo, 1.0, tol=tol * 1e-2)
         tail = quad_fp.integrate(
-            lambda t: np.array([math.exp(-s * tv) * h(tv) for tv in np.atleast_1d(t)]),
+            integrand,
             1.0,
             math.inf,
             tol=tol * 1e-2,
@@ -446,6 +523,7 @@ def model_sf(big_x, xi, xi0, sign):
 
 
 _ERFC_VEC = np.vectorize(math.erfc)
+_ERFCX_VEC = np.vectorize(erfcx, otypes=[float])
 
 
 def model_sf_robin(big_x, xi, xi0, kappa):

@@ -120,6 +120,14 @@ class TestCorner:
         assert abs(report["difference"]) <= 1e-4
         assert report["fit_condition_number"] >= 1.0
 
+    def test_numeric_nd(self, capsys):
+        # ND has a mode ladder, so the numeric route takes it like DN
+        code, out, _ = run(
+            ["corner", "--pair", "ND", "--angle", str(PI / 2.0), "--numeric"], capsys
+        )
+        assert code == 0
+        assert abs(json.loads(out)["difference"]) <= 1e-4
+
     def test_numeric_rejects_robin(self, capsys):
         code, _, err = run(
             ["corner", "--pair", "RR", "--angle", "1.0", "--numeric"], capsys
@@ -317,12 +325,39 @@ class TestBadArguments:
                          id="trace-fit-rectangle-a"),
             pytest.param(["trace-fit", "--domain", "rectangle", "--b", "-2"], "--b",
                          id="trace-fit-rectangle-b"),
+            pytest.param(["kernel", "--model", "sector", "--gamma", "1",
+                          "--grid", "t=0.1;r=1;theta=0:2:3;r0=1;theta0=0.5"], "--grid",
+                         id="kernel-sector-theta"),
+            pytest.param(["kernel", "--model", "sector",
+                          "--grid", "t=0:0.5:3;r=1;theta=0.3;r0=1;theta0=0.5"], "--grid",
+                         id="kernel-sector-t"),
+            pytest.param(["kernel", "--model", "sector",
+                          "--grid", "t=0.1;r=1;theta=0.3;r0=-1;theta0=0.5"], "--grid",
+                         id="kernel-sector-r0"),
+            pytest.param(["kernel", "--model", "halfplane",
+                          "--grid", "t=0.1;x=0;y=-1:1:3;x0=0;y0=0.5"], "--grid",
+                         id="kernel-halfplane-y"),
+            pytest.param(["greens", "--model", "sector", "--gamma", "1", "--phi", "2"], "--phi",
+                         id="greens-sector-phi"),
+            pytest.param(["greens", "--model", "sector", "--phi0", "-0.1"], "--phi0",
+                         id="greens-sector-phi0"),
+            pytest.param(["greens", "--model", "sector", "--r", "0"], "--r",
+                         id="greens-sector-r"),
+            pytest.param(["greens", "--model", "halfplane", "--r0", "-1"], "--r0",
+                         id="greens-halfplane-r0"),
+            pytest.param(["greens", "--model", "halfplane", "--phi", "4"], "--phi",
+                         id="greens-halfplane-phi"),
+            pytest.param(["greens", "--model", "halfplane", "--bc0", "D", "--s", "0"], "--s",
+                         id="greens-halfplane-s0"),
+            pytest.param(["greens", "--model", "sector", "--s", "1,-4"], "--s",
+                         id="greens-sector-s"),
         ],
     )
     def test_exit_2_names_the_field(self, argv, field, tmp_path, capsys):
         if argv[0] == "kernel":
-            argv = argv + ["--grid", "t=0.2;x=0.0;y=0.5;x0=0.3;y0=0.8",
-                           "--out", str(tmp_path / "k.csv")]
+            if "--grid" not in argv:
+                argv = argv + ["--grid", "t=0.2;x=0.0;y=0.5;x0=0.3;y0=0.8"]
+            argv = argv + ["--out", str(tmp_path / "k.csv")]
         code, _, err = run(argv, capsys)
         assert code == 2
         assert f"validation error: {field}: " in err

@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from heattrace import cli
 from heattrace import corner_lab as cl
 from heattrace import exact_spectra as es
 from heattrace import sector_models as sm
+from heattrace.special_fns import bessel_i_scaled
 from heattrace.errors import (
     DiagonalPointError,
     DomainError,
+    ToleranceError,
     UnsupportedBCError,
     WeakEnvelopeError,
 )
@@ -171,6 +175,143 @@ class TestSectorHeatKernel:
             sm.sector_heat_kernel(spec, -0.1, 1.0, 0.5, 1.0, 0.5)
         with pytest.raises(DomainError):
             sm.sector_heat_kernel(spec, 0.1, 1.0, 1.5, 1.0, 0.5)
+        with pytest.raises(DomainError, match="r0 must be >= 0"):
+            sm.sector_heat_kernel(spec, 0.1, 1.0, 0.5, np.array([1.0, -2.0]), 0.5)
+
+
+def reference_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
+    """One point of the sector kernel, mode by mode with scalar Bessel
+    calls, stopped by the kernel's term bound at half its tolerance share."""
+    log_pref = -((r - r0) ** 2) / (4.0 * t)
+    if log_pref <= -745.0:
+        return 0.0
+    pref = math.exp(log_pref) / (2.0 * t)
+    z = r * r0 / (2.0 * t)
+    g = spec.gamma
+    trig = math.sin if spec.bc_at_0.kind == "D" else math.cos
+    acc = 0.0
+    for j in range(1, 20001):
+        nu = sm.mode_order(spec.pair, g, j - 1)
+        norm = 1.0 / g if nu == 0.0 else 2.0 / g
+        acc += bessel_i_scaled(nu, z) * norm * trig(nu * theta) * trig(nu * theta0)
+        nxt = sm.mode_order(spec.pair, g, j)
+        if z == 0.0:
+            break
+        log_bound = nxt * math.log(0.5 * z) - math.lgamma(nxt + 1.0)
+        if j >= 5 and log_bound < math.log(tol / (8.0 * (2.0 / g) * pref)) - math.log(2.0):
+            break
+    return pref * acc
+
+
+BC = {"D": sm.DIRICHLET, "N": sm.NEUMANN}
+
+
+class TestArrayKernel:
+    def test_array_equals_one_point_calls(self):
+        spec = sm.SectorSpec(1.3, sm.NEUMANN, sm.DIRICHLET)
+        t = np.array([[0.02], [0.3], [1.5]])
+        r = np.array([0.0, 0.4, 1.1, 2.0])
+        grid = sm.sector_heat_kernel(spec, t, r, 0.7, 1.2, 0.2)
+        assert grid.shape == (3, 4)
+        for i, j in np.ndindex(grid.shape):
+            one = sm.sector_heat_kernel(spec, float(t[i, 0]), float(r[j]), 0.7, 1.2, 0.2)
+            assert type(one) is float
+            assert grid[i, j] == one
+        # more points than one I-block holds, in no particular order
+        rng = np.random.default_rng(4)
+        n = 3 * sm._KERNEL_ROWS + 5
+        pts = (10.0 ** rng.uniform(-2.5, 0.5, n), rng.uniform(0.0, 2.0, n),
+               rng.uniform(0.0, 1.3, n), rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 1.3, n))
+        many = sm.sector_heat_kernel(spec, *pts)
+        assert np.array_equal(many, [sm.sector_heat_kernel(spec, *p) for p in zip(*pts)])
+
+    @pytest.mark.parametrize("pair", ["DD", "NN", "DN", "ND"])
+    @pytest.mark.parametrize("gamma", [0.7, PI / 2.0, 1.5 * PI])
+    def test_agrees_with_per_point_reference(self, pair, gamma):
+        spec = sm.SectorSpec(gamma, BC[pair[0]], BC[pair[1]])
+        t = np.array([1e-3, 0.01, 0.1, 0.7, 4.0])
+        cases = [
+            (t, 0.9, 0.3 * gamma, 1.1, 0.8 * gamma),
+            (t, 0.0, 0.5 * gamma, 1.4, 0.1 * gamma),  # r = 0: one mode
+            (t, 1.7, gamma, 0.6, 0.0),  # both points on an edge
+            (1e-3, 0.1, 0.2 * gamma, 3.0, 0.6 * gamma),  # the Gaussian underflows
+        ]
+        for args in cases:
+            mine = sm.sector_heat_kernel(spec, *args)
+            for point, value in zip(np.broadcast(*args), np.atleast_1d(mine)):
+                scale = 1.0 / (4.0 * PI * point[0])
+                assert abs(value - reference_kernel(spec, *point)) <= 1e-12 * scale
+        assert sm.sector_heat_kernel(spec, *cases[3]) == 0.0
+
+    def test_t_array_straddling_the_block_cap(self, monkeypatch):
+        # z = r r0 / 2t = 1/2t runs from 833 down to 625: the points beyond
+        # 700 take scalar Bessel calls, the others one block
+        spec = sm.SectorSpec(PI / 2.0, sm.DIRICHLET, sm.NEUMANN)
+        t = np.linspace(0.6e-3, 0.8e-3, 7)
+        scalar_args = []
+        real = sm.bessel_i_scaled
+        monkeypatch.setattr(sm, "bessel_i_scaled",
+                            lambda nu, x: scalar_args.append(x) or real(nu, x))
+        mine = sm.sector_heat_kernel(spec, t, 1.0, 0.4, 1.0, 1.1)
+        assert sorted(set(scalar_args)) == sorted(1.0 / (2.0 * t[t < 1.0 / 1400.0]))
+        monkeypatch.setattr(sm, "bessel_i_scaled", real)
+        for tv, value in zip(t, mine):
+            ref = reference_kernel(spec, tv, 1.0, 0.4, 1.0, 1.1)
+            assert abs(value - ref) <= 1e-12 / (4.0 * PI * tv)
+
+    def test_series_cutoff_still_raises(self):
+        # z = 1e6 needs orders near z/2, far beyond _MAX_TERMS modes
+        with pytest.raises(ToleranceError):
+            sm.sector_heat_kernel(sm.SectorSpec(PI), 5e-7, 1.0, 1.0, 1.0, 2.0)
+
+    def test_laplace_check_makes_no_scalar_bessel_call(self, monkeypatch):
+        # at tol = 1e-7 the smallest time node puts z near 180, below the cap
+        scalar_calls = []
+        monkeypatch.setattr(sm, "bessel_i_scaled", lambda *a: scalar_calls.append(a))
+        kernel_calls = []
+        real = sm.sector_heat_kernel
+        monkeypatch.setattr(sm, "sector_heat_kernel",
+                            lambda *a, **k: kernel_calls.append(a[1]) or real(*a, **k))
+        spec = sm.SectorSpec(PI / 2.0, sm.DIRICHLET, sm.NEUMANN)
+        res = sm.laplace_consistency(spec, 2.0, [((0.8, 0.3), (1.3, 1.1))], tol=1e-7)
+        assert res <= 1e-5
+        assert scalar_calls == []
+        # one call per quadrature panel rule (10 or 21 nodes), one for the envelope
+        assert all(np.ndim(t) == 0 or np.size(t) in (10, 21) for t in kernel_calls)
+        assert sum(np.ndim(t) == 0 for t in kernel_calls) == 1
+
+    @pytest.mark.parametrize("model", ["sector", "halfplane"])
+    def test_kernel_grid_is_one_call(self, model, monkeypatch, tmp_path, capsys):
+        name = "sector_heat_kernel" if model == "sector" else "half_plane_kernel"
+        calls = []
+        real = getattr(sm, name)
+        monkeypatch.setattr(sm, name, lambda *a: calls.append(a) or real(*a))
+        grid = ("t=0.05:0.5:4;r=0.2:1.5:5;theta=0.3:1.2:3;r0=1.0;theta0=0.7" if model == "sector"
+                else "t=0.05:0.5:4;x=-1:1:5;y=0:1.5:3;x0=0.2;y0=0.5")
+        out = tmp_path / "k.csv"
+        assert cli.main(["kernel", "--model", model, "--grid", grid, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        header, *lines = out.read_text().splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        # the rows of a nested loop over the axes, the first axis slowest
+        axes = cli._parse_grid(grid)
+        points = list(itertools.product(*(axes[n] for n in header.split(",")[:5])))
+        assert len(points) == 60
+        assert [tuple(row[:5]) for row in rows] == points
+        assert rows[7][5] == real(calls[0][0], *points[7])
+
+    def test_half_plane_arrays(self):
+        t = np.array([0.05, 0.2, 1.0])
+        y = np.array([[0.0], [0.3], [1.2]])
+        for bc in (sm.DIRICHLET, sm.NEUMANN, sm.BoundaryCondition.robin(1.5)):
+            grid = sm.half_plane_kernel(bc, t, 0.1, y, -0.2, 0.7)
+            assert grid.shape == (3, 3)
+            for i, j in np.ndindex(grid.shape):
+                one = sm.half_plane_kernel(bc, float(t[j]), 0.1, float(y[i, 0]), -0.2, 0.7)
+                assert type(one) is float
+                assert grid[i, j] == one
+        with pytest.raises(DomainError, match="y must be >= 0"):
+            sm.half_plane_kernel(sm.NEUMANN, t, 0.0, np.array([0.1, -0.1, 0.2]), 0.0, 0.5)
 
 
 class TestGreensKL:

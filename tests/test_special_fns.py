@@ -98,6 +98,21 @@ class TestBesselI:
                 assert v == pytest.approx(sf.bessel_i_scaled(nu, x), rel=1e-11, abs=1e-280)
 
     @given(
+        nus=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=4),
+        x=st.floats(min_value=0.0, max_value=700.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_against_extended_precision_property(self, nus, x):
+        # the block serves the corner mode sums and the sector kernels; values
+        # below the normal range (1e-300) are compared absolutely
+        mp = pytest.importorskip("mpmath")
+        row = sf.bessel_i_scaled_many(nus, np.array([x]))[0]
+        with mp.workdps(30):
+            for nu, v in zip(nus, row):
+                ref = float(mp.besseli(nu, x) * mp.exp(-x))
+                assert v == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @given(
         nu=st.floats(min_value=0.0, max_value=50.0),
         x=st.floats(min_value=0.0, max_value=500.0),
     )
