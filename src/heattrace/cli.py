@@ -323,10 +323,10 @@ def cmd_kernel(args):
     # the first axis varies slowest
     cols = [c.ravel() for c in np.meshgrid(*(axes[n] for n in names), indexing="ij")]
     values = kernel(*cols)
+    fmt = ",".join(["%.17e"] * (len(names) + 1)) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + ",H\n")
-        for row in zip(*cols, values):
-            fh.write(",".join(f"{v:.17e}" for v in row) + "\n")
+        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in cols), values.tolist()))
     sys.stdout.write(f"wrote {values.size} rows to {args.out}\n")
     return EXIT_OK
 

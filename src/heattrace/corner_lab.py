@@ -82,16 +82,31 @@ CORNER_BASIS = (-2, -1, 0, 1, 3, 5)  # the cutoff expansion has no even powers >
 _MODE_TOL = 1e-16  # truncation bound of the corner mode ladder
 
 
+def _log_mode_bound(nu, z):
+    """log of the rigorous bound, for nu >= 0 and z > 0 (arrays broadcast),
+
+        e^{-z} I_nu(z) <= (z/2)^nu / Gamma(nu+1) * exp(z^2 / (4 (nu+1)) - z),
+
+    which holds term by term in the series of I_nu because Gamma(nu+k+1) >=
+    Gamma(nu+1) (nu+1)^k.  It decreases in nu at every z: with x = nu + 1
+    and y = z/(2x), its nu-derivative is log y - y^2 + log x - psi(x), where
+    log y - y^2 <= -0.84 and log x - psi(x) is below 1/x and below 0.58."""
+    nu = np.asarray(nu, dtype=float)
+    z = np.asarray(z, dtype=float)
+    lg = np.vectorize(math.lgamma, otypes=[float])(nu + 1.0)
+    return nu * np.log(0.5 * z) - lg + z * z / (4.0 * (nu + 1.0)) - z
+
+
 def _corner_orders(pair, alpha, z_max):
     """Bessel orders mode_order(pair, alpha, j), j = 0, 1, ..., of the sector
-    mode sum, truncated where the rigorous bound (z/2)^nu / Gamma(nu+1) at
-    the largest argument drops below 1e-16.  Robin pairs have no ladder
+    mode sum, up to the first order whose _log_mode_bound at z_max is below
+    _MODE_TOL; every later order is below it too, at every z <= z_max
+    (for nu >= 1 the bound grows with z).  Robin pairs have no ladder
     (their corners use the Neumann formula) and raise UnsupportedBCError."""
-    log_half = math.log(0.5 * z_max)
     log_tol = math.log(_MODE_TOL)
     orders = []
     nu = mode_order(pair, alpha, 0)
-    while nu <= z_max or nu * log_half - math.lgamma(nu + 1.0) > log_tol:
+    while _log_mode_bound(nu, z_max) >= log_tol:
         orders.append(nu)
         nu = mode_order(pair, alpha, len(orders))
         if len(orders) > 100_000:
@@ -101,16 +116,27 @@ def _corner_orders(pair, alpha, z_max):
 
 def _cumulative_mode_integral(orders, cutoffs):
     """F(L) = int_0^L (1/2) R e^{-R^2/2} sum_j I_{nu_j}(R^2/2) dR at each
-    cutoff (increasing), by fixed Gauss panels of length <= 0.4."""
+    cutoff (increasing), by fixed Gauss panels of length <= 0.4.
+
+    Each segment between cutoffs sums the prefix of the ladder `orders` up to
+    the last order whose _log_mode_bound reaches _MODE_TOL at some node of
+    the segment (at least one order), so every order it leaves out is below
+    _MODE_TOL at all its nodes.  Every node is checked, not only the largest
+    z, because the bound need not grow with z for orders below 1.
+    """
     edges = np.concatenate([[0.0], np.asarray(cutoffs)])
+    log_tol = math.log(_MODE_TOL)
     total = 0.0
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
         n_pan = max(2, int(math.ceil((b - a) / 0.4)))
         r_nodes, w_nodes = quad_fp.panel_nodes(a, b, n_pan, rule=21)
+        z = 0.5 * r_nodes * r_nodes
+        needed = np.flatnonzero((_log_mode_bound(orders, z[:, None]) >= log_tol).any(axis=0))
+        keep = int(needed[-1]) + 1 if needed.size else 1
         # one (nodes x orders) block per segment; rows are summed one by one
         # and accumulated in node order
-        block = bessel_i_scaled_many(orders, 0.5 * r_nodes * r_nodes)
+        block = bessel_i_scaled_many(orders[:keep], z)
         for r_node, w, row in zip(r_nodes, w_nodes, block):
             total += w * 0.5 * r_node * float(row.sum())
         out.append(total)

@@ -600,28 +600,46 @@ def erfcx(x):
     """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
 
     Direct product for x < 2; Laplace continued fraction beyond, where the
-    direct product would over/underflow.
+    direct product would over/underflow.  x may be an array: the result has
+    its shape, and each entry equals the scalar call's bit for bit.
     """
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"argument must be finite and >= 0, got {x}")
-    if x < 2.0:
-        return math.exp(x * x) * math.erfc(x)
-    # erfcx(x) = (1/sqrt(pi)) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
+    arr = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if bad.any():
+        raise DomainError(f"argument must be finite and >= 0, got {arr[bad].flat[0]}")
+    flat = arr.ravel()
+    out = np.empty(flat.shape)
+    small = flat < 2.0
+    out[small] = [math.exp(v * v) * math.erfc(v) for v in flat[small].tolist()]
+    out[~small] = _erfcx_fraction(flat[~small])
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+
+def _erfcx_fraction(x):
+    """erfcx at each entry of the 1-d array x >= 2, by the continued fraction
+
+        erfcx(x) = (1/sqrt(pi)) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
+
+    under the modified Lentz method; each entry stops at its own test."""
     tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
+    f = np.full(x.shape, tiny)
+    c = f.copy()
+    d = np.zeros(x.shape)
     for j in range(1, 300):
         a = 1.0 if j == 1 else 0.5 * (j - 1)
         d = x + a * d
-        if d == 0.0:
-            d = tiny
+        d[d == 0.0] = tiny
         c = x + a / c
-        if c == 0.0:
-            c = tiny
+        c[c == 0.0] = tiny
         d = 1.0 / d
         delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return f / math.sqrt(math.pi)
-    raise ConvergenceError("erfcx continued fraction stalled", {"x": x})
+        f = f * delta
+        done = np.abs(delta - 1.0) < 1e-17
+        out[live[done]] = f[done] / math.sqrt(math.pi)
+        going = ~done
+        live, x, f, c, d = live[going], x[going], f[going], c[going], d[going]
+        if not live.size:
+            return out
+    raise ConvergenceError("erfcx continued fraction stalled", {"x": float(x[0])})

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heattrace import corner_lab as cl
 from heattrace import quad_fp
 from heattrace import special_fns as sf
 from heattrace.errors import DomainError, UnsupportedBCError
+from heattrace.sector_models import mode_order
 
 PI = math.pi
 
@@ -119,7 +122,7 @@ class TestFinitePartRoute:
         many = cl.bessel_i_scaled_many
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append((args[0], args[1]))  # (orders, arguments)
             return many(*args, **kwargs)
 
         monkeypatch.setattr(cl, "bessel_i_scaled_many", counted)
@@ -133,6 +136,24 @@ class TestFinitePartRoute:
         result = cl.corner_finite_part("DN", PI / 2.0, eps_schedule=eps)
         assert 0 < len(calls) <= len(eps)
         assert result.finite_part == pytest.approx(closed_mixed(PI / 2.0), abs=1e-3)
+
+    def test_each_segment_sums_only_the_orders_it_needs(self, monkeypatch):
+        # the whole 1,163-order ladder in each of the 14 segments would be
+        # 2,149,224 block entries over the 1,848 rows; the trimmed segments
+        # need 383,607
+        calls = self._count_i_calls(monkeypatch)
+        cl.corner_finite_part("DD", 1.5 * PI)
+        assert len(calls) == 14
+        assert sum(orders.size * z.size for orders, z in calls) <= 540_000
+
+    @pytest.mark.parametrize("pair, alpha", [("NN", 1.05), ("DN", 1.6), ("DD", 1.5 * PI)])
+    def test_first_order_left_out_is_below_the_tolerance(self, pair, alpha, monkeypatch):
+        calls = self._count_i_calls(monkeypatch)
+        cl.corner_finite_part(pair, alpha)
+        assert len(calls) == 14
+        for orders, z in calls:
+            nu = mode_order(pair, alpha, orders.size)
+            assert max(sf.bessel_i_scaled(nu, float(x)) for x in z) <= 1e-16
 
     def test_eps_below_the_i_argument_limit_fails_up_front(self, monkeypatch):
         # the last cutoff 1/eps puts I_nu at 1/(2 eps^2) = 1048 > 700
@@ -148,6 +169,35 @@ class TestFinitePartRoute:
         assert 1.0 / math.sqrt(1400.0) < eps[-1] < 0.02681
         result = cl.corner_finite_part("NN", 1.05, eps_schedule=eps)
         assert result.finite_part == pytest.approx(closed_same(1.05), abs=1e-4)
+
+
+class TestModeBound:
+    @given(nu=st.floats(min_value=0.0, max_value=1200.0),
+           z=st.floats(min_value=1e-6, max_value=700.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_dominates_extended_precision(self, nu, z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.besseli(nu, z) * mp.exp(-z)
+            if ref < 1e-300:
+                # there the bound is tight, and the rounding of its
+                # logarithm's large terms exceeds the slack
+                return
+            log_ref = float(mp.log(ref))
+        # 1e-12 relative slack
+        assert float(cl._log_mode_bound(nu, z)) >= log_ref - 1e-12
+
+    def test_bound_decreases_along_the_ladder(self):
+        nu = np.linspace(0.0, 3000.0, 6001)
+        z = np.geomspace(1e-8, 700.0, 80)[:, None]
+        assert (np.diff(cl._log_mode_bound(nu, z), axis=1) < 0.0).all()
+
+    def test_global_ladder_ends_at_the_first_order_below_the_tolerance(self):
+        z_max = 0.5 / min(cl.CORNER_EPS_SCHEDULE) ** 2
+        orders = cl._corner_orders("DD", 1.5 * PI, z_max)
+        log_tol = math.log(cl._MODE_TOL)
+        assert cl._log_mode_bound(orders[-1], z_max) >= log_tol
+        assert cl._log_mode_bound(mode_order("DD", 1.5 * PI, orders.size), z_max) < log_tol
 
 
 class TestTermContributions:

@@ -310,3 +310,23 @@ class TestErfc:
                 assert sf.erfcx(x) == pytest.approx(expect, rel=1e-13)
         # far tail: asymptotic 1/(x sqrt(pi))
         assert sf.erfcx(1e5) == pytest.approx(1.0 / (1e5 * math.sqrt(math.pi)), rel=1e-9)
+
+    def test_erfcx_array_equals_scalars(self):
+        xs = np.concatenate([
+            np.linspace(0.0, 2.0, 41), [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)],
+            np.linspace(2.0, 40.0, 77), np.geomspace(40.0, 1e5, 30),
+        ])
+        values = sf.erfcx(xs)
+        assert values.tobytes() == np.array([sf.erfcx(float(x)) for x in xs]).tobytes()
+        assert type(sf.erfcx(3.0)) is float
+
+    def test_erfcx_keeps_the_shape(self):
+        xs = np.array([[0.5, 2.5, 7.0], [1e5, 0.0, 3.0]])
+        assert sf.erfcx(xs).shape == (2, 3)
+        assert type(sf.erfcx(np.array(3.0))) is float
+        assert sf.erfcx(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+    def test_erfcx_rejects_a_bad_entry(self, bad):
+        with pytest.raises(DomainError, match="argument"):
+            sf.erfcx(np.array([0.5, 3.0, bad]))
