@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConvergenceError,
     DomainError,
     EnvelopeViolationWarning,
     IllConditionedFitError,
@@ -87,17 +88,36 @@ def _eval_vectorized(f, x):
     return np.array([float(f(v)) for v in x])
 
 
-def _panel_estimates(f, a, b):
-    """(coarse, fine, n_evals) Gauss estimates of int_a^b f."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+def _panel_estimates(f, panels):
+    """(coarse, fine, n_evals, fmax) Gauss estimates of int_lo^hi f for each
+    panel (lo, hi) of `panels`, from one evaluation of f on the 10- and
+    21-node sets of all of them.
+
+    Raises ConvergenceError, naming the first node, when f is not finite
+    somewhere: no refinement can mend that.
+    """
     gx_lo, gw_lo = gauss_rule(10)
     gx_hi, gw_hi = gauss_rule(21)
-    y_lo = _eval_vectorized(f, mid + half * gx_lo)
-    y_hi = _eval_vectorized(f, mid + half * gx_hi)
-    coarse = half * float(np.dot(gw_lo, y_lo))
-    fine = half * float(np.dot(gw_hi, y_hi))
-    return coarse, fine, 31, float(np.abs(y_hi).max())
+    lo, hi = np.array(panels, dtype=float).T
+    mid = (0.5 * (lo + hi))[:, None]
+    half = (0.5 * (hi - lo))[:, None]
+    x_lo = mid + half * gx_lo
+    x_hi = mid + half * gx_hi
+    x = np.concatenate([x_lo.ravel(), x_hi.ravel()])
+    y = _eval_vectorized(f, x)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            "integrand is not finite", {"node": float(x[i]), "value": float(y[i])}
+        )
+    y_lo = y[:x_lo.size].reshape(x_lo.shape)
+    y_hi = y[x_lo.size:].reshape(x_hi.shape)
+    return [
+        (h * float(np.dot(gw_lo, lo_vals)), h * float(np.dot(gw_hi, hi_vals)), 31,
+         float(np.abs(hi_vals).max()))
+        for h, lo_vals, hi_vals in zip(half[:, 0].tolist(), y_lo, y_hi)
+    ]
 
 
 def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
@@ -107,7 +127,13 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
     required; the integral is truncated where the envelope tail drops below
     tol/2.  Returns a QuadResult; raises BudgetExceededError (carrying the
     best estimate) when max_nodes is exhausted before the error estimate
-    reaches tol.
+    reaches tol, and ConvergenceError when f is not finite at a node.
+
+    f is called once per refinement step, on a 1-D array of all the new
+    nodes: the 8 seed panels first (248 nodes), then the two halves of each
+    bisected panel (62 nodes).  Its values must be pointwise, each depending
+    on its own node only; an f that rejects arrays is mapped over the nodes
+    one by one.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -121,22 +147,23 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
         # C e^{-delta b}/delta <= tol/2 at the truncation point
         b = a + max(1.0, (math.log(2.0 * c_env / (delta * tol))) / delta)
         tail = 0.5 * tol
-    # seed panels; refinement is by bisection of the worst panel
-    n_seed = 8
-    edges = np.linspace(a, b, n_seed + 1)
     heap = []
     nodes = 0
     env_max_ratio = 0.0
-    def _env_ratio(fmax, lo):
-        bound = envelope[0] * math.exp(max(-envelope[1] * lo, -700.0))
-        return fmax / bound if bound > 0.0 else 0.0
 
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        coarse, fine, n, fmax = _panel_estimates(f, lo, hi)
-        nodes += n
-        if envelope is not None:
-            env_max_ratio = max(env_max_ratio, _env_ratio(fmax, lo))
-        heapq.heappush(heap, (-abs(fine - coarse), lo, hi, fine))
+    def push(panels):
+        nonlocal nodes, env_max_ratio
+        for (lo, hi), (coarse, fine, n, fmax) in zip(panels, _panel_estimates(f, panels)):
+            nodes += n
+            if envelope is not None:
+                bound = envelope[0] * math.exp(max(-envelope[1] * lo, -700.0))
+                env_max_ratio = max(env_max_ratio, fmax / bound if bound > 0.0 else 0.0)
+            heapq.heappush(heap, (-abs(fine - coarse), lo, hi, fine))
+
+    # seed panels; refinement is by bisection of the worst panel
+    n_seed = 8
+    edges = np.linspace(a, b, n_seed + 1)
+    push(list(zip(edges[:-1], edges[1:])))
     while True:
         err = sum(-item[0] for item in heap) + tail
         if err <= tol:
@@ -149,12 +176,7 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
             )
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        for p, q in ((lo, mid), (mid, hi)):
-            coarse, fine, n, fmax = _panel_estimates(f, p, q)
-            nodes += n
-            if envelope is not None:
-                env_max_ratio = max(env_max_ratio, _env_ratio(fmax, p))
-            heapq.heappush(heap, (-abs(fine - coarse), p, q, fine))
+        push([(lo, mid), (mid, hi)])
     if envelope is not None and env_max_ratio > 1.05:
         warnings.warn(
             f"integrand exceeded its declared envelope by x{env_max_ratio:.2f}",

@@ -26,6 +26,7 @@ from .special_fns import (
     _LOG_HUGE,
     _MAX_TERMS,
     _k_imag_scaled_impl,
+    _k_imag_scaled_table,
     bessel_i_scaled,
     bessel_i_scaled_many,
     erfcx,
@@ -362,7 +363,9 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
 
     where W collects the cosh/sinh bracket of the boundary-condition pair.
     The integrand is assembled from exponentially scaled pieces and truncated
-    using the per-term angular decay gaps.
+    using the per-term angular decay gaps.  Each quadrature step takes both
+    K factors at all its mu nodes from one call of the batched table
+    special_fns._k_imag_scaled_table.
     """
     check_coordinate("s", s, math.inf, False)
     check_coordinate("r", r, math.inf, False)  # K_{i mu} has no value at 0
@@ -381,23 +384,13 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     a = r * math.sqrt(s)
     b = r0 * math.sqrt(s)
 
-    k_cache = {}
-
-    def k_scaled(mu_arr, x):
-        out = np.empty_like(mu_arr)
-        for i, m in enumerate(mu_arr):
-            key = (m, x)
-            hit = k_cache.get(key)
-            if hit is None:
-                hit = _k_imag_scaled_impl(float(m), x)[0]
-                k_cache[key] = hit
-            out[i] = hit
-        return out
+    # one K table per integrand call, one column when the radii coincide
+    xs = [a] if a == b else sorted((a, b))
 
     def integrand(mu):
-        mu = np.asarray(mu, dtype=float)
         w = sum(term(mu) for term, _ in terms)
-        return k_scaled(mu, a) * k_scaled(mu, b) * w / math.pi**2
+        k = _k_imag_scaled_table(mu, xs)
+        return k[:, 0] * k[:, -1] * w / math.pi**2
 
     result = quad_fp.integrate(integrand, 0.0, mu_max, tol=tol / 2.0)
     return result.value

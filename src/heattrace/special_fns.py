@@ -323,6 +323,87 @@ def _k_imag_scaled_impl(mu, x):
     return (v2, e2) if e2 < e else (v, e)
 
 
+def _k_imag_scaled_table(mus, us):
+    """e^{pi mu/2} K_{i mu}(u) on the grid mus x us (us ascending), batched:
+    the one array route to K_{i mu}.
+
+    Each entry comes from the branch the scalar route (_k_imag_scaled_impl)
+    would take.  The complex series serves the entries where
+    _series_preferred picks it, unless its error estimate
+    4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}) exceeds 1e-11 of the
+    value and the integral's rounding floor is lower.  Every other entry
+    comes from the cosine integral representation: one matrix product over a
+    shared cosh grid, built in blocks of at most 256 columns, for the rows
+    that hold such an entry, with as many panels as the largest of their mu
+    needs.  Each column of the series stops on its own convergence test and
+    is frozen there; as us ascends, the converged columns are a prefix and
+    leave the block.
+    """
+    mus = np.asarray(mus, dtype=float)
+    us = np.asarray(us, dtype=float)
+    series_ok = _series_preferred(mus[:, None], us[None, :])
+
+    lg = np.array([_clgamma(complex(1.0, m)) for m in mus])
+    log_u = np.log(0.5 * us)
+    c = np.exp(
+        1j * mus[:, None] * log_u[None, :]
+        - lg[:, None]
+        - 0.5 * math.pi * mus[:, None]
+    )
+    # keep the recurrence off the entries the series does not serve
+    c = np.where(series_ok, c, 0.0)
+    s = c.copy()
+    largest = np.abs(c)
+    q = 0.25 * us * us
+    # the series runs on the live columns lo:hi; no entry past hi uses it
+    served = np.nonzero(series_ok.any(axis=0))[0]
+    lo, hi = 0, int(served[-1]) + 1 if served.size else 0
+    c = c[:, :hi]
+    for k in range(1, _MAX_TERMS):
+        if lo == hi:
+            break
+        c = c * (q[None, lo:hi] / (k * (k + 1j * mus[:, None])))
+        s[:, lo:hi] += c
+        size = np.abs(c)
+        np.maximum(largest[:, lo:hi], size, out=largest[:, lo:hi])
+        done = size.max(axis=0) < 1e-18 * np.maximum(np.abs(s[:, lo:hi]).max(axis=0), 1e-300)
+        c[:, done] = 0.0  # a converged column adds nothing more
+        skip = done.size if done.all() else int(np.argmin(done))
+        lo += skip
+        c = c[:, skip:]
+    if lo < hi:
+        raise ConvergenceError("batched K_imu series did not converge", {"u": float(us[lo])})
+    denom = -np.expm1(-_TWO_PI * mus)
+    denom[mus == 0.0] = 1.0  # mu = 0 rows come from the integral below
+    out = -_TWO_PI * s.imag / denom[:, None]
+    # a series entry that fails the 1e-11 test is replaced where the
+    # integral's rounding floor (as _k_imag_integral estimates it) is lower
+    err = 4e-16 * _TWO_PI * largest / denom[:, None]
+    err_int = 1e-16 * np.arccosh(1.0 + 50.0 / us)[None, :] * np.exp(
+        np.minimum(0.5 * math.pi * mus, 700.0)[:, None] - us[None, :]
+    )
+    lossy = err > 1e-11 * np.maximum(np.abs(out), 1e-300)
+    need_int = ~series_ok | (lossy & (err_int < err))
+
+    rows = np.nonzero(need_int.any(axis=1))[0]
+    cols = np.nonzero(need_int.any(axis=0))[0]
+    if cols.size:
+        mu_rows = mus[rows]
+        w_max = math.acosh(1.0 + 50.0 / float(us[cols].min()))
+        n_pan = max(8, int(4.0 * w_max), int(2.0 * mu_rows.max() * w_max / math.pi))
+        w_nodes, w_wts = panel_nodes(0.0, w_max, n_pan)
+        cosh_w = np.cosh(w_nodes)
+        osc = np.cos(mu_rows[:, None] * w_nodes[None, :]) * w_wts[None, :]
+        scale = np.exp(np.minimum(0.5 * math.pi * mu_rows, 700.0))
+        for start in range(0, cols.size, 256):
+            block = cols[start:start + 256]
+            decay = np.exp(-us[block, None] * cosh_w[None, :])
+            vals = (osc @ decay.T) * scale[:, None]  # (len(rows), len(block))
+            cell = np.ix_(rows, block)
+            out[cell] = np.where(need_int[cell], vals, out[cell])
+    return out
+
+
 def bessel_k_imag_scaled(mu, x):
     """e^{pi mu / 2} K_{i mu}(x), a real number of moderate size.
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from heattrace import quad_fp
 from heattrace.errors import (
     BudgetExceededError,
+    ConvergenceError,
     DomainError,
     EnvelopeViolationWarning,
     IllConditionedFitError,
@@ -73,6 +75,89 @@ class TestIntegrate:
         r1 = quad_fp.integrate(f, 0.0, 20.0, tol=1e-12)
         r2 = quad_fp.integrate(f, 0.0, 20.0, tol=1e-12)
         assert r1.value == r2.value
+
+
+def integrate_one_panel_at_a_time(f, a, b, tol, envelope=None):
+    """The adaptive integrator with f called on each panel's 10 nodes and
+    then on its 21 nodes, one panel at a time: the reference for the
+    batched calls.  Returns (value, abs_err_estimate, nodes_used)."""
+    tail = 0.0
+    if math.isinf(b):
+        c_env, delta = envelope
+        b = a + max(1.0, (math.log(2.0 * c_env / (delta * tol))) / delta)
+        tail = 0.5 * tol
+
+    def push(heap, lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coarse, fine = (
+            half * float(np.dot(gw, quad_fp._eval_vectorized(f, mid + half * gx)))
+            for gx, gw in (quad_fp.gauss_rule(10), quad_fp.gauss_rule(21))
+        )
+        heapq.heappush(heap, (-abs(fine - coarse), lo, hi, fine))
+
+    heap = []
+    edges = np.linspace(a, b, 9)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        push(heap, lo, hi)
+    nodes = 8 * 31
+    while (err := sum(-item[0] for item in heap) + tail) > tol:
+        _, lo, hi, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        push(heap, lo, mid)
+        push(heap, mid, hi)
+        nodes += 2 * 31
+    value = math.fsum(item[3] for item in sorted(heap, key=lambda it: it[1]))
+    return value, err, nodes
+
+
+BATCH_CASES = {
+    "smooth": (lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 20.0, None),
+    "peaked": (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0, None),
+    "semi_infinite": (lambda x: np.exp(-x) * (1.0 + np.sin(x)), 0.0, math.inf, (2.0, 1.0)),
+    "scalar_only": (lambda x: math.exp(-x * x), 0.0, 6.0, None),
+}
+
+
+class TestBatchedPanels:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_bit_identical_to_one_panel_at_a_time(self, case, tol):
+        f, a, b, envelope = BATCH_CASES[case]
+        r = quad_fp.integrate(f, a, b, tol=tol, envelope=envelope)
+        assert (r.value, r.abs_err_estimate, r.nodes_used) == integrate_one_panel_at_a_time(
+            f, a, b, tol, envelope)
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_one_call_per_refinement_step(self, case):
+        f, a, b, envelope = BATCH_CASES[case]
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        r = quad_fp.integrate(counted, a, b, tol=1e-12, envelope=envelope)
+        bisections = (r.nodes_used - 8 * 31) // (2 * 31)
+        if case == "scalar_only":  # f rejects the array, then takes each node
+            assert sizes.count(1) == r.nodes_used
+            sizes = [n for n in sizes if n > 1]
+        assert sizes == [248] + [62] * bisections
+        if case == "peaked":
+            assert bisections > 0
+
+    def test_non_finite_integrand_fails_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.where(x > 0.5, np.nan, x)
+
+        with pytest.raises(ConvergenceError) as err:
+            quad_fp.integrate(f, 0.0, 1.0)
+        assert len(calls) == 1
+        node = err.value.diagnostics["node"]
+        assert node > 0.5 and node in calls[0]
+        assert math.isnan(err.value.diagnostics["value"])
 
 
 class TestGaussRule:

@@ -8,6 +8,7 @@ from heattrace import cli
 from heattrace import corner_lab as cl
 from heattrace import exact_spectra as es
 from heattrace import sector_models as sm
+from heattrace import special_fns as sf
 from heattrace.special_fns import bessel_i_scaled
 from heattrace.errors import (
     DiagonalPointError,
@@ -276,9 +277,11 @@ class TestArrayKernel:
         res = sm.laplace_consistency(spec, 2.0, [((0.8, 0.3), (1.3, 1.1))], tol=1e-7)
         assert res <= 1e-5
         assert scalar_calls == []
-        # one call per quadrature panel rule (10 or 21 nodes), one for the envelope
-        assert all(np.ndim(t) == 0 or np.size(t) in (10, 21) for t in kernel_calls)
+        # one call per quadrature step: the 8 seed panels (248 nodes) or the
+        # two halves of a bisected panel (62 nodes); one for the envelope
+        assert all(np.ndim(t) == 0 or np.size(t) in (248, 62) for t in kernel_calls)
         assert sum(np.ndim(t) == 0 for t in kernel_calls) == 1
+        assert sum(np.size(t) == 248 for t in kernel_calls) == 2  # body and tail
 
     @pytest.mark.parametrize("model", ["sector", "halfplane"])
     def test_kernel_grid_is_one_call(self, model, monkeypatch, tmp_path, capsys):
@@ -366,6 +369,23 @@ class TestGreensKL:
         a = sm.greens_kl(spec_nd, 2.0, 0.8, 0.3, 1.3, 1.1, tol=1e-11)
         b = sm.greens_kl(spec_dn, 2.0, 0.8, PI / 2.0 - 0.3, 1.3, PI / 2.0 - 1.1, tol=1e-11)
         assert a == b
+
+    def test_batched_k_table_matches_the_scalar_route(self, monkeypatch):
+        # the nine sector greens jobs of the benchmark's kernels workload
+        # (greens --check-laplace --tol 1e-5 calls greens_kl at tol 1e-8),
+        # against K_{i mu} taken node by node from the scalar route
+        def scalar_table(mus, xs):
+            return np.array([[sf._k_imag_scaled_impl(float(m), x)[0] for x in xs] for m in mus])
+
+        cases = [(sm.SectorSpec(gamma, BC[pair[0]], BC[pair[1]]), s, gamma)
+                 for gamma in (PI / 3.0, PI / 2.0, PI) for pair in ("DD", "NN", "DN")
+                 for s in (1.0, 4.0)]
+        greens = lambda spec, s, gamma: sm.greens_kl(
+            spec, s, 0.9, 0.4 * gamma, 1.4, 0.7 * gamma, tol=1e-8)
+        batched = [greens(*case) for case in cases]
+        monkeypatch.setattr(sm, "_k_imag_scaled_table", scalar_table)
+        for case, value in zip(cases, batched):
+            assert value == pytest.approx(greens(*case), rel=1e-13, abs=0.0)
 
     def test_diagonal_rejected(self):
         spec = sm.SectorSpec(2.0)

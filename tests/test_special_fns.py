@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,78 @@ class TestBesselKImag:
             sf.bessel_k_imag(1.0, 0.0)
         with pytest.raises(DomainError):
             sf.bessel_k_imag(-1.0, 1.0)
+
+
+def _k_route(mu, x):
+    """The branch _k_imag_scaled_table takes at (mu, x): "series",
+    "integral", or "swap" (the series is preferred, but its error estimate
+    fails the 1e-11 test and the integral's rounding floor is lower)."""
+    if not sf._series_preferred(mu, x):
+        return "integral"
+    value, err = sf._k_imag_series(mu, x)
+    floor = 1e-16 * math.acosh(1.0 + 50.0 / x) * math.exp(min(0.5 * math.pi * mu, 700.0) - x)
+    return "swap" if err > 1e-11 * abs(value) and floor < err else "series"
+
+
+def _k_bound(mu, x, err, ref, series):
+    """How far an e^{pi mu/2} K_{i mu}(x) value may be from ref: twice the
+    scalar route's error estimate err, 1e-12 of ref and, where the series
+    may serve, the rounding of its phase mu log(x/2) - arg Gamma(1 + i mu),
+    which err leaves out: (1 + mu) 1e-13 of the series' largest term."""
+    bound = 2.0 * err + 1e-12 * abs(ref)
+    if series:
+        # the series estimate is 4e-16 of its (scaled) largest term
+        bound += 1e-13 * (1.0 + mu) * sf._k_imag_series(mu, x)[1] / 4e-16
+    return bound
+
+
+class TestKImagTable:
+    # anchors: (10, 2) takes the series, (10, 24) the lossy-series swap, and
+    # (10, 45) with x^2 > 72 mu and every mu = 0.25 entry the integral
+    @given(
+        mus=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=3),
+        xs=st.lists(st.floats(min_value=1e-3, max_value=50.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_against_extended_precision_and_scalar_route(self, mus, xs):
+        mp = pytest.importorskip("mpmath")
+        mus = np.array(mus + [0.25, 10.0])
+        xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0}))
+        table = sf._k_imag_scaled_table(mus, xs)
+        routes = set()
+        with mp.workdps(20):
+            for (i, mu), (j, x) in itertools.product(enumerate(mus), enumerate(xs)):
+                route = _k_route(mu, x)
+                routes.add(route)
+                oracle = float((mp.besselk(1j * mp.mpf(mu), mp.mpf(x))
+                                * mp.exp(mp.pi * mu / 2)).real)
+                value, err = sf._k_imag_scaled_impl(float(mu), float(x))
+                assert abs(table[i, j] - oracle) <= _k_bound(
+                    mu, x, err, oracle, route == "series"), (mu, x, route)
+                # the scalar route may keep the series where the table swaps
+                assert abs(table[i, j] - value) <= _k_bound(
+                    mu, x, err, value, bool(sf._series_preferred(mu, x))), (mu, x, route)
+        assert routes == {"series", "integral", "swap"}
+
+    def test_one_table_shared_by_corner_and_sector_code(self):
+        from heattrace import corner_lab, sector_models
+
+        assert corner_lab._k_imag_scaled_table is sf._k_imag_scaled_table
+        assert sector_models._k_imag_scaled_table is sf._k_imag_scaled_table
+
+    def test_cosine_block_sized_by_the_rows_that_use_it(self, monkeypatch):
+        # only mu = 0.3 needs the integral at x = 2; the mu = 80 row must not
+        # size its panels (2 * 80 * w_max / pi of them)
+        counts = []
+        real = sf.panel_nodes
+        monkeypatch.setattr(sf, "panel_nodes",
+                            lambda a, b, n: counts.append(n) or real(a, b, n))
+        table = sf._k_imag_scaled_table([0.3, 5.0, 80.0], [2.0])
+        w_max = math.acosh(1.0 + 50.0 / 2.0)
+        assert counts == [max(8, int(4.0 * w_max))]
+        for mu, value in zip((0.3, 5.0, 80.0), table[:, 0]):
+            ref, err = sf._k_imag_scaled_impl(mu, 2.0)
+            assert abs(value - ref) <= _k_bound(mu, 2.0, err, ref, mu >= 0.5)
 
 
 class TestBesselJ:
