@@ -89,7 +89,7 @@ def _eval_vectorized(f, x):
 
 
 def _panel_estimates(f, panels):
-    """(coarse, fine, n_evals, fmax) Gauss estimates of int_lo^hi f for each
+    """(coarse, fine, fmax) Gauss estimates of int_lo^hi f for each
     panel (lo, hi) of `panels`, from one evaluation of f on the 10- and
     21-node sets of all of them.
 
@@ -114,7 +114,7 @@ def _panel_estimates(f, panels):
     y_lo = y[:x_lo.size].reshape(x_lo.shape)
     y_hi = y[x_lo.size:].reshape(x_hi.shape)
     return [
-        (h * float(np.dot(gw_lo, lo_vals)), h * float(np.dot(gw_hi, hi_vals)), 31,
+        (h * float(np.dot(gw_lo, lo_vals)), h * float(np.dot(gw_hi, hi_vals)),
          float(np.abs(hi_vals).max()))
         for h, lo_vals, hi_vals in zip(half[:, 0].tolist(), y_lo, y_hi)
     ]
@@ -153,8 +153,8 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
 
     def push(panels):
         nonlocal nodes, env_max_ratio
-        for (lo, hi), (coarse, fine, n, fmax) in zip(panels, _panel_estimates(f, panels)):
-            nodes += n
+        nodes += 31 * len(panels)  # 10 + 21 nodes per panel
+        for (lo, hi), (coarse, fine, fmax) in zip(panels, _panel_estimates(f, panels)):
             if envelope is not None:
                 bound = envelope[0] * math.exp(max(-envelope[1] * lo, -700.0))
                 env_max_ratio = max(env_max_ratio, fmax / bound if bound > 0.0 else 0.0)

@@ -466,7 +466,8 @@ def laplace_consistency(model, s, points, tol=1e-7):
     D/N BoundaryCondition (half-plane kernel vs image Green's function).
     Points are pairs ((r, phi), (r0, phi0)) in polar coordinates; for the
     half-plane they are interpreted as such with the wall at phi in {0, pi}.
-    Each quadrature panel hands its whole node array to the kernel.
+    Each quadrature step hands the nodes of all its new panels to the
+    kernel in one call (see quad_fp.integrate).
     """
     check_coordinate("s", s, math.inf, False)
     pairs = list(points)

@@ -327,17 +327,22 @@ def _k_imag_scaled_table(mus, us):
     """e^{pi mu/2} K_{i mu}(u) on the grid mus x us (us ascending), batched:
     the one array route to K_{i mu}.
 
-    Each entry comes from the branch the scalar route (_k_imag_scaled_impl)
-    would take.  The complex series serves the entries where
-    _series_preferred picks it, unless its error estimate
-    4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}) exceeds 1e-11 of the
-    value and the integral's rounding floor is lower.  Every other entry
+    Each entry follows the fallbacks of the scalar route
+    (_k_imag_scaled_impl), judged by rounding floors.  The complex series
+    serves the entries where _series_preferred picks it, unless its error
+    estimate 4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}) exceeds
+    1e-11 of the value and the integral's rounding floor
+    1e-16 acosh(1 + 50/u) e^{pi mu/2 - u} is lower.  Every other entry
     comes from the cosine integral representation: one matrix product over a
     shared cosh grid, built in blocks of at most 256 columns, for the rows
     that hold such an entry, with as many panels as the largest of their mu
-    needs.  Each column of the series stops on its own convergence test and
-    is frozen there; as us ascends, the converged columns are a prefix and
-    leave the block.
+    needs.  An integral entry with mu >= 0.5 whose rounding floor exceeds
+    1e-11 of its value (mu > u > 72 reaches this: the integrand's terms are
+    e^{-u} against K_{i mu}(u) near e^{-pi mu/2}) is taken again from the
+    scalar route, which tries the series too and keeps the smaller error
+    estimate.  Each column of the series stops on its own convergence test
+    and is frozen there; as us ascends, the converged columns are a prefix
+    and leave the block.
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -401,6 +406,10 @@ def _k_imag_scaled_table(mus, us):
             vals = (osc @ decay.T) * scale[:, None]  # (len(rows), len(block))
             cell = np.ix_(rows, block)
             out[cell] = np.where(need_int[cell], vals, out[cell])
+    retry = ~series_ok & (mus[:, None] >= 0.5) & (
+        err_int > 1e-11 * np.maximum(np.abs(out), 1e-300))
+    for i, j in zip(*np.nonzero(retry)):
+        out[i, j] = _k_imag_scaled_impl(float(mus[i]), float(us[j]))[0]
     return out
 
 

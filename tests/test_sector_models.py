@@ -383,9 +383,28 @@ class TestGreensKL:
         greens = lambda spec, s, gamma: sm.greens_kl(
             spec, s, 0.9, 0.4 * gamma, 1.4, 0.7 * gamma, tol=1e-8)
         batched = [greens(*case) for case in cases]
+        # far from the vertex (r sqrt s = 80, 81) the K factors at mu just
+        # above 80 must leave the cosine integral, whose rounding floor there
+        # is e^{pi mu/2 - 80} 1e-16; the series that serves them loses about
+        # x^2/(4 mu) nats, so the two routes agree to its phase rounding only
+        far = (sm.SectorSpec(PI / 2.0), 4.0, 40.0, 0.7, 40.5, 0.75)
+        far_batched = sm.greens_kl(*far, tol=1e-8)
         monkeypatch.setattr(sm, "_k_imag_scaled_table", scalar_table)
         for case, value in zip(cases, batched):
             assert value == pytest.approx(greens(*case), rel=1e-13, abs=0.0)
+        assert far_batched == pytest.approx(sm.greens_kl(*far, tol=1e-8), rel=1e-9, abs=0.0)
+
+    def test_far_from_the_vertex_matches_the_free_space_kernel(self):
+        # at r sqrt s >= 80 the images in the quarter-plane walls are below
+        # e^{-80}: G is K_0(sqrt s |z - z0|) / (2 pi) to the quadrature tol
+        from heattrace.special_fns import bessel_k_imag
+
+        spec = sm.SectorSpec(PI / 2.0)
+        for s, r, phi, r0, phi0 in [(4.0, 40.0, 0.7, 40.5, 0.75), (1.0, 85.0, 0.6, 85.5, 0.62)]:
+            d = math.sqrt(r * r + r0 * r0 - 2.0 * r * r0 * math.cos(phi - phi0))
+            free = bessel_k_imag(0.0, math.sqrt(s) * d) / (2.0 * PI)
+            assert sm.greens_kl(spec, s, r, phi, r0, phi0, tol=1e-8) == pytest.approx(
+                free, abs=1e-8)
 
     def test_diagonal_rejected(self):
         spec = sm.SectorSpec(2.0)

@@ -173,12 +173,15 @@ class TestBesselKImag:
 
 def _k_route(mu, x):
     """The branch _k_imag_scaled_table takes at (mu, x): "series",
-    "integral", or "swap" (the series is preferred, but its error estimate
-    fails the 1e-11 test and the integral's rounding floor is lower)."""
-    if not sf._series_preferred(mu, x):
-        return "integral"
-    value, err = sf._k_imag_series(mu, x)
+    "integral", "swap" (the series is preferred, but its error estimate
+    fails the 1e-11 test and the integral's rounding floor is lower) or
+    "scalar" (the integral is preferred, but its rounding floor fails the
+    1e-11 test, so the scalar route decides)."""
     floor = 1e-16 * math.acosh(1.0 + 50.0 / x) * math.exp(min(0.5 * math.pi * mu, 700.0) - x)
+    if not sf._series_preferred(mu, x):
+        scalar = mu >= 0.5 and floor > 1e-11 * abs(sf._k_imag_scaled_impl(mu, x)[0])
+        return "scalar" if scalar else "integral"
+    value, err = sf._k_imag_series(mu, x)
     return "swap" if err > 1e-11 * abs(value) and floor < err else "series"
 
 
@@ -195,17 +198,18 @@ def _k_bound(mu, x, err, ref, series):
 
 
 class TestKImagTable:
-    # anchors: (10, 2) takes the series, (10, 24) the lossy-series swap, and
-    # (10, 45) with x^2 > 72 mu and every mu = 0.25 entry the integral
+    # anchors: (10, 2) takes the series, (10, 24) the lossy-series swap,
+    # (10, 45) with x^2 > 72 mu and every mu = 0.25 entry the integral, and
+    # (88, 80), where the integral's rounding floor is 1e9, the scalar route
     @given(
-        mus=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=3),
-        xs=st.lists(st.floats(min_value=1e-3, max_value=50.0), min_size=1, max_size=3),
+        mus=st.lists(st.floats(min_value=0.0, max_value=150.0), min_size=1, max_size=3),
+        xs=st.lists(st.floats(min_value=1e-3, max_value=120.0), min_size=1, max_size=3),
     )
     @settings(max_examples=12, deadline=None)
     def test_against_extended_precision_and_scalar_route(self, mus, xs):
         mp = pytest.importorskip("mpmath")
-        mus = np.array(mus + [0.25, 10.0])
-        xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0}))
+        mus = np.array(mus + [0.25, 10.0, 88.0])
+        xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0, 80.0}))
         table = sf._k_imag_scaled_table(mus, xs)
         routes = set()
         with mp.workdps(20):
@@ -216,11 +220,11 @@ class TestKImagTable:
                                 * mp.exp(mp.pi * mu / 2)).real)
                 value, err = sf._k_imag_scaled_impl(float(mu), float(x))
                 assert abs(table[i, j] - oracle) <= _k_bound(
-                    mu, x, err, oracle, route == "series"), (mu, x, route)
+                    mu, x, err, oracle, route in ("series", "scalar")), (mu, x, route)
                 # the scalar route may keep the series where the table swaps
                 assert abs(table[i, j] - value) <= _k_bound(
                     mu, x, err, value, bool(sf._series_preferred(mu, x))), (mu, x, route)
-        assert routes == {"series", "integral", "swap"}
+        assert routes == {"series", "integral", "swap", "scalar"}
 
     def test_one_table_shared_by_corner_and_sector_code(self):
         from heattrace import corner_lab, sector_models
