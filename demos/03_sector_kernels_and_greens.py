@@ -18,6 +18,7 @@ from heattrace import (
     greens_half_plane_images,
     greens_kl,
     laplace_consistency,
+    mode_order,
     sector_heat_kernel,
 )
 
@@ -54,8 +55,5 @@ for s in (1.0, 4.0):
 print()
 print("4. The mixed D-N sector has half-integer angular orders;")
 spec_dn = SectorSpec(PI / 2, DIRICHLET, NEUMANN)
-from heattrace import angular_modes
-
 for j in (1, 2, 3):
-    mode = angular_modes(spec_dn, j)
-    print(f"   mode {j}: Bessel order {mode.order:.1f}")
+    print(f"   mode {j}: Bessel order {mode_order(spec_dn.pair, spec_dn.gamma, j - 1):.1f}")

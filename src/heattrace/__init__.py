@@ -34,10 +34,8 @@ from .quad_fp import FinitePartResult, QuadResult, finite_part, integrate
 from .sector_models import (
     DIRICHLET,
     NEUMANN,
-    AngularMode,
     BoundaryCondition,
     SectorSpec,
-    angular_modes,
     greens_half_plane_images,
     greens_kl,
     half_plane_kernel,

@@ -375,17 +375,18 @@ def _trace_fit_domain(args):
             trace_coeffs.rectangle_spec(args.a, args.b, (bottom, right, top, left)),
         )
     arc = _arg("--arc", BoundaryCondition.parse, args.arc)
-    spectrum = _arg(
-        "--radius", exact_spectra.sector_disk_spectrum, None, args.radius, None, args.arc
-    )
+    spectrum = _arg("--radius", exact_spectra.sector_disk_spectrum, None, args.radius, None, arc)
     if args.domain == "disk":
         return spectrum, trace_coeffs.disk_spec(args.radius, arc)
     # with the radius checked, the sector spectrum can only reject --gamma
     bc0, bc1 = (_arg("--pair", BoundaryCondition.parse, c) for c in args.pair)
     spectrum = _arg(
-        "--gamma", exact_spectra.sector_disk_spectrum, args.gamma, args.radius, args.pair, args.arc
+        "--gamma", exact_spectra.sector_disk_spectrum, args.gamma, args.radius, args.pair, arc
     )
     return spectrum, trace_coeffs.sector_spec(args.gamma, args.radius, bc0, bc1, arc)
+
+
+_COEFF_NAMES = ("a_minus1", "a_minus_half", "a_0")  # the order of as_tuple()
 
 
 def cmd_trace_fit(args):
@@ -400,28 +401,17 @@ def cmd_trace_fit(args):
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             exact_spectra.write_trace_samples(fh, samples)
     report_fit = exact_spectra.fit_asymptotics(samples)
+    fitted = report_fit.as_tuple()
+    closed = trace_coeffs.coefficients(spec).as_tuple()
     report = {
         "domain": args.domain,
         "window": list(report_fit.window),
-        "fitted": {
-            "a_minus1": report_fit.a_minus1,
-            "a_minus_half": report_fit.a_minus_half,
-            "a_0": report_fit.a_0,
-        },
+        "fitted": dict(zip(_COEFF_NAMES, fitted)),
         "nuisance": report_fit.nuisance,
         "residual_norm": report_fit.residual_norm,
         "condition_number": report_fit.condition_number,
-    }
-    closed = trace_coeffs.coefficients(spec)
-    report["closed_form"] = {
-        "a_minus1": closed.a_minus1,
-        "a_minus_half": closed.a_minus_half,
-        "a_0": closed.a_0,
-    }
-    report["difference"] = {
-        "a_minus1": report_fit.a_minus1 - closed.a_minus1,
-        "a_minus_half": report_fit.a_minus_half - closed.a_minus_half,
-        "a_0": report_fit.a_0 - closed.a_0,
+        "closed_form": dict(zip(_COEFF_NAMES, closed)),
+        "difference": {k: f - c for k, f, c in zip(_COEFF_NAMES, fitted, closed)},
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -450,22 +440,24 @@ def build_parser():
         "for curvilinear polygons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the report format of every subcommand that prints one; JSON by default
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", default=True)
+    report.add_argument("--table", dest="json", action="store_false")
 
-    p = sub.add_parser("coeffs", help="trace coefficients of a polygon spec file")
+    p = sub.add_parser("coeffs", parents=[report],
+                       help="trace coefficients of a polygon spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--table", dest="json", action="store_false")
     p.add_argument("--gb", action="store_true", help="use the Gauss-Bonnet form of a_0")
-    p.set_defaults(func=cmd_coeffs, json=True)
+    p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("corner", help="corner coefficient (closed form / numeric)")
+    p = sub.add_parser("corner", parents=[report],
+                       help="corner coefficient (closed form / numeric)")
     p.add_argument("--pair", required=True,
                    choices=sorted(corner_lab._SAME_TYPE_PAIRS | corner_lab._MIXED_PAIRS))
     p.add_argument("--angle", required=True, type=float)
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--table", dest="json", action="store_false")
     p.set_defaults(func=cmd_corner)
 
     p = sub.add_parser("kernel", help="evaluate a model heat kernel on a grid (CSV)")
@@ -478,7 +470,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("greens", help="Laplace-transform consistency residuals")
+    p = sub.add_parser("greens", parents=[report],
+                       help="Laplace-transform consistency residuals")
     p.add_argument("--check-laplace", action="store_true", dest="check")
     p.add_argument("--model", required=True, choices=("sector", "halfplane"))
     p.add_argument("--gamma", type=float, default=math.pi)
@@ -490,11 +483,10 @@ def build_parser():
     p.add_argument("--phi0", type=float, default=2.0)
     p.add_argument("--s", default="1,4", help="comma list of spectral parameters")
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--table", dest="json", action="store_false")
     p.set_defaults(func=cmd_greens)
 
-    p = sub.add_parser("trace-fit", help="fit trace coefficients from an exact spectrum")
+    p = sub.add_parser("trace-fit", parents=[report],
+                       help="fit trace coefficients from an exact spectrum")
     p.add_argument("--domain", required=True, choices=("rectangle", "sector", "disk"))
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
@@ -507,15 +499,12 @@ def build_parser():
     p.add_argument("--window", default="0.002,0.05")
     p.add_argument("--samples", type=int, default=12)
     p.add_argument("--csv", help="also write the trace samples to this CSV file")
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--table", dest="json", action="store_false")
     p.set_defaults(func=cmd_trace_fit)
 
-    p = sub.add_parser("distinguish", help="compare the trace invariants of two specs")
+    p = sub.add_parser("distinguish", parents=[report],
+                       help="compare the trace invariants of two specs")
     p.add_argument("--spec1", required=True)
     p.add_argument("--spec2", required=True)
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--table", dest="json", action="store_false")
     p.set_defaults(func=cmd_distinguish)
     return parser
 

@@ -188,29 +188,15 @@ def i0_radial_finite_part(eps_max=0.15):
 
     This is the difference between the N-N and D-D mode sums (the extra zero
     mode); its finite part vanishes because the cutoff expansion carries only
-    odd powers of eps.
+    odd powers of eps.  With u = R^2/2 the cutoff integral is exactly
+    (1/2) int_0^{L^2/2} e^{-u} I_0(u) du = g(L^2/2)/2, g = _primitive_g, so
+    each of the 14 cutoffs costs one primitive value and no quadrature.
     """
     eps_schedule = quad_fp.default_eps_schedule(eps_max=eps_max, ratio=0.85, count=14)
-
-    def integrand(r):
-        r = np.atleast_1d(r)
-        return np.array(
-            [0.5 * rv * bessel_i_scaled(0.0, 0.5 * rv * rv) for rv in r]
-        )
-
-    eps = np.asarray(eps_schedule)
-    cutoffs = 1.0 / eps
-    values = []
-    total = 0.0
-    prev = 0.0
-    for lam in cutoffs:
-        seg = quad_fp.integrate(integrand, prev, float(lam), tol=1e-12)
-        total += seg.value
-        values.append(total)
-        prev = float(lam)
-    table = dict(zip((float(c) for c in cutoffs), values))
     return quad_fp.finite_part(
-        lambda lam: table[float(lam)], basis=CORNER_BASIS, eps_schedule=eps_schedule
+        lambda lam: 0.5 * _primitive_g(0.5 * lam * lam),
+        basis=CORNER_BASIS,
+        eps_schedule=eps_schedule,
     )
 
 

@@ -51,8 +51,6 @@ class _Interval1D:
             return (m - 1) * math.pi / ell
         if kinds in (("D", "N"), ("N", "D")):
             return (m - 0.5) * math.pi / ell
-        if "R" not in kinds:
-            raise UnsupportedBCError(f"unsupported 1D pair {kinds}")
         if "D" in kinds:
             kap = (self.bc0 if self.bc0.kind == "R" else self.bc1).robin_kappa
             # u = sin(kx) up to reflection; -u'(L) = kappa u(L)
@@ -112,12 +110,8 @@ class Spectrum:
     counting_constants: tuple
 
     def __iter__(self):
-        yield from self._extend()
-
-    def _extend(self):
-        it = self.factory()
         prev = -math.inf
-        for lam in it:
+        for lam in self.factory():
             if lam < prev - 1e-12:
                 raise DomainError("eigenvalue stream is not nondecreasing")
             prev = lam
@@ -229,12 +223,14 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
     For the sector, the angular orders are sector_models.mode_order(edge_pair,
     gamma, j) for the pair DD, NN, DN or ND, and the radial condition picks
     zeros of J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk uses
-    integer orders with multiplicity two for m >= 1.
+    integer orders with multiplicity two for m >= 1.  arc_bc takes any form
+    BoundaryCondition.parse reads; a Robin arc raises UnsupportedBCError.
     """
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
-    if arc_bc not in ("D", "N"):
-        raise UnsupportedBCError("arc condition must be 'D' or 'N'")
+    arc = BoundaryCondition.parse(arc_bc).kind
+    if arc == "R":
+        raise UnsupportedBCError("arc condition must be Dirichlet or Neumann")
     if cache is None:
         cache = BesselZeroCache()
     # crude rigorous counting with x = radius sqrt(lam): families with
@@ -265,7 +261,7 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
 
     def factory():
         return _family_merge_stream(
-            lambda nu: _BesselFamily(float(nu), radius, arc_bc, cache), orders
+            lambda nu: _BesselFamily(float(nu), radius, arc, cache), orders
         )
 
     return Spectrum(factory=factory, weyl_area=area, counting_constants=(c1, c2, 1.0))

@@ -77,24 +77,14 @@ class FinitePartResult:
             raise DomainError("condition_number must be >= 1")
 
 
-def _eval_vectorized(f, x):
-    """Evaluate f on an array, falling back to a scalar map."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(v)) for v in x])
-
-
 def _panel_estimates(f, panels):
     """(coarse, fine, fmax) Gauss estimates of int_lo^hi f for each
     panel (lo, hi) of `panels`, from one evaluation of f on the 10- and
     21-node sets of all of them.
 
-    Raises ConvergenceError, naming the first node, when f is not finite
-    somewhere: no refinement can mend that.
+    Raises DomainError when f's result does not have the nodes' shape, and
+    ConvergenceError, naming the first node, when f is not finite
+    somewhere: no refinement can mend either.
     """
     gx_lo, gw_lo = gauss_rule(10)
     gx_hi, gw_hi = gauss_rule(21)
@@ -104,7 +94,12 @@ def _panel_estimates(f, panels):
     x_lo = mid + half * gx_lo
     x_hi = mid + half * gx_hi
     x = np.concatenate([x_lo.ravel(), x_hi.ravel()])
-    y = _eval_vectorized(f, x)
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise DomainError(
+            f"integrand returned shape {y.shape} for nodes of shape {x.shape}; "
+            "it must map an array of nodes to an array of values"
+        )
     bad = ~np.isfinite(y)
     if bad.any():
         i = int(np.argmax(bad))
@@ -131,9 +126,9 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
 
     f is called once per refinement step, on a 1-D array of all the new
     nodes: the 8 seed panels first (248 nodes), then the two halves of each
-    bisected panel (62 nodes).  Its values must be pointwise, each depending
-    on its own node only; an f that rejects arrays is mapped over the nodes
-    one by one.
+    bisected panel (62 nodes).  It must return an array of that shape
+    (DomainError otherwise), and its values must be pointwise, each
+    depending on its own node only.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")

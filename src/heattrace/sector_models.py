@@ -114,15 +114,6 @@ class SectorSpec:
         return self.bc_at_0.kind + self.bc_at_gamma.kind
 
 
-@dataclass(frozen=True)
-class AngularMode:
-    """Cross-sectional eigenfunction phi_j on [0, gamma] and its Bessel order."""
-
-    index: int
-    order: float
-    eigenfn: object  # theta -> phi_j(theta)
-
-
 # c of the order ladder (j + c) pi/gamma for each straight-edge pair
 _LADDER_OFFSET = {"DD": 1.0, "NN": 0.0, "DN": 0.5, "ND": 0.5}
 
@@ -145,29 +136,6 @@ def mode_order(pair, gamma, j):
             "the pair must be DD, NN, DN or ND"
         ) from None
     return (j + c) * (math.pi / gamma)
-
-
-def angular_modes(spec, j):
-    """j-th (1-based) angular mode of the sector cross section.
-
-    The order is mode_order(spec.pair, spec.gamma, j - 1).  The
-    eigenfunctions are sines from a Dirichlet edge at theta = 0 and cosines
-    from a Neumann one; all have unit L^2 norm on [0, gamma], so the N-N
-    constant mode carries sqrt(1/gamma).
-    """
-    if j < 1 or j != int(j):
-        raise DomainError(f"mode index must be a positive integer, got {j}")
-    g = spec.gamma
-    order = mode_order(spec.pair, g, j - 1)
-    amp = math.sqrt(2.0 / g)
-    if order == 0.0:
-        a = math.sqrt(1.0 / g)
-        fn = lambda theta: a if np.isscalar(theta) else np.full_like(np.asarray(theta, float), a)
-    elif spec.bc_at_0.kind == "D":
-        fn = lambda theta: amp * math.sin(order * theta)
-    else:
-        fn = lambda theta: amp * math.cos(order * theta)
-    return AngularMode(index=int(j), order=order, eigenfn=fn)
 
 
 def check_coordinate(name, values, hi, zero_ok):

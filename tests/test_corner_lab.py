@@ -106,6 +106,28 @@ class TestFinitePartRoute:
         assert abs(result.finite_part) <= 1e-6
         assert result.condition_number >= 1.0
 
+    def test_i0_cutoff_integral_is_half_the_primitive(self):
+        # the identity the I_0 route and term B rest on: with u = R^2/2,
+        # int_0^L (1/2) R e^{-R^2/2} I_0(R^2/2) dR = g(L^2/2)/2, against
+        # adaptive quadrature segment by segment up to I_0's argument 1,528
+        i0 = np.vectorize(lambda z: sf.bessel_i_scaled(0.0, z), otypes=[float])
+        eps = quad_fp.default_eps_schedule(eps_max=0.15, ratio=0.85, count=14)
+        total = prev = 0.0
+        for lam in 1.0 / np.asarray(eps):
+            total += quad_fp.integrate(
+                lambda r: 0.5 * r * i0(0.5 * r * r), prev, lam, tol=1e-12
+            ).value
+            prev = lam
+            assert 0.5 * cl._primitive_g(0.5 * lam * lam) == pytest.approx(total, rel=1e-14)
+
+    def test_i0_route_is_two_bessel_values_per_cutoff(self, monkeypatch):
+        calls = []
+        scalar = cl.bessel_i_scaled
+        monkeypatch.setattr(cl, "bessel_i_scaled", lambda nu, x: calls.append(x) or scalar(nu, x))
+        monkeypatch.setattr(quad_fp, "integrate", None)
+        cl.i0_radial_finite_part()
+        assert len(calls) == 28
+
     def test_robin_pairs_rejected(self):
         with pytest.raises(UnsupportedBCError):
             cl.corner_finite_part("RR", 1.0)

@@ -7,7 +7,7 @@ import pytest
 from heattrace import exact_spectra as es
 from heattrace import special_fns as sf
 from heattrace import trace_coeffs as tc
-from heattrace.errors import DomainError, TailBoundError
+from heattrace.errors import DomainError, TailBoundError, UnsupportedBCError
 from heattrace.sector_models import DIRICHLET, NEUMANN, BoundaryCondition
 
 PI = math.pi
@@ -132,6 +132,16 @@ class TestSectorDiskSpectrum:
         a = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "D").first(4)
         b = es.sector_disk_spectrum(PI / 2.0, 2.0, "DD", "D").first(4)
         assert b == pytest.approx(a / 4.0)
+
+    @pytest.mark.parametrize("raw, bc", [("D", DIRICHLET), ("N", NEUMANN)])
+    def test_arc_condition_objects_and_strings_agree(self, raw, bc):
+        by_string = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", raw).first(12)
+        by_object = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", bc).first(12)
+        assert np.array_equal(by_string, by_object)
+
+    def test_robin_arc_rejected(self):
+        with pytest.raises(UnsupportedBCError):
+            es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "R:1")
 
     def test_stream_sorted(self):
         spec = es.sector_disk_spectrum(2.0, 1.0, "DN", "N")

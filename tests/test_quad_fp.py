@@ -66,9 +66,21 @@ class TestIntegrate:
                 lambda x: 10.0 * np.exp(-x), 0.0, math.inf, tol=1e-10, envelope=(1.0, 1.0)
             )
 
-    def test_scalar_fallback(self):
-        r = quad_fp.integrate(lambda x: math.exp(-x * x), 0.0, 6.0, tol=1e-12)
-        assert r.value == pytest.approx(0.5 * math.sqrt(math.pi), abs=1e-12)
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0,
+        lambda x: np.ones(7),
+        lambda x: np.ones((x.size, 1)),
+    ], ids=["scalar", "wrong_length", "extra_axis"])
+    def test_integrand_must_keep_the_node_shape(self, f):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+
+        with pytest.raises(DomainError, match=r"shape .* for nodes of shape \(248,\)"):
+            quad_fp.integrate(counted, 0.0, 1.0)
+        assert calls == [(248,)]
 
     def test_deterministic(self):
         f = lambda x: np.exp(-x) * np.cos(3.0 * x)
@@ -90,7 +102,7 @@ def integrate_one_panel_at_a_time(f, a, b, tol, envelope=None):
     def push(heap, lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         coarse, fine = (
-            half * float(np.dot(gw, quad_fp._eval_vectorized(f, mid + half * gx)))
+            half * float(np.dot(gw, f(mid + half * gx)))
             for gx, gw in (quad_fp.gauss_rule(10), quad_fp.gauss_rule(21))
         )
         heapq.heappush(heap, (-abs(fine - coarse), lo, hi, fine))
@@ -114,7 +126,6 @@ BATCH_CASES = {
     "smooth": (lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 20.0, None),
     "peaked": (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0, None),
     "semi_infinite": (lambda x: np.exp(-x) * (1.0 + np.sin(x)), 0.0, math.inf, (2.0, 1.0)),
-    "scalar_only": (lambda x: math.exp(-x * x), 0.0, 6.0, None),
 }
 
 
@@ -138,9 +149,6 @@ class TestBatchedPanels:
 
         r = quad_fp.integrate(counted, a, b, tol=1e-12, envelope=envelope)
         bisections = (r.nodes_used - 8 * 31) // (2 * 31)
-        if case == "scalar_only":  # f rejects the array, then takes each node
-            assert sizes.count(1) == r.nodes_used
-            sizes = [n for n in sizes if n > 1]
         assert sizes == [248] + [62] * bisections
         if case == "peaked":
             assert bisections > 0

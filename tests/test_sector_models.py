@@ -50,44 +50,6 @@ class TestBoundaryConditionParse:
             sm.BoundaryCondition.parse(raw)
 
 
-class TestAngularModes:
-    def test_dd_first_mode(self):
-        spec = sm.SectorSpec(PI)
-        mode = sm.angular_modes(spec, 1)
-        assert mode.order == pytest.approx(1.0)
-        assert mode.eigenfn(0.7) == pytest.approx(math.sqrt(2.0 / PI) * math.sin(0.7))
-
-    def test_nn_constant_mode(self):
-        spec = sm.SectorSpec(1.3, sm.NEUMANN, sm.NEUMANN)
-        mode = sm.angular_modes(spec, 1)
-        assert mode.order == 0.0
-        assert mode.eigenfn(0.0) == pytest.approx(math.sqrt(1.0 / 1.3))
-        assert mode.eigenfn(1.0) == mode.eigenfn(0.2)
-
-    def test_dn_first_order(self):
-        spec = sm.SectorSpec(PI / 2.0, sm.DIRICHLET, sm.NEUMANN)
-        assert sm.angular_modes(spec, 1).order == pytest.approx(1.0)
-
-    def test_unit_norm_and_increasing_orders(self):
-        gx, gw = np.polynomial.legendre.leggauss(60)
-        for pair in ("DD", "NN", "DN", "ND"):
-            bc0 = sm.DIRICHLET if pair[0] == "D" else sm.NEUMANN
-            bc1 = sm.DIRICHLET if pair[1] == "D" else sm.NEUMANN
-            spec = sm.SectorSpec(2.1, bc0, bc1)
-            prev = -1.0
-            for j in (1, 2, 3, 5):
-                mode = sm.angular_modes(spec, j)
-                assert mode.order > prev
-                prev = mode.order
-                theta = 1.05 + 1.05 * gx
-                norm = float(np.dot(gw * 1.05, np.array([mode.eigenfn(v) for v in theta]) ** 2))
-                assert norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_robin_rejected(self):
-        with pytest.raises(UnsupportedBCError):
-            sm.SectorSpec(1.0, sm.BoundaryCondition.robin(1.0), sm.DIRICHLET)
-
-
 LADDER_ANGLES = (PI / 3.0, 1.05, 1.6, 2.3, 1.5 * PI)
 
 
@@ -95,12 +57,9 @@ class TestModeOrder:
     @pytest.mark.parametrize("pair", ["DD", "NN", "DN", "ND"])
     @pytest.mark.parametrize("gamma", LADDER_ANGLES)
     def test_one_ladder_for_kernel_corner_and_spectrum(self, pair, gamma, monkeypatch):
-        """angular_modes, the corner mode sum and the sector spectrum's
-        Bessel families read the same order floats, bit for bit."""
+        """The corner mode sum and the sector spectrum's Bessel families read
+        the same order floats as mode_order, bit for bit."""
         ladder = [sm.mode_order(pair, gamma, j) for j in range(40)]
-        bc = {"D": sm.DIRICHLET, "N": sm.NEUMANN}
-        spec = sm.SectorSpec(gamma, bc[pair[0]], bc[pair[1]])
-        assert [sm.angular_modes(spec, j + 1).order for j in range(40)] == ladder
         corner = list(cl._corner_orders(pair, gamma, 50.0))
         assert len(corner) > 10
         assert corner == [sm.mode_order(pair, gamma, j) for j in range(len(corner))]
@@ -128,6 +87,10 @@ class TestModeOrder:
             sm.mode_order(pair, 1.0, 0)
         with pytest.raises(UnsupportedBCError):
             cl._corner_orders(pair, 1.0, 50.0)
+
+    def test_robin_rejected(self):
+        with pytest.raises(UnsupportedBCError):
+            sm.SectorSpec(1.0, sm.BoundaryCondition.robin(1.0), sm.DIRICHLET)
 
 
 class TestSectorHeatKernel:
@@ -169,6 +132,21 @@ class TestSectorHeatKernel:
                 mine = sm.sector_heat_kernel(spec, t, r, th, r0, th0, tol=1e-14)
                 ref = image_kernel_dd(n, t, r, th, r0, th0)
                 assert mine == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.7, 1.3, 1.5 * PI])
+    def test_nd_is_reflected_dn(self, gamma):
+        """H_ND(theta, theta0) = H_DN(gamma - theta, gamma - theta0): the
+        cosine modes of a Neumann edge at 0 are the reflected sine modes of
+        a Dirichlet edge at 0, normalisation included."""
+        rng = np.random.default_rng(11)
+        t = np.geomspace(1e-3, 4.0, 9)[:, None]
+        r, r0 = rng.uniform(0.2, 1.5, (2, 12))
+        th, th0 = rng.uniform(0.0, gamma, (2, 12))
+        nd = sm.sector_heat_kernel(sm.SectorSpec(gamma, sm.NEUMANN, sm.DIRICHLET),
+                                   t, r, th, r0, th0)
+        dn = sm.sector_heat_kernel(sm.SectorSpec(gamma, sm.DIRICHLET, sm.NEUMANN),
+                                   t, r, gamma - th, r0, gamma - th0)
+        assert np.all(np.abs(nd - dn) <= 1e-14 / (4.0 * PI * t))
 
     def test_validation(self):
         spec = sm.SectorSpec(1.0)
