@@ -23,93 +23,84 @@ EXIT_VALIDATION = 2
 
 
 # ---------------------------------------------------------------------------
-# domain spec files
+# domain spec files: this reader checks JSON shapes, keys and number types;
+# every range rule is the spec constructors' own
 
-def _reject_unknown(obj, allowed, where):
-    unknown = set(obj) - set(allowed)
+def _fail(path, detail):
+    raise ValidationError(f"{path}: {detail}", field=path)
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _object(raw, path, keys):
+    """raw, after checking that it is a JSON object with no key outside `keys`."""
+    if not isinstance(raw, dict):
+        _fail(path or "(top level)", "must be an object")
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ValidationError(
-            f"{where}: unknown key(s) {sorted(unknown)}", field=where
-        )
+        _fail(_join(path, unknown[0]), f"unknown key(s) {unknown}")
+    return raw
 
 
-def _parse_bc(raw, where):
-    """(condition, None), or (None, v) for {"R": {"integral": v}}."""
-    bc = raw if raw in ("D", "N") else None
-    if isinstance(raw, dict) and set(raw) == {"R"}:
-        body = raw["R"]
-        if isinstance(body, dict) and set(body) == {"integral"}:
-            integral = body["integral"]
-            if not isinstance(integral, (int, float)) or integral <= 0:
-                raise ValidationError(
-                    f"{where}.bc.R.integral: must be a number > 0", field=where
-                )
-            return None, float(integral)  # kappa fixed later from the length
-        if isinstance(body, (int, float)):
-            bc = ("R", body)
+def _items(raw, key, path, read):
+    """read(item, its JSON path) of each item of the list raw[key] (default [])."""
+    items, where = raw.get(key, []), _join(path, key)
+    if not isinstance(items, list):
+        _fail(where, "must be a list")
+    return tuple(read(item, f"{where}[{i}]") for i, item in enumerate(items))
+
+
+def _number(raw, path):
+    """raw, after checking that it is a finite JSON number.  json.load reads
+    the NaN and Infinity tokens, and integers beyond the float range."""
+    if type(raw) not in (int, float) or not abs(raw) <= sys.float_info.max:  # bool fails too
+        _fail(path, f"must be a finite number, got {raw!r}")
+    return raw
+
+
+def _build(path, keys, cls, *args):
+    """cls(*args), with an error it raises reported as a validation error of
+    the JSON path of its field: `path` joined with keys.get(field, field),
+    or `path` itself when that is None."""
     try:
-        return BoundaryCondition.parse(bc), None
-    except DomainError:
-        raise ValidationError(
-            f'{where}.bc: expected "D", "N", {{"R": kappa > 0}} or '
-            f'{{"R": {{"integral": value}}}}, got {raw!r}',
-            field=where,
-        ) from None
+        return cls(*args)
+    except DomainError as exc:
+        key = keys.get(exc.field, exc.field)
+        where = path if key is None else _join(path, key)
+        raise ValidationError(f"{where}: {exc}", field=where) from None
 
 
-def _parse_edge(raw, where):
+def _bc(raw, path):
+    """(condition, Robin integral or None) of a JSON bc.  The integral form
+    gives the condition "R", whose kappa EdgeSpec takes from the integral."""
+    if raw in ("D", "N"):
+        return BoundaryCondition(raw), None
     if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: edge must be an object", field=where)
-    _reject_unknown(raw, ("length", "bc", "kg_integral"), where)
-    for key in ("length", "bc"):
-        if key not in raw:
-            raise ValidationError(f"{where}.{key}: missing", field=f"{where}.{key}")
-    length = raw["length"]
-    if not isinstance(length, (int, float)) or not length > 0:
-        raise ValidationError(
-            f"{where}.length: must be a number > 0, got {length!r}",
-            field=f"{where}.length",
-        )
-    kg = raw.get("kg_integral", 0.0)
-    if not isinstance(kg, (int, float)):
-        raise ValidationError(
-            f"{where}.kg_integral: must be a number, got {kg!r}",
-            field=f"{where}.kg_integral",
-        )
-    bc, robin_integral = _parse_bc(raw["bc"], where)
-    if bc is None:
-        bc = BoundaryCondition.robin(robin_integral / float(length))
-    return trace_coeffs.EdgeSpec(
-        length=float(length),
-        bc=bc,
-        geodesic_curvature_integral=float(kg),
-        robin_integral=robin_integral,
-    )
+        _fail(path, f'expected "D", "N", {{"R": kappa}} or {{"R": {{"integral": value}}}}, '
+                    f"got {raw!r}")
+    body = _object(raw, path, ("R",)).get("R")
+    if isinstance(body, dict):
+        integral = _object(body, f"{path}.R", ("integral",)).get("integral")
+        return "R", _number(integral, f"{path}.R.integral")
+    kappa = _number(body, f"{path}.R")
+    return _build(f"{path}.R", {"robin_kappa": None}, BoundaryCondition.robin, kappa), None
 
 
-def _parse_loop(raw, where):
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: loop must be an object", field=where)
-    _reject_unknown(raw, ("edges", "angles"), where)
-    edges_raw = raw.get("edges")
-    if not isinstance(edges_raw, list) or not edges_raw:
-        raise ValidationError(f"{where}.edges: need a nonempty list", field=where)
-    edges = tuple(
-        _parse_edge(e, f"{where}.edges[{i}]") for i, e in enumerate(edges_raw)
-    )
-    angles_raw = raw.get("angles", [])
-    if not isinstance(angles_raw, list):
-        raise ValidationError(f"{where}.angles: must be a list", field=where)
-    for i, a in enumerate(angles_raw):
-        if not isinstance(a, (int, float)) or not 0.0 < a < 2.0 * math.pi:
-            raise ValidationError(
-                f"{where}.angles[{i}]: angle must lie in (0, 2*pi), got {a!r}",
-                field=f"{where}.angles[{i}]",
-            )
-    try:
-        return trace_coeffs.BoundaryLoop(edges=edges, angles=tuple(float(a) for a in angles_raw))
-    except HeatTraceError as exc:
-        raise ValidationError(f"{where}: {exc}", field=where) from exc
+def _edge(raw, path):
+    bc, integral = _bc(_object(raw, path, ("length", "bc", "kg_integral")).get("bc"),
+                       f"{path}.bc")
+    return _build(path, {"geodesic_curvature_integral": "kg_integral",
+                         "robin_integral": "bc.R.integral"}, trace_coeffs.EdgeSpec,
+                  _number(raw.get("length"), f"{path}.length"), bc,
+                  _number(raw.get("kg_integral", 0.0), f"{path}.kg_integral"), integral)
+
+
+def _loop(raw, path):
+    _object(raw, path, ("edges", "angles"))
+    return _build(path, {}, trace_coeffs.BoundaryLoop,
+                  _items(raw, "edges", path, _edge), _items(raw, "angles", path, _number))
 
 
 def load_polygon_spec(path):
@@ -118,62 +109,28 @@ def load_polygon_spec(path):
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+            raise ValidationError(f"{path}: not valid JSON ({exc})", field=path) from exc
     return polygon_spec_from_dict(raw, where=path)
 
 
 def polygon_spec_from_dict(raw, where="spec"):
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: top level must be an object", field=where)
-    allowed = (
-        "area",
-        "gauss_curvature_integral",
-        "euler_characteristic",
-        "loops",
-        "cone_points",
-    )
-    _reject_unknown(raw, allowed, where)
-    if "area" not in raw or not isinstance(raw["area"], (int, float)) or raw["area"] <= 0:
-        raise ValidationError(f"{where}.area: must be a number > 0", field="area")
-    has_k = "gauss_curvature_integral" in raw
-    has_chi = "euler_characteristic" in raw
-    if not has_k and not has_chi:
-        raise ValidationError(
-            f"{where}: provide gauss_curvature_integral or euler_characteristic",
-            field="gauss_curvature_integral",
-        )
-    if has_chi and not isinstance(raw["euler_characteristic"], int):
-        raise ValidationError(
-            f"{where}.euler_characteristic: must be an integer",
-            field="euler_characteristic",
-        )
-    loops_raw = raw.get("loops")
-    if not isinstance(loops_raw, list) or not loops_raw:
-        raise ValidationError(f"{where}.loops: need a nonempty list", field="loops")
-    loops = tuple(
-        _parse_loop(lp, f"{where}.loops[{i}]") for i, lp in enumerate(loops_raw)
-    )
-    cones = raw.get("cone_points", [])
-    if not isinstance(cones, list):
-        raise ValidationError(f"{where}.cone_points: must be a list", field="cone_points")
-    for i, c in enumerate(cones):
-        if not isinstance(c, (int, float)) or c <= 0:
-            raise ValidationError(
-                f"{where}.cone_points[{i}]: opening must be > 0, got {c!r}",
-                field=f"cone_points[{i}]",
-            )
+    """The PolygonSpec of a parsed spec file.  A ValidationError names the
+    JSON path of the bad field, as in loops[0].angles[2], and `where`."""
     try:
-        return trace_coeffs.PolygonSpec(
-            area=float(raw["area"]),
-            loops=loops,
-            gauss_curvature_integral=(
-                float(raw["gauss_curvature_integral"]) if has_k else None
-            ),
-            euler_characteristic=raw.get("euler_characteristic"),
-            cone_points=tuple(float(c) for c in cones),
+        _object(raw, "", ("area", "gauss_curvature_integral", "euler_characteristic",
+                          "loops", "cone_points"))
+        gauss = raw.get("gauss_curvature_integral")
+        chi = raw.get("euler_characteristic")
+        return _build(
+            "", {}, trace_coeffs.PolygonSpec,
+            _number(raw.get("area"), "area"),
+            _items(raw, "loops", "", _loop),
+            None if gauss is None else _number(gauss, "gauss_curvature_integral"),
+            None if chi is None else _number(chi, "euler_characteristic"),
+            _items(raw, "cone_points", "", _number),
         )
-    except HeatTraceError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} (in {where})", field=exc.field) from None
 
 
 def _coeff_report(coeffs):
@@ -204,25 +161,26 @@ def _emit(report, as_json, out=None):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _arg(field, build, *args):
-    """build(*args), the object an argument describes, with the DomainError
-    or UnsupportedBCError it raises reported as a validation error of that
-    argument.  Only construction is wrapped: a DomainError raised later, deep
-    in a computation, stays a numerical failure."""
+def _arg(flags, build, *args):
+    """build(*args), with a DomainError or UnsupportedBCError it raises
+    reported as a validation error of the flag `flags`, or of the flag that
+    the dict `flags` maps the error's field to.  An error of any other field,
+    such as one raised deep in a computation, stays a numerical failure."""
     try:
         return build(*args)
     except (DomainError, UnsupportedBCError) as exc:
-        raise ValidationError(f"{field}: {exc}", field=field) from None
+        flag = flags if isinstance(flags, str) else flags.get(exc.field)
+        if flag is None:
+            raise
+        raise ValidationError(f"{flag}: {exc}", field=flag) from None
 
 
 def _sector_arg(args):
-    """The SectorSpec of --gamma, --bc0 and --bc1.  Each SectorSpec call adds
-    one argument to those already checked, so an error names its cause."""
+    """The SectorSpec of --gamma, --bc0 and --bc1."""
     bc0 = _arg("--bc0", BoundaryCondition.parse, args.bc0)
     bc1 = _arg("--bc1", BoundaryCondition.parse, args.bc1)
-    _arg("--gamma", SectorSpec, args.gamma)
-    _arg("--bc0", SectorSpec, args.gamma, bc0)
-    return _arg("--bc1", SectorSpec, args.gamma, bc0, bc1)
+    return _arg({"gamma": "--gamma", "bc_at_0": "--bc0", "bc_at_gamma": "--bc1"},
+                SectorSpec, args.gamma, bc0, bc1)
 
 
 def _floats_arg(raw, field):
@@ -303,26 +261,21 @@ def _parse_grid(raw, where="--grid"):
 def cmd_kernel(args):
     """Every point of the grid in one kernel call, one CSV row each."""
     axes = _parse_grid(args.grid)
-    # name -> (upper end, whether 0 is allowed) of each checked axis
     if args.model == "sector":
         names = ("t", "r", "theta", "r0", "theta0")
         spec = _sector_arg(args)
-        ranges = {"t": (math.inf, False), "r": (math.inf, True), "r0": (math.inf, True),
-                  "theta": (spec.gamma, True), "theta0": (spec.gamma, True)}
         kernel = lambda *cols: sector_models.sector_heat_kernel(spec, *cols)
     else:
         names = ("t", "x", "y", "x0", "y0")
         bc = _arg("--bc0", BoundaryCondition.parse, args.bc0)
-        ranges = {"t": (math.inf, False), "y": (math.inf, True), "y0": (math.inf, True)}
         kernel = lambda *cols: sector_models.half_plane_kernel(bc, *cols)
     missing = [n for n in names if n not in axes]
     if missing:
         raise ValidationError(f"--grid is missing {missing}", field="--grid")
-    for name, (hi, zero_ok) in ranges.items():
-        _arg("--grid", sector_models.check_coordinate, name, axes[name], hi, zero_ok)
     # the first axis varies slowest
     cols = [c.ravel() for c in np.meshgrid(*(axes[n] for n in names), indexing="ij")]
-    values = kernel(*cols)
+    # the kernel range-checks each coordinate, and the error names it
+    values = _arg(dict.fromkeys(names, "--grid"), kernel, *cols)
     fmt = ",".join(["%.17e"] * (len(names) + 1)) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + ",H\n")
@@ -368,21 +321,18 @@ def _trace_fit_domain(args):
             )
         left, right, bottom, top = (_arg("--bc", BoundaryCondition.parse, s.strip()) for s in bcs)
         # --a is the length of the bottom and top edges, --b of the sides
-        _arg("--a", trace_coeffs.EdgeSpec, args.a, bottom)
-        _arg("--b", trace_coeffs.EdgeSpec, args.b, left)
         return (
-            exact_spectra.rectangle_spectrum(args.a, args.b, (left, right), (bottom, top)),
+            _arg({"a": "--a", "b": "--b"}, exact_spectra.rectangle_spectrum,
+                 args.a, args.b, (left, right), (bottom, top)),
             trace_coeffs.rectangle_spec(args.a, args.b, (bottom, right, top, left)),
         )
     arc = _arg("--arc", BoundaryCondition.parse, args.arc)
-    spectrum = _arg("--radius", exact_spectra.sector_disk_spectrum, None, args.radius, None, arc)
+    gamma = None if args.domain == "disk" else args.gamma
+    spectrum = _arg({"radius": "--radius", "gamma": "--gamma"},
+                    exact_spectra.sector_disk_spectrum, gamma, args.radius, args.pair, arc)
     if args.domain == "disk":
         return spectrum, trace_coeffs.disk_spec(args.radius, arc)
-    # with the radius checked, the sector spectrum can only reject --gamma
-    bc0, bc1 = (_arg("--pair", BoundaryCondition.parse, c) for c in args.pair)
-    spectrum = _arg(
-        "--gamma", exact_spectra.sector_disk_spectrum, args.gamma, args.radius, args.pair, arc
-    )
+    bc0, bc1 = map(BoundaryCondition.parse, args.pair)  # --pair has fixed choices
     return spectrum, trace_coeffs.sector_spec(args.gamma, args.radius, bc0, bc1, arc)
 
 
@@ -393,8 +343,8 @@ def cmd_trace_fit(args):
     window = tuple(_floats_arg(args.window, "--window"))
     if len(window) != 2:
         raise ValidationError("--window must be tmin,tmax", field="--window")
-    _arg("--window", exact_spectra.sample_times, window)
-    _arg("--samples", exact_spectra.sample_times, window, args.samples)
+    _arg({"window": "--window", "n": "--samples"}, exact_spectra.sample_times,
+         window, args.samples)
     spectrum, spec = _trace_fit_domain(args)
     samples = exact_spectra.trace_samples(spectrum, window, args.samples)
     if args.csv:
@@ -472,7 +422,8 @@ def build_parser():
 
     p = sub.add_parser("greens", parents=[report],
                        help="Laplace-transform consistency residuals")
-    p.add_argument("--check-laplace", action="store_true", dest="check")
+    p.add_argument("--check-laplace", action="store_true",
+                   help="accepted for compatibility; the check always runs")
     p.add_argument("--model", required=True, choices=("sector", "halfplane"))
     p.add_argument("--gamma", type=float, default=math.pi)
     p.add_argument("--bc0", default="D")

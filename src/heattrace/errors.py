@@ -2,7 +2,15 @@
 
 
 class HeatTraceError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `field` names the input the error is about (a parameter, a command-line
+    flag or a JSON path of a spec file), or is None.
+    """
+
+    def __init__(self, *args, field=None):
+        super().__init__(*args)
+        self.field = field
 
 
 class DomainError(HeatTraceError, ValueError):
@@ -79,17 +87,9 @@ class StepSizeError(HeatTraceError, ArithmeticError):
 class InconsistentSpecError(HeatTraceError, ValueError):
     """Redundant geometric data in a domain spec contradicts itself."""
 
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
-
 
 class ValidationError(HeatTraceError, ValueError):
     """A domain spec file or argument failed validation; names the field."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
 
 class TailBoundError(HeatTraceError, ArithmeticError):

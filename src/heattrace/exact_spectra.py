@@ -16,7 +16,7 @@ import numpy as np
 from ._rootfind import brent
 from .errors import DomainError, TailBoundError, UnsupportedBCError
 from .quad_fp import weighted_lstsq
-from .sector_models import BoundaryCondition, mode_order
+from .sector_models import BoundaryCondition, check_coordinate, mode_order
 from .special_fns import (
     BesselZeroCache,
     bessel_j_prime_zero,
@@ -31,11 +31,10 @@ class _Interval1D:
     """Eigenvalues of -u'' on [0, L] with D/N/Robin ends, as a growing
     memoized array.  Each Robin wavenumber is bracketed between consecutive
     multiples of pi/L (shifted by pi/2 for a Dirichlet partner), so no root
-    can be missed."""
+    can be missed.  A bad length raises DomainError with field `name`."""
 
-    def __init__(self, length, bc0, bc1):
-        if not length > 0.0:
-            raise DomainError(f"interval length must be positive, got {length}")
+    def __init__(self, length, bc0, bc1, name="length"):
+        check_coordinate(name, length, math.inf, False)
         self.length = length
         self.bc0 = BoundaryCondition.parse(bc0)
         self.bc1 = BoundaryCondition.parse(bc1)
@@ -148,72 +147,62 @@ class Spectrum:
         return math.exp(log_val) if log_val > -745.0 else 0.0
 
 
-def _sorted_sum_stream(factor_x, factor_y):
-    """Merge lambda_{i,j} = mu_x[i] + mu_y[j] in ascending order."""
-    heap = [(factor_x.value(0) + factor_y.value(0), 0, 0)]
-    while True:
-        lam, i, j = heapq.heappop(heap)
-        yield lam
-        heapq.heappush(heap, (factor_x.value(i + 1) + factor_y.value(j), i + 1, j))
-        if i == 0:
-            heapq.heappush(heap, (factor_x.value(0) + factor_y.value(j + 1), 0, j + 1))
-
-
 def rectangle_spectrum(a, b, bc_x, bc_y):
     """Laplace spectrum of the rectangle (0,a) x (0,b).
 
     bc_x = (left, right) and bc_y = (bottom, top) give the conditions on the
-    two pairs of opposite sides; each is "D", "N", or ("R", kappa).
+    two pairs of opposite sides; each is "D", "N", or ("R", kappa).  A bad
+    side length raises DomainError with field "a" or "b".
     """
-    fx = _Interval1D(a, *bc_x)
-    fy = _Interval1D(b, *bc_y)
+    fx = _Interval1D(a, *bc_x, name="a")
+    fy = _Interval1D(b, *bc_y, name="b")
+
+    def family(j):
+        # lambda_{k,j} = mu_x[k] + mu_y[j], ascending in k and, at k = 0, in j
+        mu_y = fy.value(j)
+        return lambda k: fx.value(k) + mu_y
+
     # 1D counting: N_1D(mu) <= L sqrt(mu)/pi + 1 since k_m >= (m-1) pi / L
     c1 = a * b / (4.0 * math.pi)
     c2 = (a + b) / math.pi + 1.0
     c3 = 3.0
     return Spectrum(
-        factory=lambda: _sorted_sum_stream(fx, fy),
+        factory=lambda: _family_merge_stream(family),
         weyl_area=a * b,
         counting_constants=(c1, c2, c3),
     )
 
 
-class _BesselFamily:
-    """k-th zeros (k >= 1) of J_nu or J'_nu divided by the radius, squared."""
+def _bessel_family(nu, radius, arc, cache):
+    """k -> the k-th (0-based) zero of J_nu (arc "D") or of J'_nu (arc "N")
+    divided by the radius, squared, after the eigenvalue 0 that a Neumann
+    arc adds at nu = 0."""
+    extra = int(arc == "N" and nu == 0.0)
 
-    def __init__(self, nu, radius, arc_bc, cache):
-        self.nu = nu
-        self.radius = radius
-        self.arc = arc_bc
-        self.cache = cache
-        self._extra_zero_mode = arc_bc == "N" and nu == 0.0
+    def value(k):
+        if k < extra:
+            return 0.0
+        zero = bessel_j_zero if arc == "D" else bessel_j_prime_zero
+        return (zero(nu, k + 1 - extra, cache=cache) / radius) ** 2
 
-    def value(self, idx):
-        if self._extra_zero_mode:
-            if idx == 0:
-                return 0.0
-            idx -= 1
-        if self.arc == "D":
-            z = bessel_j_zero(self.nu, idx + 1, cache=self.cache)
-        else:
-            z = bessel_j_prime_zero(self.nu, idx + 1, cache=self.cache)
-        return (z / self.radius) ** 2
+    return value
 
 
-def _family_merge_stream(make_family, orders):
-    """Merge the (lazily created) Bessel families; family j is seeded once
-    the first element of family j-1 has been emitted, which is safe because
-    first eigenvalues increase with the angular order."""
-    fam0 = make_family(orders(0))
-    heap = [(fam0.value(0), 0, 0, fam0)]
+def _family_merge_stream(family):
+    """Merge the lazily created families in ascending order.  family(j) is a
+    function k -> the k-th value of family j, ascending in k, and the first
+    values family(j)(0) ascend in j.  So family j is seeded once the first
+    element of family j-1 has been emitted."""
+    fam = family(0)
+    heap = [(fam(0), 0, 0, fam)]
     n_seeded = 1
     while True:
         lam, j, k, fam = heapq.heappop(heap)
         yield lam
-        heapq.heappush(heap, (fam.value(k + 1), j, k + 1, fam))
+        heapq.heappush(heap, (fam(k + 1), j, k + 1, fam))
         if k == 0 and j == n_seeded - 1:
-            nxt = make_family(orders(n_seeded))
-            heapq.heappush(heap, (nxt.value(0), n_seeded, 0, nxt))
+            nxt = family(n_seeded)
+            heapq.heappush(heap, (nxt(0), n_seeded, 0, nxt))
             n_seeded += 1
 
 
@@ -225,12 +214,12 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
     zeros of J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk uses
     integer orders with multiplicity two for m >= 1.  arc_bc takes any form
     BoundaryCondition.parse reads; a Robin arc raises UnsupportedBCError.
+    Errors name the bad field: radius, arc_bc, gamma, in that order.
     """
-    if not radius > 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    check_coordinate("radius", radius, math.inf, False)
     arc = BoundaryCondition.parse(arc_bc).kind
     if arc == "R":
-        raise UnsupportedBCError("arc condition must be Dirichlet or Neumann")
+        raise UnsupportedBCError("arc condition must be Dirichlet or Neumann", field="arc_bc")
     if cache is None:
         cache = BesselZeroCache()
     # crude rigorous counting with x = radius sqrt(lam): families with
@@ -248,7 +237,7 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
         c2 = radius * (2.0 + 1.0 / 3.0)
     else:
         if not 0.0 < gamma < 2.0 * math.pi:
-            raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}")
+            raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}", field="gamma")
         mode_order(edge_pair, gamma, 0)  # raises for a pair with no ladder
         area = 0.5 * gamma * radius * radius
         h = math.pi / gamma
@@ -261,7 +250,7 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
 
     def factory():
         return _family_merge_stream(
-            lambda nu: _BesselFamily(float(nu), radius, arc, cache), orders
+            lambda j: _bessel_family(float(orders(j)), radius, arc, cache)
         )
 
     return Spectrum(factory=factory, weyl_area=area, counting_constants=(c1, c2, 1.0))
@@ -307,13 +296,14 @@ def choose_cutoff(spectrum, t_min):
 def sample_times(window=(0.002, 0.05), n=12):
     """n log-spaced times from t_min to t_max, window = (t_min, t_max).
 
-    Raises DomainError unless 0 < t_min < t_max <= 0.2 and n >= 8.
+    Raises DomainError with field "window" unless 0 < t_min < t_max <= 0.2,
+    and with field "n" unless n >= 8.
     """
     t_min, t_max = window
     if not 0.0 < t_min < t_max <= 0.2:
-        raise DomainError("window must satisfy 0 < t_min < t_max <= 0.2")
+        raise DomainError("window must satisfy 0 < t_min < t_max <= 0.2", field="window")
     if n < 8:
-        raise DomainError("need at least 8 samples")
+        raise DomainError("need at least 8 samples", field="n")
     return np.exp(np.linspace(math.log(t_min), math.log(t_max), n))
 
 

@@ -37,7 +37,7 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """One of Dirichlet ("D"), Neumann ("N"), or Robin ("R", kappa > 0).
+    """One of Dirichlet ("D"), Neumann ("N"), or Robin ("R", finite kappa > 0).
 
     A Robin condition means du/dn = kappa u with the inward normal.
     """
@@ -47,12 +47,14 @@ class BoundaryCondition:
 
     def __post_init__(self):
         if self.kind not in ("D", "N", "R"):
-            raise DomainError(f"boundary condition kind must be D, N or R, got {self.kind!r}")
+            raise DomainError(f"boundary condition kind must be D, N or R, got {self.kind!r}",
+                              field="kind")
         if self.kind == "R":
-            if self.robin_kappa is None or not self.robin_kappa > 0.0:
-                raise DomainError("Robin conditions need robin_kappa > 0")
+            if self.robin_kappa is None or not 0.0 < self.robin_kappa < math.inf:
+                raise DomainError("Robin conditions need a finite robin_kappa > 0",
+                                  field="robin_kappa")
         elif self.robin_kappa is not None:
-            raise DomainError(f"{self.kind} conditions take no robin_kappa")
+            raise DomainError(f"{self.kind} conditions take no robin_kappa", field="robin_kappa")
 
     @classmethod
     def dirichlet(cls):
@@ -72,7 +74,7 @@ class BoundaryCondition:
         (returned as is), "D", "N", "R:kappa" or ("R", kappa).
 
         Raises DomainError on any other value, and on a Robin kappa that is
-        not a number > 0.
+        not a finite number > 0.
         """
         if isinstance(raw, cls):
             return raw
@@ -86,7 +88,7 @@ class BoundaryCondition:
         except (TypeError, ValueError):
             raise DomainError(
                 'boundary condition must be "D", "N", "R:kappa" or ("R", kappa) '
-                f"with kappa > 0, got {raw!r}"
+                f"with finite kappa > 0, got {raw!r}"
             ) from None
 
 
@@ -97,7 +99,8 @@ NEUMANN = BoundaryCondition.neumann()
 @dataclass(frozen=True)
 class SectorSpec:
     """Infinite circular sector of opening angle gamma with a boundary
-    condition on each straight edge (theta = 0 and theta = gamma)."""
+    condition on each straight edge (theta = 0 and theta = gamma).  An error
+    names the first bad field, checked in that order."""
 
     gamma: float
     bc_at_0: BoundaryCondition = DIRICHLET
@@ -105,9 +108,12 @@ class SectorSpec:
 
     def __post_init__(self):
         if not 0.0 < self.gamma < _TWO_PI:
-            raise DomainError(f"opening angle must lie in (0, 2*pi), got {self.gamma}")
-        if self.bc_at_0.kind == "R" or self.bc_at_gamma.kind == "R":
-            raise UnsupportedBCError("no sector series model exists for Robin edges")
+            raise DomainError(f"opening angle must lie in (0, 2*pi), got {self.gamma}",
+                              field="gamma")
+        for name in ("bc_at_0", "bc_at_gamma"):
+            if getattr(self, name).kind == "R":
+                raise UnsupportedBCError("no sector series model exists for Robin edges",
+                                         field=name)
 
     @property
     def pair(self):
@@ -142,15 +148,16 @@ def check_coordinate(name, values, hi, zero_ok):
     """`values` (a number or an array) as a float array, after checking that
     each is a finite number in [0, hi], or in (0, hi] when not zero_ok.
 
-    The one range check of point coordinates: the kernels, the Green's
-    functions and the CLI's arguments all call it.  Raises DomainError
-    naming the coordinate and its first value out of range.
+    The one range check of point coordinates and of sizes: the kernels, the
+    Green's functions, the spectra, the polygon specs and the CLI's arguments
+    all call it.  Raises DomainError with field `name`, naming the value and
+    its first entry out of range.
     """
     v = np.asarray(values, dtype=float)
     ok = np.isfinite(v) & ((v >= 0.0) if zero_ok else (v > 0.0)) & (v <= hi)
     if not ok.all():
         want = (">= 0" if zero_ok else "> 0") if hi == math.inf else f"in [0, {hi!r}]"
-        raise DomainError(f"{name} must be {want}, got {float(v[~ok].flat[0])!r}")
+        raise DomainError(f"{name} must be {want}, got {float(v[~ok].flat[0])!r}", field=name)
     return v
 
 
@@ -496,14 +503,16 @@ def model_sf_robin(big_x, xi, xi0, kappa):
     )
 
 
-# second_deriv marks the axes carrying -d^2/dv^2; every axis carries the
-# drift -(v/2) d/dv.  In side-face coordinates (X, xi, xi') the operator has
-# no xi'-second derivative (it acts from the left, i.e. in the unprimed slot).
+# name -> (model(*coords, kappa), factor c, second_deriv).  second_deriv
+# marks the axes carrying -d^2/dv^2, one per coordinate; every axis carries
+# the drift -(v/2) d/dv.  In side-face coordinates (X, xi, xi') the operator
+# has no xi'-second derivative (it acts from the left, i.e. in the unprimed
+# slot).
 _MODELS = {
-    "td": {"dims": 2, "factor": 1.0, "second_deriv": (True, True)},
-    "sf_N": {"dims": 3, "factor": 1.0, "second_deriv": (True, True, False)},
-    "sf_D": {"dims": 3, "factor": 1.0, "second_deriv": (True, True, False)},
-    "sf_R": {"dims": 3, "factor": 0.5, "second_deriv": (True, True, False)},
+    "td": (lambda X, Y, kappa: model_td(X, Y), 1.0, (True, True)),
+    "sf_N": (lambda X, xi, xi0, kappa: model_sf(X, xi, xi0, +1.0), 1.0, (True, True, False)),
+    "sf_D": (lambda X, xi, xi0, kappa: model_sf(X, xi, xi0, -1.0), 1.0, (True, True, False)),
+    "sf_R": (model_sf_robin, 0.5, (True, True, False)),
 }
 
 _FD_STEP = 1e-3  # central-difference step of model_residual
@@ -524,20 +533,12 @@ def model_residual(model, grid, kappa=1.0):
     """
     if model not in _MODELS:
         raise DomainError(f"unknown model {model!r}; choose from {sorted(_MODELS)}")
-    spec = _MODELS[model]
-
-    if model == "td":
-        fn = lambda X, Y: model_td(X, Y)
-    elif model == "sf_N":
-        fn = lambda X, xi, xi0: model_sf(X, xi, xi0, +1.0)
-    elif model == "sf_D":
-        fn = lambda X, xi, xi0: model_sf(X, xi, xi0, -1.0)
-    else:
-        fn = lambda X, xi, xi0: model_sf_robin(X, xi, xi0, kappa)
+    model_fn, factor, second_deriv = _MODELS[model]
+    fn = lambda *coords: model_fn(*coords, kappa)
 
     pts = [np.asarray(g, dtype=float) for g in grid]
-    if len(pts) != spec["dims"]:
-        raise DomainError(f"model {model} expects a {spec['dims']}-coordinate grid")
+    if len(pts) != len(second_deriv):
+        raise DomainError(f"model {model} expects a {len(second_deriv)}-coordinate grid")
 
     def residual_at(step):
         mesh = np.meshgrid(*pts, indexing="ij")
@@ -550,10 +551,10 @@ def model_residual(model, grid, kappa=1.0):
             shift_m[axis] = mesh[axis] - step
             fp = fn(*shift_p)
             fm = fn(*shift_m)
-            if spec["second_deriv"][axis]:
+            if second_deriv[axis]:
                 spatial += -(fp - 2.0 * f0 + fm) / (step * step)
             spatial += -0.5 * mesh[axis] * (fp - fm) / (2.0 * step)
-        return float(np.max(np.abs(spatial - spec["factor"] * f0)))
+        return float(np.max(np.abs(spatial - factor * f0)))
 
     res = residual_at(_FD_STEP)
     res_half = residual_at(0.5 * _FD_STEP)

@@ -10,11 +10,12 @@ Gauss-Bonnet alternate form of a_0, and the induced non-isospectrality test.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .corner_lab import CornerKind, cone_point_coeff, corner_coeff
 from .errors import DomainError, InconsistentSpecError
-from .sector_models import BoundaryCondition
+from .sector_models import BoundaryCondition, check_coordinate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -24,7 +25,8 @@ REMAINDER_ORDER = "O(t^(1/2) log t)"
 @dataclass(frozen=True)
 class EdgeSpec:
     """One smooth boundary edge: its length, boundary condition, geodesic
-    curvature integral, and (for Robin edges) the integral of kappa."""
+    curvature integral, and (for Robin edges) the integral of kappa.  With
+    bc="R", kappa is the mean robin_integral / length.  Errors name the field."""
 
     length: float
     bc: BoundaryCondition
@@ -32,16 +34,23 @@ class EdgeSpec:
     robin_integral: float | None = None
 
     def __post_init__(self):
-        if not self.length > 0.0:
-            raise DomainError(f"edge length must be positive, got {self.length}")
+        check_coordinate("length", self.length, math.inf, False)
+        if not math.isfinite(self.geodesic_curvature_integral):
+            raise DomainError("geodesic_curvature_integral must be finite",
+                              field="geodesic_curvature_integral")
+        integral = self.robin_integral
+        if integral is not None:
+            check_coordinate("robin_integral", integral, math.inf, False)
+        if self.bc == "R":
+            if integral is None:
+                raise DomainError('bc "R" needs robin_integral', field="robin_integral")
+            object.__setattr__(self, "bc", BoundaryCondition.robin(integral / self.length))
         if self.bc.kind == "R":
-            integral = self.robin_integral
-            if integral is None and self.bc.robin_kappa is not None:
+            if integral is None:
                 object.__setattr__(self, "robin_integral", self.bc.robin_kappa * self.length)
-            elif integral is not None and not integral > 0.0:
-                raise DomainError("robin_integral must be positive")
-        elif self.robin_integral is not None:
-            raise DomainError("robin_integral is only meaningful on Robin edges")
+        elif integral is not None:
+            raise DomainError("robin_integral is only meaningful on Robin edges",
+                              field="robin_integral")
 
     @property
     def is_dirichlet(self):
@@ -59,17 +68,19 @@ class BoundaryLoop:
 
     def __post_init__(self):
         if len(self.edges) == 0:
-            raise DomainError("a boundary loop needs at least one edge")
+            raise DomainError("a boundary loop needs at least one edge", field="edges")
         if len(self.angles) == 0 and len(self.edges) != 1:
-            raise DomainError("only single-edge loops may omit angles")
+            raise DomainError("only single-edge loops may omit angles", field="angles")
         if self.angles and len(self.angles) != len(self.edges):
             raise DomainError(
-                f"loop has {len(self.edges)} edges but {len(self.angles)} angles"
+                f"loop has {len(self.edges)} edges but {len(self.angles)} angles",
+                field="angles",
             )
-        for a in self.angles:
+        for j, a in enumerate(self.angles):
             if not 0.0 < a < _TWO_PI:
                 raise DomainError(
-                    f"vertex angles must lie strictly inside (0, 2*pi), got {a}"
+                    f"vertex angles must lie strictly inside (0, 2*pi), got {a}",
+                    field=f"angles[{j}]",
                 )
 
     def vertices(self):
@@ -86,7 +97,7 @@ class BoundaryLoop:
 class PolygonSpec:
     """A curvilinear polygon: area, Gauss-curvature data (either the integral
     of K or the Euler characteristic), boundary loops, and cone points given
-    by their opening angles."""
+    by their opening angles.  Errors name the bad field."""
 
     area: float
     loops: tuple
@@ -95,21 +106,26 @@ class PolygonSpec:
     cone_points: tuple = ()
 
     def __post_init__(self):
-        if not self.area > 0.0:
-            raise DomainError(f"area must be positive, got {self.area}")
-        if self.gauss_curvature_integral is None and self.euler_characteristic is None:
-            raise DomainError(
-                "provide gauss_curvature_integral or euler_characteristic"
-            )
+        check_coordinate("area", self.area, math.inf, False)
+        gauss, chi = self.gauss_curvature_integral, self.euler_characteristic
+        if gauss is None and chi is None:
+            raise DomainError("provide gauss_curvature_integral or euler_characteristic",
+                              field="gauss_curvature_integral")
+        if gauss is not None and not math.isfinite(gauss):
+            raise DomainError("gauss_curvature_integral must be finite",
+                              field="gauss_curvature_integral")
+        if chi is not None and not isinstance(chi, numbers.Integral):
+            raise DomainError(f"euler_characteristic must be an integer, got {chi!r}",
+                              field="euler_characteristic")
         if not self.loops:
-            raise DomainError("at least one boundary loop is required")
-        for opening in self.cone_points:
-            if not opening > 0.0:
-                raise DomainError(f"cone opening angles must be positive, got {opening}")
-        if self.euler_characteristic is not None and self.cone_points:
+            raise DomainError("at least one boundary loop is required", field="loops")
+        for i, opening in enumerate(self.cone_points):
+            check_coordinate(f"cone_points[{i}]", opening, math.inf, False)
+        if chi is not None and self.cone_points:
             raise DomainError(
                 "Euler-characteristic input is not supported together with cone "
-                "points; supply gauss_curvature_integral instead"
+                "points; supply gauss_curvature_integral instead",
+                field="cone_points",
             )
 
     def all_edges(self):

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +328,16 @@ class TestBadArguments:
                          id="trace-fit-rectangle-a"),
             pytest.param(["trace-fit", "--domain", "rectangle", "--b", "-2"], "--b",
                          id="trace-fit-rectangle-b"),
+            # an infinite size made the counting constants infinite, so the
+            # spectrum's cutoff search never ended
+            pytest.param(["trace-fit", "--domain", "rectangle", "--a", "inf"], "--a",
+                         id="trace-fit-rectangle-a-inf"),
+            pytest.param(["trace-fit", "--domain", "rectangle", "--b", "inf"], "--b",
+                         id="trace-fit-rectangle-b-inf"),
+            pytest.param(["trace-fit", "--domain", "disk", "--radius", "inf"], "--radius",
+                         id="trace-fit-disk-radius-inf"),
+            pytest.param(["trace-fit", "--domain", "sector", "--radius", "inf"], "--radius",
+                         id="trace-fit-sector-radius-inf"),
             pytest.param(["kernel", "--model", "sector", "--gamma", "1",
                           "--grid", "t=0.1;r=1;theta=0:2:3;r0=1;theta0=0.5"], "--grid",
                          id="kernel-sector-theta"),
@@ -361,3 +374,88 @@ class TestBadArguments:
         code, _, err = run(argv, capsys)
         assert code == 2
         assert f"validation error: {field}: " in err
+
+
+def mixed_payload():
+    """A valid spec with every numeric field of the schema."""
+    payload = square_payload()
+    edges = payload["loops"][0]["edges"]
+    edges[0]["kg_integral"] = 0.0
+    edges[1]["bc"] = {"R": 2.0}
+    edges[2]["bc"] = {"R": {"integral": 0.7}}
+    payload["cone_points"] = [1.0]
+    return payload
+
+
+# JSON path -> where it sits in mixed_payload()
+SPEC_FIELDS = {
+    "area": ("area",),
+    "gauss_curvature_integral": ("gauss_curvature_integral",),
+    "loops[0].edges[3].length": ("loops", 0, "edges", 3, "length"),
+    "loops[0].edges[0].kg_integral": ("loops", 0, "edges", 0, "kg_integral"),
+    "loops[0].edges[1].bc.R": ("loops", 0, "edges", 1, "bc", "R"),
+    "loops[0].edges[2].bc.R.integral": ("loops", 0, "edges", 2, "bc", "R", "integral"),
+    "loops[0].angles[2]": ("loops", 0, "angles", 2),
+    "cone_points[0]": ("cone_points", 0),
+}
+
+
+class TestBadSpecFiles:
+    """Every number of a spec file must be a finite JSON number.  json.load
+    reads the NaN and Infinity tokens, so those are written raw here."""
+
+    def test_valid_payload_passes(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "ok.json", mixed_payload())
+        assert run(["coeffs", "--spec", spec], capsys)[0] == 0
+
+    @pytest.mark.parametrize("bad", ['"1.5"', "true", "NaN", "Infinity"])
+    @pytest.mark.parametrize("path", sorted(SPEC_FIELDS))
+    def test_exit_2_names_the_json_path(self, path, bad, tmp_path, capsys):
+        payload = mixed_payload()
+        *parents, last = SPEC_FIELDS[path]
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = "@BAD@"
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(payload).replace('"@BAD@"', bad), encoding="utf-8")
+        code, out, err = run(["coeffs", "--spec", str(spec)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"validation error: {path}: ")
+
+    def test_boolean_euler_characteristic(self, tmp_path, capsys):
+        payload = square_payload()
+        del payload["gauss_curvature_integral"]
+        payload["euler_characteristic"] = True
+        spec = write_spec(tmp_path / "bad.json", payload)
+        code, _, err = run(["coeffs", "--spec", spec], capsys)
+        assert code == 2
+        assert err.startswith("validation error: euler_characteristic: ")
+
+    def test_distinguish_names_the_file(self, tmp_path, capsys):
+        good = write_spec(tmp_path / "good.json", square_payload())
+        payload = square_payload()
+        payload["area"] = -1.0
+        bad = write_spec(tmp_path / "bad.json", payload)
+        code, _, err = run(["distinguish", "--spec1", good, "--spec2", bad], capsys)
+        assert code == 2
+        assert err.startswith("validation error: area: ")
+        assert "bad.json" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_parse():
+    """Every `heattrace ...` line of the README's Command line block is a
+    valid command line of cli.build_parser()."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "heattrace"]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -113,6 +113,21 @@ class TestRectangleSpectrum:
         assert value == pytest.approx(direct, abs=1e-12)
 
 
+    @pytest.mark.parametrize("bc_x, bc_y", [
+        (("D", "D"), ("D", "D")),
+        (("N", "R:1.5"), ("D", "N")),
+        (("R:0.7", "R:2"), ("N", "N")),
+    ])
+    def test_merge_is_the_sorted_outer_sum(self, bc_x, bc_y):
+        a, b, n = 1.0, 1.3, 120
+        lx = es.interval_eigenvalues(a, *bc_x, n)
+        ly = es.interval_eigenvalues(b, *bc_y, n)
+        expect = np.sort(np.add.outer(lx, ly), axis=None)[:3000]
+        # every eigenvalue up to the 3000th has both indices below n
+        assert expect[-1] < min(lx[-1] + ly[0], lx[0] + ly[-1])
+        assert np.array_equal(es.rectangle_spectrum(a, b, bc_x, bc_y).first(3000), expect)
+
+
 class TestSectorDiskSpectrum:
     def test_quarter_disk_dirichlet(self):
         spec = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "D")
@@ -334,3 +349,23 @@ class TestCSV:
         assert len(row) == 3
         assert float(row[0]) == pytest.approx(samples[0][0])
         assert float(row[1]) == pytest.approx(samples[0][1], rel=1e-16)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: es.interval_eigenvalues(math.nan, "D", "D", 3), "length"),
+        (lambda: es.rectangle_spectrum(math.inf, 1.0, ("D", "D"), ("D", "D")), "a"),
+        (lambda: es.rectangle_spectrum(1.0, -1.0, ("D", "D"), ("D", "D")), "b"),
+        (lambda: es.sector_disk_spectrum(None, math.inf), "radius"),
+        (lambda: es.sector_disk_spectrum(7.0, 1.0, "DD"), "gamma"),
+        (lambda: es.sector_disk_spectrum(1.0, 1.0, "DD", "R:1"), "arc_bc"),
+        (lambda: es.sample_times((0.05, 0.002)), "window"),
+        (lambda: es.sample_times((0.002, math.inf)), "window"),
+        (lambda: es.sample_times((0.002, 0.05), 4), "n"),
+    ],
+)
+def test_errors_name_the_field(build, field):
+    with pytest.raises((DomainError, UnsupportedBCError)) as info:
+        build()
+    assert info.value.field == field

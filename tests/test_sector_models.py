@@ -50,6 +50,27 @@ class TestBoundaryConditionParse:
             sm.BoundaryCondition.parse(raw)
 
 
+    def test_infinite_kappa_rejected(self):
+        with pytest.raises(DomainError) as info:
+            sm.BoundaryCondition.robin(math.inf)
+        assert info.value.field == "robin_kappa"
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((math.nan,), "gamma"),
+        ((7.0,), "gamma"),
+        ((1.0, sm.BoundaryCondition.robin(1.0)), "bc_at_0"),
+        ((1.0, sm.DIRICHLET, sm.BoundaryCondition.robin(1.0)), "bc_at_gamma"),
+    ],
+)
+def test_sector_spec_errors_name_the_field(args, field):
+    with pytest.raises((DomainError, UnsupportedBCError)) as info:
+        sm.SectorSpec(*args)
+    assert info.value.field == field
+
+
 LADDER_ANGLES = (PI / 3.0, 1.05, 1.6, 2.3, 1.5 * PI)
 
 
@@ -65,13 +86,13 @@ class TestModeOrder:
         assert corner == [sm.mode_order(pair, gamma, j) for j in range(len(corner))]
 
         families = []
+        bessel_family = es._bessel_family
 
-        class Recorded(es._BesselFamily):
-            def __init__(self, nu, *args):
-                families.append(nu)
-                super().__init__(nu, *args)
+        def recorded(nu, *args):
+            families.append(nu)
+            return bessel_family(nu, *args)
 
-        monkeypatch.setattr(es, "_BesselFamily", Recorded)
+        monkeypatch.setattr(es, "_bessel_family", recorded)
         es.sector_disk_spectrum(gamma, 1.0, pair, "D").first(60)
         assert len(families) >= 4
         assert families == ladder[:len(families)]

@@ -300,3 +300,49 @@ class TestValidation:
             BoundaryCondition.robin(0.0)
         with pytest.raises(DomainError):
             BoundaryCondition.robin(-1.0)
+
+
+def _loop():
+    return tc.BoundaryLoop(edges=(tc.EdgeSpec(1.0, DIRICHLET),), angles=())
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: tc.EdgeSpec(0.0, DIRICHLET), "length"),
+        (lambda: tc.EdgeSpec(math.inf, DIRICHLET), "length"),
+        (lambda: tc.EdgeSpec(1.0, DIRICHLET, geodesic_curvature_integral=math.nan),
+         "geodesic_curvature_integral"),
+        (lambda: tc.EdgeSpec(1.0, "R", robin_integral=-0.5), "robin_integral"),
+        (lambda: tc.EdgeSpec(1.0, "R", robin_integral=math.inf), "robin_integral"),
+        (lambda: tc.EdgeSpec(1.0, "R"), "robin_integral"),
+        (lambda: tc.EdgeSpec(1.0, NEUMANN, robin_integral=0.5), "robin_integral"),
+        (lambda: tc.BoundaryLoop(edges=(), angles=()), "edges"),
+        (lambda: tc.BoundaryLoop(edges=(tc.EdgeSpec(1.0, DIRICHLET),) * 2, angles=(PI,)),
+         "angles"),
+        (lambda: tc.BoundaryLoop(edges=(tc.EdgeSpec(1.0, DIRICHLET),) * 3,
+                                 angles=(PI, PI, math.nan)), "angles[2]"),
+        (lambda: tc.PolygonSpec(area=math.inf, loops=(_loop(),), euler_characteristic=1),
+         "area"),
+        (lambda: tc.PolygonSpec(area=1.0, loops=(_loop(),)), "gauss_curvature_integral"),
+        (lambda: tc.PolygonSpec(area=1.0, loops=(_loop(),), gauss_curvature_integral=-math.inf),
+         "gauss_curvature_integral"),
+        (lambda: tc.PolygonSpec(area=1.0, loops=(_loop(),), euler_characteristic=1.5),
+         "euler_characteristic"),
+        (lambda: tc.PolygonSpec(area=1.0, loops=(), euler_characteristic=1), "loops"),
+        (lambda: tc.PolygonSpec(area=1.0, loops=(_loop(),), gauss_curvature_integral=0.0,
+                                cone_points=(1.0, math.inf)), "cone_points[1]"),
+        (lambda: tc.PolygonSpec(area=1.0, loops=(_loop(),), euler_characteristic=1,
+                                cone_points=(1.0,)), "cone_points"),
+    ],
+)
+def test_constructor_errors_name_the_field(build, field):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert info.value.field == field
+
+
+def test_robin_edge_from_its_integral():
+    edge = tc.EdgeSpec(2.0, "R", robin_integral=0.7)
+    assert edge.bc == BoundaryCondition.robin(0.35)
+    assert edge.robin_integral == 0.7
