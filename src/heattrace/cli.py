@@ -286,23 +286,17 @@ def cmd_kernel(args):
 
 def cmd_greens(args):
     s_values = _floats_arg(args.s, "--s")
-    _arg("--s", sector_models.check_coordinate, "s", s_values, math.inf, False)
     if args.model == "halfplane":
         model = _arg("--bc0", BoundaryCondition.parse, args.bc0)
-        gamma, zero_ok = math.pi, True
     else:
         model = _sector_arg(args)
-        gamma, zero_ok = model.gamma, False  # the KL integral needs r, r0 > 0
-    for name in ("r", "r0"):
-        _arg(f"--{name}", sector_models.check_coordinate, name, getattr(args, name),
-             math.inf, zero_ok)
-    for name in ("phi", "phi0"):
-        _arg(f"--{name}", sector_models.check_coordinate, name, getattr(args, name), gamma, True)
     points = [((args.r, args.phi), (args.r0, args.phi0))]
+    # the Green's functions range-check s and the points, naming the field
+    flags = {name: f"--{name}" for name in ("s", "r", "phi", "r0", "phi0")}
     report = {"model": args.model, "residuals": {}}
     worst = 0.0
     for s in s_values:
-        res = sector_models.laplace_consistency(model, s, points, tol=args.tol * 1e-1)
+        res = _arg(flags, sector_models.laplace_consistency, model, s, points, args.tol * 1e-1)
         report["residuals"][f"s={s!r}"] = res
         worst = max(worst, res)
     report["max_residual"] = worst

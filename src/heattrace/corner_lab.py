@@ -334,7 +334,7 @@ def _term_mu_integral(weight, gap, taus, b_type=False):
     mu_max = (math.log(1e12) + 10.0) / gap
     mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, max(8, int(math.ceil(mu_max))))
     u_nodes, u_wts, ends = _log_u_grid(taus, mus.max())
-    k_table = _k_imag_scaled_table(mus, u_nodes)
+    k_table = _k_imag_scaled_table(mus, u_nodes)[0]
     integrand = k_table**2 * (u_nodes * u_wts)[None, :]  # rows: mu, cols: u
     cum = np.cumsum(integrand, axis=1)
     q_cols = cum[:, np.asarray(ends) - 1]  # (n_mu, n_tau)

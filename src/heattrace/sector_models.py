@@ -364,7 +364,7 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
 
     def integrand(mu):
         w = sum(term(mu) for term, _ in terms)
-        k = _k_imag_scaled_table(mu, xs)
+        k = _k_imag_scaled_table(mu, xs)[0]
         return k[:, 0] * k[:, -1] * w / math.pi**2
 
     result = quad_fp.integrate(integrand, 0.0, mu_max, tol=tol / 2.0)
@@ -377,13 +377,19 @@ def _distance(r, phi, r0, phi0):
 
 def greens_half_plane_images(bc, s, r, phi, r0, phi0):
     """gamma = pi closed form: (1/2 pi)[K_0(sqrt s d) -+ K_0(sqrt s d*)] with
-    d, d* the direct and reflected distances (method of images)."""
+    d, d* the direct and reflected distances (method of images).  The points
+    are polar, with the wall at phi in {0, pi}; each coordinate is
+    range-checked as in greens_kl, except that r and r0 may be 0."""
     if bc.kind not in ("D", "N"):
         raise UnsupportedBCError("half-plane image Green's function needs D or N")
+    check_coordinate("s", s, math.inf, False)
+    for name, v, hi in (("r", r, math.inf), ("phi", phi, math.pi),
+                        ("r0", r0, math.inf), ("phi0", phi0, math.pi)):
+        check_coordinate(name, v, hi, True)
     d_direct = _distance(r, phi, r0, phi0)
-    d_reflect = math.sqrt(
-        max(r * r + r0 * r0 - 2.0 * r * r0 * math.cos(phi + phi0), 0.0)
-    )
+    if d_direct == 0.0:
+        raise DiagonalPointError("on-diagonal Green's evaluation is rejected")
+    d_reflect = _distance(r, phi, r0, -phi0)
     sign = -1.0 if bc.kind == "D" else 1.0
     rs = math.sqrt(s)
     k0d = _k_imag_scaled_impl(0.0, rs * d_direct)[0]

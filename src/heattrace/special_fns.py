@@ -4,7 +4,9 @@ order, Bessel J with its zeros, and complementary error functions.
 Everything is evaluated in double precision from series, asymptotic
 expansions, stable recurrences, and integral representations; no external
 special-function library is used.  Scaled variants are provided wherever the
-unscaled value over- or underflows.
+unscaled value over- or underflows.  K_{i mu} has one algorithm, the batched
+table _k_imag_scaled_table with its error estimates; the scalar functions are
+its one-entry case.
 """
 
 import cmath
@@ -25,7 +27,7 @@ _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _I_MANY_X_MAX = 700.0  # bessel_i_scaled_many's argument cap
 _TWO_PI = 2.0 * math.pi
 _MAX_TERMS = 20000  # term cap of every series and continued fraction
-_MAX_PANELS = 4000  # panel cap of the K_{i mu} and J integral representations
+_MAX_PANELS = 4000  # panel cap of the J integral representation
 _K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
 
 
@@ -254,120 +256,45 @@ def bessel_i_scaled_many(nus, x):
 # ---------------------------------------------------------------------------
 # Bessel K of imaginary order K_{i mu}(x)
 
-def _k_imag_integral(mu, x):
-    """(value, abs_err) of e^{pi mu / 2} K_{i mu}(x) from the cosine
-    integral representation  K_{i mu}(x) = int_0^inf e^{-x cosh u} cos(mu u) du."""
-    u_max = math.acosh(1.0 + 50.0 / x)
-    # resolve both the Gaussian-ish decay and the cos(mu u) oscillation
-    n_panels = max(8, int(4.0 * u_max), int(2.0 * mu * u_max / math.pi))
-    n_panels = min(n_panels, _MAX_PANELS)
-    u, w = panel_nodes(0.0, u_max, n_panels)
-    vals = np.exp(-x * np.cosh(u)) * np.cos(mu * u)
-    raw = float(np.dot(w, vals))
-    # refined estimate with doubled panels for an error estimate
-    u2, w2 = panel_nodes(0.0, u_max, 2 * n_panels)
-    vals2 = np.exp(-x * np.cosh(u2)) * np.cos(mu * u2)
-    raw2 = float(np.dot(w2, vals2))
-    scale = math.exp(min(0.5 * math.pi * mu, _LOG_HUGE))
-    err = (abs(raw2 - raw) + 1e-16 * math.exp(-x) * u_max) * scale
-    return raw2 * scale, err
-
-
-def _k_imag_series(mu, x):
-    """(value, abs_err) of e^{pi mu/2} K_{i mu}(x) through the complex power
-    series for I_{i mu}(x):  K_{i mu} = -pi Im I_{i mu} / sinh(pi mu)."""
-    c = cmath.exp(
-        complex(0.0, mu * (math.log(x) + math.log(0.5)))
-        - _clgamma(complex(1.0, mu))
-        - 0.5 * math.pi * mu
-    )
-    s = c
-    max_abs = abs(c)
-    q = 0.25 * x * x
-    for k in range(1, _MAX_TERMS):
-        c *= q / (k * complex(k, mu))
-        s += c
-        a = abs(c)
-        if a > max_abs:
-            max_abs = a
-        if a < 1e-18 * abs(s) + 1e-300:
-            break
-    else:
-        raise ConvergenceError("K_imu series did not converge", {"mu": mu, "x": x})
-    denom = -math.expm1(-_TWO_PI * mu)  # = 1 - e^{-2 pi mu}
-    value = -_TWO_PI * s.imag / denom
-    err = 4e-16 * _TWO_PI * max_abs / denom
-    return value, err
-
-
 def _series_preferred(mu, x):
     """Whether the complex series is the first route for (mu, x); for
     scalars a bool, for arrays the elementwise mask."""
     # the complex series loses ~x^2/(4 mu) nats for x < mu and about two
-    # nats per unit of x beyond pi mu/2 (27 nats at mu = 11.73, x = 29.04,
-    # where x - pi mu/2 = 10.6), so near the edge x = pi mu/2 + 16 its error
-    # estimate decides; the integral representation loses ~pi mu/2 net
-    return (mu >= 0.5) & (x <= 0.5 * math.pi * mu + 16.0) & (x * x <= 72.0 * mu)
+    # nats per unit of x beyond pi mu/2 (27 nats at mu = 11.73, x = 29.04),
+    # so near the edge its error estimate decides; the integral loses ~pi mu/2
+    return (mu >= 0.5) & (x * x <= 72.0 * mu)
 
 
-def _k_imag_scaled_impl(mu, x):
-    """(value, abs_err) for e^{pi mu/2} K_{i mu}(x); never raises on accuracy."""
-    if mu == 0.0 or (mu < 0.5 and not _series_preferred(mu, x)):
-        return _k_imag_integral(mu, x)
-    first = _k_imag_series if _series_preferred(mu, x) else _k_imag_integral
-    second = _k_imag_integral if first is _k_imag_series else _k_imag_series
-    v, e = first(mu, x)
-    if e <= 1e-11 * max(abs(v), 1e-300):
-        return v, e
-    v2, e2 = second(mu, x)
-    return (v2, e2) if e2 < e else (v, e)
+def _k_series(mus, us, mask):
+    """(value, abs_err) arrays of e^{pi mu/2} K_{i mu}(u) on the grid
+    mus x us (us ascending) from the complex power series for I_{i mu}(u),
+    K_{i mu} = -pi Im I_{i mu} / sinh(pi mu), at the entries where mask
+    holds (each with mu > 0); both are 0 elsewhere.
 
-
-def _k_imag_scaled_table(mus, us):
-    """e^{pi mu/2} K_{i mu}(u) on the grid mus x us (us ascending), batched:
-    the one array route to K_{i mu}.
-
-    Each entry follows the fallbacks of the scalar route
-    (_k_imag_scaled_impl), judged by rounding floors.  The complex series
-    serves the entries where _series_preferred picks it, unless its error
-    estimate 4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}) exceeds
-    1e-11 of the value and the integral's rounding floor
-    1e-16 acosh(1 + 50/u) e^{pi mu/2 - u} is lower.  Every other entry
-    comes from the cosine integral representation: one matrix product over a
-    shared cosh grid, built in blocks of at most 256 columns, for the rows
-    that hold such an entry, with as many panels as the largest of their mu
-    needs.  An integral entry with mu >= 0.5 whose rounding floor exceeds
-    1e-11 of its value (mu > u > 72 reaches this: the integrand's terms are
-    e^{-u} against K_{i mu}(u) near e^{-pi mu/2}) is taken again from the
-    scalar route, which tries the series too and keeps the smaller error
-    estimate.  Each column of the series stops on its own convergence test
-    and is frozen there; as us ascends, the converged columns are a prefix
-    and leave the block.
+    The error estimate is 4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}).
+    Only the rows that hold an entry run.  Each column stops on its own
+    convergence test and is frozen there; as us ascends, the converged
+    columns are a prefix and leave the block.
     """
-    mus = np.asarray(mus, dtype=float)
-    us = np.asarray(us, dtype=float)
-    series_ok = _series_preferred(mus[:, None], us[None, :])
-
-    lg = np.array([_clgamma(complex(1.0, m)) for m in mus])
-    log_u = np.log(0.5 * us)
-    c = np.exp(
-        1j * mus[:, None] * log_u[None, :]
-        - lg[:, None]
-        - 0.5 * math.pi * mus[:, None]
-    )
+    value, err = np.zeros(mask.shape), np.zeros(mask.shape)
+    rows = np.nonzero(mask.any(axis=1))[0]
+    served = np.nonzero(mask.any(axis=0))[0]
+    if not served.size:
+        return value, err
+    hi = int(served[-1]) + 1  # no entry past column hi uses the series
+    m = mus[rows, None]
+    lg = np.array([_clgamma(complex(1.0, v)) for v in mus[rows]])
+    c = np.exp(1j * m * np.log(0.5 * us[None, :hi]) - lg[:, None] - 0.5 * math.pi * m)
     # keep the recurrence off the entries the series does not serve
-    c = np.where(series_ok, c, 0.0)
+    c = np.where(mask[rows, :hi], c, 0.0)
     s = c.copy()
     largest = np.abs(c)
     q = 0.25 * us * us
-    # the series runs on the live columns lo:hi; no entry past hi uses it
-    served = np.nonzero(series_ok.any(axis=0))[0]
-    lo, hi = 0, int(served[-1]) + 1 if served.size else 0
-    c = c[:, :hi]
+    lo = 0  # the series runs on the live columns lo:hi
     for k in range(1, _MAX_TERMS):
         if lo == hi:
             break
-        c = c * (q[None, lo:hi] / (k * (k + 1j * mus[:, None])))
+        c = c * (q[None, lo:hi] / (k * (k + 1j * m)))
         s[:, lo:hi] += c
         size = np.abs(c)
         np.maximum(largest[:, lo:hi], size, out=largest[:, lo:hi])
@@ -377,18 +304,38 @@ def _k_imag_scaled_table(mus, us):
         lo += skip
         c = c[:, skip:]
     if lo < hi:
-        raise ConvergenceError("batched K_imu series did not converge", {"u": float(us[lo])})
-    denom = -np.expm1(-_TWO_PI * mus)
-    denom[mus == 0.0] = 1.0  # mu = 0 rows come from the integral below
-    out = -_TWO_PI * s.imag / denom[:, None]
-    # a series entry that fails the 1e-11 test is replaced where the
-    # integral's rounding floor (as _k_imag_integral estimates it) is lower
-    err = 4e-16 * _TWO_PI * largest / denom[:, None]
-    err_int = 1e-16 * np.arccosh(1.0 + 50.0 / us)[None, :] * np.exp(
-        np.minimum(0.5 * math.pi * mus, 700.0)[:, None] - us[None, :]
-    )
+        raise ConvergenceError("K_imu series did not converge", {"u": float(us[lo])})
+    denom = -np.expm1(-_TWO_PI * m)
+    value[rows, :hi] = -_TWO_PI * s.imag / denom
+    err[rows, :hi] = 4e-16 * _TWO_PI * largest / denom
+    return value, err
+
+
+def _k_imag_scaled_table(mus, us):
+    """(value, abs_err) arrays of e^{pi mu/2} K_{i mu}(u) on the grid
+    mus x us (us ascending): the one K_{i mu} algorithm.
+
+    The complex series (_k_series) serves the entries where
+    _series_preferred picks it, unless its error estimate exceeds 1e-11 of
+    the value and the cosine integral's rounding floor is lower.  Every
+    other entry comes from K_{i mu}(u) = int_0^inf e^{-u cosh w} cos(mu w) dw:
+    one matrix product over a shared cosh grid, in blocks of at most 256
+    columns, for the rows that hold such an entry, with as many panels as
+    the largest of their mu needs.  Its error is the rounding floor
+    1e-16 (1 + u) acosh(1 + 50/u) e^{pi mu/2 - u}: each term's exponent
+    u cosh w is rounded to about 1e-16 of itself.  Where the floor exceeds
+    1e-11 of the value and mu >= 0.5 (large mu past the series' edge), the
+    series is tried too, and the entry keeps the smaller error estimate.
+    """
+    mus = np.asarray(mus, dtype=float)
+    us = np.asarray(us, dtype=float)
+    series_ok = _series_preferred(mus[:, None], us[None, :])
+    out, err = _k_series(mus, us, series_ok)
+    with np.errstate(over="ignore"):  # 50/u is inf for u < 3e-307: the floor too
+        floor = 1e-16 * ((1.0 + us) * np.arccosh(1.0 + 50.0 / us))[None, :] * np.exp(
+            np.minimum(0.5 * math.pi * mus, 700.0)[:, None] - us[None, :])
     lossy = err > 1e-11 * np.maximum(np.abs(out), 1e-300)
-    need_int = ~series_ok | (lossy & (err_int < err))
+    need_int = ~series_ok | (lossy & (floor < err))
 
     rows = np.nonzero(need_int.any(axis=1))[0]
     cols = np.nonzero(need_int.any(axis=0))[0]
@@ -406,18 +353,30 @@ def _k_imag_scaled_table(mus, us):
             vals = (osc @ decay.T) * scale[:, None]  # (len(rows), len(block))
             cell = np.ix_(rows, block)
             out[cell] = np.where(need_int[cell], vals, out[cell])
+        np.copyto(err, floor, where=need_int)
     retry = ~series_ok & (mus[:, None] >= 0.5) & (
-        err_int > 1e-11 * np.maximum(np.abs(out), 1e-300))
-    for i, j in zip(*np.nonzero(retry)):
-        out[i, j] = _k_imag_scaled_impl(float(mus[i]), float(us[j]))[0]
-    return out
+        floor > 1e-11 * np.maximum(np.abs(out), 1e-300))
+    if retry.any():
+        v2, e2 = _k_series(mus, us, retry)
+        better = retry & (e2 < err)
+        np.copyto(out, v2, where=better)
+        np.copyto(err, e2, where=better)
+    return out, err
+
+
+def _k_imag_scaled_impl(mu, x):
+    """(value, abs_err) of e^{pi mu/2} K_{i mu}(x): the one-entry table;
+    never raises on accuracy."""
+    value, err = _k_imag_scaled_table([mu], [x])
+    return float(value[0, 0]), float(err[0, 0])
 
 
 def bessel_k_imag_scaled(mu, x):
     """e^{pi mu / 2} K_{i mu}(x), a real number of moderate size.
 
-    Raises AccuracyLossError when cancellation leaves fewer than ~9 correct
-    digits (large mu at argument comparable to mu).
+    Raises AccuracyLossError when the table's error estimate exceeds 1e-9
+    of the value (large mu at argument comparable to mu, where both the
+    series and the integral cancel).
     """
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise DomainError(f"mu must be finite and >= 0, got {mu}")
@@ -433,12 +392,8 @@ def bessel_k_imag_scaled(mu, x):
 
 
 def bessel_k_imag(mu, x):
-    """Modified Bessel function of imaginary order K_{i mu}(x), real valued.
-
-    Evaluated from the integral representation
-    int_0^inf e^{-x cosh u} cos(mu u) du, switching to a cancellation-free
-    complex series when the oscillatory factor makes direct quadrature lossy.
-    """
+    """Modified Bessel function of imaginary order K_{i mu}(x), real valued:
+    the one-entry case of _k_imag_scaled_table, with its accuracy gate."""
     scaled = bessel_k_imag_scaled(mu, x)
     return scaled * math.exp(-0.5 * math.pi * mu)
 

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .corner_lab import CornerKind, cone_point_coeff, corner_coeff
-from .errors import DomainError, InconsistentSpecError
+from .errors import DomainError, InconsistentSpecError, OverflowRangeError
 from .sector_models import BoundaryCondition, check_coordinate
 
 _TWO_PI = 2.0 * math.pi
@@ -167,6 +167,10 @@ class TraceCoefficients:
     remainder_order: str = REMAINDER_ORDER
 
     def __post_init__(self):
+        if not all(math.isfinite(a) for a in self.as_tuple()):
+            raise OverflowRangeError(
+                f"trace coefficients {self.as_tuple()} are not all finite numbers"
+            )
         if not self.a_minus1 > 0.0:
             raise DomainError("a_minus1 must be positive (it is area / 4 pi)")
         if abs(self.a_0 - math.fsum(self.breakdown.values())) > 1e-14 * max(

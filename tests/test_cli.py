@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,17 @@ class TestCoeffs:
         code, _, err = run(["coeffs", "--spec", spec], capsys)
         assert code == 2
         assert "extra" in err
+
+    def test_overflowing_coefficients_are_a_numerical_failure(self, tmp_path, capsys):
+        # every number is finite, but kappa * length and a_{-1/2} overflow:
+        # no report holding -Infinity, which is not JSON
+        payload = square_payload()
+        payload["loops"][0]["edges"][1] = {"length": 1e200, "bc": {"R": 1e200}}
+        spec = write_spec(tmp_path / "huge.json", payload)
+        code, out, err = run(["coeffs", "--spec", spec], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: ")
 
     def test_robin_integral_form(self, tmp_path, capsys):
         payload = square_payload()
@@ -459,3 +473,15 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_mpmath_and_scipy_stay_test_only():
+    """The package evaluates every special function itself: importing it and
+    its CLI loads neither mpmath (the tests' oracle) nor scipy."""
+    code = ("import sys, heattrace, heattrace.cli; "
+            "print(sorted(m for m in ('mpmath', 'scipy') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -260,17 +260,19 @@ class TestTermContributions:
 class TestKTable:
     @pytest.mark.parametrize("gamma, row_step, col_step", [(1.5, 2, 7), (0.5, 6, 41)])
     def test_matches_scalar_route(self, gamma, row_step, col_step, monkeypatch):
-        """The batched table against _k_imag_scaled_impl on a subsample of the
-        grid term_contributions("C", gamma) tabulates: to 1e-9 relative where
-        the scalar estimate is below 1e-12 relative, elsewhere within twice
-        that estimate.  On the gamma = 1.5 grid a table that trusts the
+        """The batched table against one-entry tables (_k_imag_scaled_impl,
+        the scalar route) on a subsample of the grid
+        term_contributions("C", gamma) tabulates: to 1e-9 relative where the
+        one-entry estimate is below 1e-12 relative, elsewhere within twice
+        that estimate.  The batched table shares one panel count and w grid
+        across its entries.  On the gamma = 1.5 grid a table that trusts the
         series up to u = pi mu/2 + 16 is 1-3 % low at mu ~ 11, u ~ 29."""
         grids = []
         table = cl._k_imag_scaled_table
 
         def capture(mus, us):
             out = table(mus, us)
-            grids.append((mus, us, out))
+            grids.append((mus, us, out[0]))
             return out
 
         monkeypatch.setattr(cl, "_k_imag_scaled_table", capture)

@@ -372,9 +372,11 @@ class TestGreensKL:
     def test_batched_k_table_matches_the_scalar_route(self, monkeypatch):
         # the nine sector greens jobs of the benchmark's kernels workload
         # (greens --check-laplace --tol 1e-5 calls greens_kl at tol 1e-8),
-        # against K_{i mu} taken node by node from the scalar route
+        # against K_{i mu} taken node by node from one-entry tables (the
+        # scalar route), each with its own panel count and w grid
         def scalar_table(mus, xs):
-            return np.array([[sf._k_imag_scaled_impl(float(m), x)[0] for x in xs] for m in mus])
+            pairs = np.array([[sf._k_imag_scaled_impl(float(m), x) for x in xs] for m in mus])
+            return pairs[..., 0], pairs[..., 1]
 
         cases = [(sm.SectorSpec(gamma, BC[pair[0]], BC[pair[1]]), s, gamma)
                  for gamma in (PI / 3.0, PI / 2.0, PI) for pair in ("DD", "NN", "DN")
@@ -414,6 +416,22 @@ class TestGreensKL:
         spec = sm.SectorSpec(2.0)
         with pytest.raises(WeakEnvelopeError):
             sm.greens_kl(spec, 1.0, 1.0, 0.7, 1.5, 0.7 + 1e-5)
+
+    def test_half_plane_images_check_their_points(self):
+        # phi = 4 > pi lies outside the half-plane
+        with pytest.raises(DomainError) as info:
+            sm.greens_half_plane_images(sm.DIRICHLET, 1.0, 1.0, 4.0, 1.0, 2.0)
+        assert info.value.field == "phi"
+        for args, field in [((0.0, 1.0, 1.0, 1.0, 2.0), "s"), ((1.0, -1.0, 1.0, 1.0, 2.0), "r"),
+                            ((1.0, 1.0, 1.0, math.inf, 2.0), "r0"),
+                            ((1.0, 1.0, 1.0, 1.0, -0.1), "phi0")]:
+            with pytest.raises(DomainError) as info:
+                sm.greens_half_plane_images(sm.NEUMANN, *args)
+            assert info.value.field == field
+        # a point on the wall at the origin is inside; the diagonal is not
+        assert sm.greens_half_plane_images(sm.DIRICHLET, 1.0, 0.0, 0.0, 1.0, 2.0) == 0.0
+        with pytest.raises(DiagonalPointError):
+            sm.greens_half_plane_images(sm.NEUMANN, 1.0, 1.0, 0.0, 1.0, 0.0)
 
 
 class TestLaplaceConsistency:

@@ -141,10 +141,20 @@ class TestBesselKImag:
         assert sf.bessel_k_imag(1.0, 2.0) == pytest.approx(K_I1_2, rel=1e-11)
 
     def test_series_and_integral_routes_agree(self):
-        # both internal branches cover (mu=2, x=3); they must coincide
-        v_series, _ = sf._k_imag_series(2.0, 3.0)
-        v_integral, _ = sf._k_imag_integral(2.0, 3.0)
-        assert v_series == pytest.approx(v_integral, rel=1e-11)
+        # pairs of points on either side of _series_preferred: the series
+        # serves the first of each pair, the integral the second, and both
+        # must meet the extended-precision value
+        mp = pytest.importorskip("mpmath")
+        pairs = [((2.0, 3.0), (0.49, 3.0)),      # mu = 0.5
+                 ((0.5, 1.0), (0.49, 1.0)),
+                 ((2.0, 11.9), (2.0, 12.1)),     # x^2 = 72 mu
+                 ((20.0, 37.8), (20.0, 38.0))]
+        with mp.workdps(30):
+            for series, integral in pairs:
+                assert sf._series_preferred(*series) and not sf._series_preferred(*integral)
+                for mu, x in (series, integral):
+                    assert sf.bessel_k_imag_scaled(mu, x) == pytest.approx(
+                        _k_oracle(mp, mu, x), rel=1e-11)
 
     def test_against_extended_precision_grid(self):
         mp = pytest.importorskip("mpmath")
@@ -171,60 +181,93 @@ class TestBesselKImag:
             sf.bessel_k_imag(-1.0, 1.0)
 
 
+def _one(mu, x):
+    """A point as the one-entry arrays the K table takes."""
+    return np.array([float(mu)]), np.array([float(x)])
+
+
 def _k_route(mu, x):
     """The branch _k_imag_scaled_table takes at (mu, x): "series",
     "integral", "swap" (the series is preferred, but its error estimate
     fails the 1e-11 test and the integral's rounding floor is lower) or
-    "scalar" (the integral is preferred, but its rounding floor fails the
-    1e-11 test, so the scalar route decides)."""
-    floor = 1e-16 * math.acosh(1.0 + 50.0 / x) * math.exp(min(0.5 * math.pi * mu, 700.0) - x)
+    "retry" (the integral is preferred, but its rounding floor fails the
+    1e-11 test, so the series is tried too)."""
+    floor = 1e-16 * (1.0 + x) * math.acosh(1.0 + 50.0 / x) * math.exp(
+        min(0.5 * math.pi * mu, 700.0) - x)
     if not sf._series_preferred(mu, x):
-        scalar = mu >= 0.5 and floor > 1e-11 * abs(sf._k_imag_scaled_impl(mu, x)[0])
-        return "scalar" if scalar else "integral"
-    value, err = sf._k_imag_series(mu, x)
+        retry = mu >= 0.5 and floor > 1e-11 * abs(sf._k_imag_scaled_impl(mu, x)[0])
+        return "retry" if retry else "integral"
+    value, err = (a[0, 0] for a in sf._k_series(*_one(mu, x), np.array([[True]])))
     return "swap" if err > 1e-11 * abs(value) and floor < err else "series"
 
 
 def _k_bound(mu, x, err, ref, series):
     """How far an e^{pi mu/2} K_{i mu}(x) value may be from ref: twice the
-    scalar route's error estimate err, 1e-12 of ref and, where the series
+    one-entry table's error estimate err, 1e-12 of ref and, where the series
     may serve, the rounding of its phase mu log(x/2) - arg Gamma(1 + i mu),
     which err leaves out: (1 + mu) 1e-13 of the series' largest term."""
     bound = 2.0 * err + 1e-12 * abs(ref)
     if series:
         # the series estimate is 4e-16 of its (scaled) largest term
-        bound += 1e-13 * (1.0 + mu) * sf._k_imag_series(mu, x)[1] / 4e-16
+        largest = sf._k_series(*_one(mu, x), np.array([[True]]))[1][0, 0] / 4e-16
+        bound += 1e-13 * (1.0 + mu) * largest
     return bound
+
+
+def _k_oracle(mp, mu, x):
+    return float((mp.besselk(1j * mp.mpf(mu), mp.mpf(x)) * mp.exp(mp.pi * mu / 2)).real)
 
 
 class TestKImagTable:
     # anchors: (10, 2) takes the series, (10, 24) the lossy-series swap,
     # (10, 45) with x^2 > 72 mu and every mu = 0.25 entry the integral, and
-    # (88, 80), where the integral's rounding floor is 1e9, the scalar route
+    # (88, 80), where the integral's rounding floor is 1.6e11, the retry
     @given(
         mus=st.lists(st.floats(min_value=0.0, max_value=150.0), min_size=1, max_size=3),
         xs=st.lists(st.floats(min_value=1e-3, max_value=120.0), min_size=1, max_size=3),
     )
     @settings(max_examples=12, deadline=None)
     def test_against_extended_precision_and_scalar_route(self, mus, xs):
+        # the scalar route is the one-entry table: a whole table shares one
+        # series block and one cosine block, with the panel count and w grid
+        # of all its entries, and must agree with the tables of one entry
         mp = pytest.importorskip("mpmath")
         mus = np.array(mus + [0.25, 10.0, 88.0])
         xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0, 80.0}))
-        table = sf._k_imag_scaled_table(mus, xs)
+        table, _ = sf._k_imag_scaled_table(mus, xs)
         routes = set()
         with mp.workdps(20):
             for (i, mu), (j, x) in itertools.product(enumerate(mus), enumerate(xs)):
                 route = _k_route(mu, x)
                 routes.add(route)
-                oracle = float((mp.besselk(1j * mp.mpf(mu), mp.mpf(x))
-                                * mp.exp(mp.pi * mu / 2)).real)
+                oracle = _k_oracle(mp, mu, x)
                 value, err = sf._k_imag_scaled_impl(float(mu), float(x))
                 assert abs(table[i, j] - oracle) <= _k_bound(
-                    mu, x, err, oracle, route in ("series", "scalar")), (mu, x, route)
-                # the scalar route may keep the series where the table swaps
+                    mu, x, err, oracle, route in ("series", "retry")), (mu, x, route)
+                # the one-entry table may keep the series where the table swaps
                 assert abs(table[i, j] - value) <= _k_bound(
                     mu, x, err, value, bool(sf._series_preferred(mu, x))), (mu, x, route)
-        assert routes == {"series", "integral", "swap", "scalar"}
+        assert routes == {"series", "integral", "swap", "retry"}
+
+    @pytest.mark.parametrize("mu, x", [(10.0, 2.0), (10.0, 24.0), (10.0, 45.0), (0.0, 1.0),
+                                       (0.25, 80.0), (88.0, 80.0), (88.0, 100.0)])
+    def test_scalar_call_is_the_one_entry_table(self, mu, x):
+        value, err = sf._k_imag_scaled_table([mu], [x])
+        assert sf._k_imag_scaled_impl(mu, x) == (value[0, 0], err[0, 0])
+
+    def test_retry_entry_error_estimate_holds(self):
+        # far from the vertex (mu > x > 72) the integral's rounding floor is
+        # about 400 and the series loses about x^2/(4 mu) = 28 nats: the entry
+        # keeps the series, whose estimate covers its error, and the scalar
+        # API refuses it
+        mp = pytest.importorskip("mpmath")
+        assert _k_route(88.0, 100.0) == "retry"
+        value, err = sf._k_imag_scaled_table([88.0], [100.0])
+        with mp.workdps(30):
+            oracle = _k_oracle(mp, 88.0, 100.0)
+        assert abs(value[0, 0] - oracle) <= err[0, 0]
+        with pytest.raises(AccuracyLossError):
+            sf.bessel_k_imag_scaled(88.0, 100.0)
 
     def test_one_table_shared_by_corner_and_sector_code(self):
         from heattrace import corner_lab, sector_models
@@ -239,7 +282,7 @@ class TestKImagTable:
         real = sf.panel_nodes
         monkeypatch.setattr(sf, "panel_nodes",
                             lambda a, b, n: counts.append(n) or real(a, b, n))
-        table = sf._k_imag_scaled_table([0.3, 5.0, 80.0], [2.0])
+        table, _ = sf._k_imag_scaled_table([0.3, 5.0, 80.0], [2.0])
         w_max = math.acosh(1.0 + 50.0 / 2.0)
         assert counts == [max(8, int(4.0 * w_max))]
         for mu, value in zip((0.3, 5.0, 80.0), table[:, 0]):
