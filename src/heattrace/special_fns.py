@@ -166,6 +166,13 @@ def _ive_ladder(nu, x):
     return math.exp(ln_val)
 
 
+def _check_order_and_arg(nu, x):
+    if not (nu >= 0.0 and math.isfinite(nu)):
+        raise DomainError(f"order must be finite and >= 0, got {nu}")
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise DomainError(f"argument must be finite and >= 0, got {x}")
+
+
 def bessel_i_scaled(nu, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x).
 
@@ -173,10 +180,7 @@ def bessel_i_scaled(nu, x):
     the large-argument expansion at the fractional base order plus a stable
     downward recurrence in the order.  Never overflows for x <= 1e8.
     """
-    if not (nu >= 0.0 and math.isfinite(nu)):
-        raise DomainError(f"order must be finite and >= 0, got {nu}")
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"argument must be finite and >= 0, got {x}")
+    _check_order_and_arg(nu, x)
     if x <= max(20.0, 2.0 * nu):
         return _ive_series(nu, x)
     if nu < 1.0 or x >= 10.0 * nu * nu:
@@ -342,6 +346,8 @@ def _k_imag_scaled_table(mus, us):
     if cols.size:
         mu_rows = mus[rows]
         w_max = math.acosh(1.0 + 50.0 / float(us[cols].min()))
+        if w_max == math.inf:  # 50/u overflows for u < 2.8e-307
+            raise DomainError(f"K_imu(u) needs u >= 2.8e-307, got {us[cols].min()}", field="u")
         n_pan = max(8, int(4.0 * w_max), int(2.0 * mu_rows.max() * w_max / math.pi))
         w_nodes, w_wts = panel_nodes(0.0, w_max, n_pan)
         cosh_w = np.cosh(w_nodes)
@@ -461,28 +467,21 @@ def _jv_base(nu, x):
     return _jv_base_hankel(nu, x) if x >= 25.0 else _jv_base_integral(nu, x)
 
 
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x) for nu >= 0, x >= 0."""
-    if not (nu >= 0.0 and math.isfinite(nu)):
-        raise DomainError(f"order must be finite and >= 0, got {nu}")
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"argument must be finite and >= 0, got {x}")
-    if x <= 12.0:
-        return _jv_series(nu, x)
+def _bessel_j_pair(nu, x):
+    """(J_nu(x), J_{nu+1}(x)) for x > 12: the base-order values for nu < 1,
+    else one downward (Miller) recurrence from well above the turning point of
+    J_{nu+1}, normalized against directly computed base-order values."""
     nu_base = nu - math.floor(nu)
+    j0, j1 = _jv_base(nu_base, x), _jv_base(nu_base + 1.0, x)
     if nu < 1.0:
-        return _jv_base(nu, x)
-    # downward (Miller) recurrence from well above the turning point,
-    # normalized against directly computed base-order values
-    n_extra = math.ceil(max(0.0, x - nu) + 15.0 + 2.0 * x ** (1.0 / 3.0))
-    n_steps = round(nu - nu_base) + n_extra
-    f_hi = 0.0
-    f = 1e-280
-    rescales = 0
+        return j0, j1
+    want = round(nu - nu_base)  # ladder indices: nu at want, nu + 1 at hi
+    hi = want + 1
+    n_extra = math.ceil(max(0.0, x - (nu + 1.0)) + 15.0 + 2.0 * x ** (1.0 / 3.0))
+    f_hi, f, rescales = 0.0, 1e-280, 0
     log_unit = math.log(1e280)
     saved = {}  # ladder index k -> (value, rescale count at save time)
-    want = round(nu - nu_base)
-    for k in range(n_steps - 1, -1, -1):
+    for k in range(want + n_extra, -1, -1):
         order = nu_base + k + 1.0
         f_lo = (2.0 * order / x) * f - f_hi
         f_hi, f = f, f_lo
@@ -490,39 +489,42 @@ def bessel_j(nu, x):
             f *= 1e-280
             f_hi *= 1e-280
             rescales += 1
-        if k == want or k <= 1:
+        if k <= hi and (k >= want or k <= 1):
             saved[k] = (f, rescales)
-    j0 = _jv_base(nu_base, x)
-    j1 = _jv_base(nu_base + 1.0, x)
     # normalize at whichever base order is farther from a zero of J
-    f0, r0 = saved[0]
-    f1, r1 = saved[1]
-    if abs(j1) > abs(j0):
-        ref_val, ref_f, ref_r = j1, f1, r1
-    else:
-        ref_val, ref_f, ref_r = j0, f0, r0
-    ft, rt = saved[want]
-    if ft == 0.0 or ref_val == 0.0:
-        return 0.0
-    log_mag = (
-        math.log(abs(ref_val))
-        + math.log(abs(ft))
-        - math.log(abs(ref_f))
-        + log_unit * (rt - ref_r)
-    )
-    sign = math.copysign(1.0, ref_val) * math.copysign(1.0, ft) * math.copysign(1.0, ref_f)
-    if log_mag < -745.0:
-        return 0.0
-    return sign * math.exp(log_mag)
+    ref_val, (ref_f, ref_r) = (j1, saved[1]) if abs(j1) > abs(j0) else (j0, saved[0])
+    if ref_val == 0.0:
+        return 0.0, 0.0
+    log_ref, log_ref_f = math.log(abs(ref_val)), math.log(abs(ref_f))
+    sign_ref = math.copysign(1.0, ref_val) * math.copysign(1.0, ref_f)
+
+    def normalized(k):
+        ft, rt = saved[k]
+        if ft == 0.0:
+            return 0.0
+        log_mag = log_ref + math.log(abs(ft)) - log_ref_f + log_unit * (rt - ref_r)
+        return sign_ref * math.copysign(math.exp(log_mag), ft) if log_mag >= -745.0 else 0.0
+
+    return normalized(want), normalized(hi)
+
+
+def bessel_j(nu, x):
+    """Bessel function of the first kind J_nu(x) for nu >= 0, x >= 0."""
+    _check_order_and_arg(nu, x)
+    if x <= 12.0:
+        return _jv_series(nu, x)
+    return _jv_base(nu, x) if nu < 1.0 else _bessel_j_pair(nu, x)[0]
 
 
 def bessel_j_prime(nu, x):
-    """Derivative J'_nu(x) via J'_nu = (nu/x) J_nu - J_{nu+1}."""
+    """Derivative J'_nu(x) = (nu/x) J_nu - J_{nu+1}, with J_nu and J_{nu+1}
+    from one evaluation."""
+    _check_order_and_arg(nu, x)
     if x == 0.0:
-        if nu == 1.0:
-            return 0.5
-        return 0.0 if nu > 1.0 else -bessel_j(nu + 1.0, x)
-    return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
+        return 0.5 if nu == 1.0 else 0.0
+    j_nu, j_next = ((_jv_series(nu, x), _jv_series(nu + 1.0, x)) if x <= 12.0
+                    else _bessel_j_pair(nu, x))
+    return (nu / x) * j_nu - j_next
 
 
 class BesselZeroCache:
@@ -627,7 +629,9 @@ def bessel_j_prime_zero(nu, k, cache=None):
         # J0' = -J1, so the positive zeros of J0' are those of J1
         return bessel_j_zero(1.0, k, cache=cache)
     f = lambda x: bessel_j_prime(nu, x)
-    x0 = max(nu + 0.1 * nu ** (1.0 / 3.0), 0.05)
+    # j'_{nu,1} > sqrt(nu (nu + 2)) (DLMF 10.21), which tends to 0 with nu
+    bound = math.sqrt(nu * (nu + 2.0))
+    x0 = max(nu + 0.1 * nu ** (1.0 / 3.0), 0.05) if bound >= 0.1 else 0.5 * bound
     return _cached_zero("jp", nu, int(k), f, x0, cache)
 
 

@@ -142,11 +142,10 @@ class PolygonSpec:
         """int_Omega K dz, from the given integral or via Gauss-Bonnet
         2 pi chi = int K + int k_g + sum (pi - alpha_j); raises when both
         are given and disagree."""
-        kg_sum = math.fsum(e.geodesic_curvature_integral for e in self.all_edges())
-        defect = self.curvature_defect_sum()
         if self.euler_characteristic is None:
             return self.gauss_curvature_integral
-        implied = _TWO_PI * self.euler_characteristic - kg_sum - defect
+        kg_sum = _fsum("k_g", (e.geodesic_curvature_integral for e in self.all_edges()))
+        implied = _TWO_PI * self.euler_characteristic - kg_sum - self.curvature_defect_sum()
         if self.gauss_curvature_integral is not None:
             if abs(self.gauss_curvature_integral - implied) > check_tol:
                 raise InconsistentSpecError(
@@ -191,25 +190,32 @@ def _vertex_kind(angle, edge_before, edge_after):
     return CornerKind(pair, angle)
 
 
+def _fsum(name, values):
+    """math.fsum of finite values; an overflow raises OverflowRangeError naming the sum."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise OverflowRangeError(f"the {name} sum overflows double precision") from None
+
+
 def _assemble(spec, **form_terms):
     """TraceCoefficients from the a_0 entries specific to one form of the
     curvature term plus everything both forms share: a_{-1}, a_{-1/2}, and
     the Robin, vertex and cone entries of a_0."""
     edges = spec.all_edges()
     a_minus1 = spec.area / (4.0 * math.pi)
-    non_d = math.fsum(e.length for e in edges if not e.is_dirichlet)
-    dir_len = math.fsum(e.length for e in edges if e.is_dirichlet)
+    non_d = _fsum("non-Dirichlet length", (e.length for e in edges if not e.is_dirichlet))
+    dir_len = _fsum("Dirichlet length", (e.length for e in edges if e.is_dirichlet))
     a_minus_half = (non_d - dir_len) / (8.0 * math.sqrt(math.pi))
     breakdown = dict(form_terms)
-    breakdown["robin"] = -math.fsum(
-        e.robin_integral for e in edges if e.bc.kind == "R"
-    ) / (2.0 * math.pi)
+    robin = _fsum("Robin integral", (e.robin_integral for e in edges if e.bc.kind == "R"))
+    breakdown["robin"] = -robin / (2.0 * math.pi)
     for i, (angle, before, after) in enumerate(spec.all_vertices()):
         breakdown[f"vertex_{i}"] = corner_coeff(_vertex_kind(angle, before, after))
     for i, opening in enumerate(spec.cone_points):
         breakdown[f"cone_{i}"] = cone_point_coeff(opening)
     # fsum rounds correctly, so a_0 does not depend on the entry order
-    a_0 = math.fsum(breakdown.values())
+    a_0 = _fsum("a_0", breakdown.values())
     return TraceCoefficients(a_minus1, a_minus_half, a_0, breakdown)
 
 
@@ -226,7 +232,7 @@ def coefficients(spec):
     the trace and its t^0 coefficient must decrease; the exactly solvable
     rectangle oracles confirm the magnitude kappa l/(2 pi) and the sign.
     """
-    kg = math.fsum(e.geodesic_curvature_integral for e in spec.all_edges())
+    kg = _fsum("k_g", (e.geodesic_curvature_integral for e in spec.all_edges()))
     return _assemble(
         spec,
         gauss_curvature=spec.gauss_integral() / (12.0 * math.pi),

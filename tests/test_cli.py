@@ -93,6 +93,18 @@ class TestCoeffs:
         assert out == ""
         assert err.startswith("numerical failure: ")
 
+    def test_overflowing_length_sum_is_a_numerical_failure(self, tmp_path, capsys):
+        # each length is finite, but their sum in a_{-1/2} overflows inside
+        # fsum: the error names the sum instead of a traceback escaping
+        payload = square_payload()
+        for j in (0, 2):
+            payload["loops"][0]["edges"][j] = {"length": 1e308, "bc": "N"}
+        spec = write_spec(tmp_path / "huge.json", payload)
+        code, out, err = run(["coeffs", "--spec", spec], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: the non-Dirichlet length sum overflows")
+
     def test_robin_integral_form(self, tmp_path, capsys):
         payload = square_payload()
         payload["loops"][0]["edges"][0]["bc"] = {"R": {"integral": 0.6}}

@@ -180,6 +180,15 @@ class TestBesselKImag:
         with pytest.raises(DomainError):
             sf.bessel_k_imag(-1.0, 1.0)
 
+    def test_argument_below_the_cosine_grid_is_refused(self):
+        # the integral's w grid ends at acosh(1 + 50/u), which overflows for
+        # u < 2.8e-307: the table names u instead of letting a bare
+        # OverflowError out, and serves u = 2.8e-307 itself
+        with pytest.raises(DomainError) as err:
+            sf.bessel_k_imag_scaled(0.3, 1e-308)
+        assert err.value.field == "u"
+        assert math.isfinite(sf.bessel_k_imag_scaled(0.3, 2.8e-307))
+
 
 def _one(mu, x):
     """A point as the one-entry arrays the K table takes."""
@@ -347,6 +356,21 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             sf.bessel_j_zero(1.0, 0)
 
+    def test_prime_domain_errors(self):
+        for nu, x in ((-1.0, 2.0), (math.nan, 2.0), (1.0, -1.0), (1.0, math.inf), (-0.5, 0.0)):
+            with pytest.raises(DomainError):
+                sf.bessel_j_prime(nu, x)
+
+    @pytest.mark.parametrize("nu, x", [(7.5, 30.0), (3.0, 18.0), (40.2, 40.7), (0.3, 50.0)])
+    def test_prime_is_one_pair_evaluation(self, monkeypatch, nu, x):
+        # J_nu and J_{nu+1} come from one recurrence normalized against one
+        # pair of base-order values
+        calls = []
+        base = sf._jv_base
+        monkeypatch.setattr(sf, "_jv_base", lambda n, v: calls.append(n) or base(n, v))
+        sf.bessel_j_prime(nu, x)
+        assert len(calls) == 2
+
     def test_handoff_band_against_extended_precision(self):
         # 12 < x < 25 runs Bessel's integral on fixed panels with no error
         # estimate; x = 25 is the first Hankel point.  The worst error seen
@@ -357,6 +381,52 @@ class TestBesselJ:
             for x in (12.01, 13.5, 15.0, 18.0, 21.0, 24.0, 24.99, 25.0):
                 ref = float(mp.besselj(nu, x))
                 assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def _j_points(draw):
+    """(nu, x) with 12 < x <= 120, the recurrence's range: anywhere, in the
+    band nu < x < nu + 1 where the recurrence starts at J_{nu+1}'s turning
+    point rather than J_nu's, or across the x = 25 hand-off of the base
+    orders."""
+    band = draw(st.sampled_from(["any", "turning", "handoff"]))
+    if band == "turning":
+        nu = draw(st.floats(min_value=12.0, max_value=60.0))
+        return nu, nu + draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                       exclude_max=True))
+    nu = draw(st.floats(min_value=0.0, max_value=60.0))
+    if band == "handoff":
+        return nu, draw(st.floats(min_value=24.0, max_value=26.0))
+    return nu, draw(st.floats(min_value=12.0, max_value=120.0, exclude_min=True))
+
+
+class TestBesselJProperties:
+    @given(point=_j_points())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_against_extended_precision(self, point):
+        mp = pytest.importorskip("mpmath")
+        nu, x = point
+        with mp.workdps(25):
+            ref = float(mp.besselj(nu, x))
+            ref_prime = float(mp.besselj(nu, x, derivative=1))
+        assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=2e-9, abs=1e-13)
+        assert sf.bessel_j_prime(nu, x) == pytest.approx(ref_prime, rel=0.0, abs=1e-11)
+
+    @given(nu=st.floats(min_value=0.0, max_value=40.0), k=st.integers(min_value=1, max_value=15))
+    @settings(max_examples=6, deadline=None)
+    def test_resumed_march_against_extended_precision(self, nu, k):
+        # zeros 1..k in turn through a cache: zero k comes from a march
+        # resumed where the march for zero k - 1 stopped
+        mp = pytest.importorskip("mpmath")
+        cache = sf.BesselZeroCache()
+        zeros = [sf.bessel_j_zero(nu, i, cache=cache) for i in range(1, k + 1)]
+        primes = [sf.bessel_j_prime_zero(nu, i, cache=cache) for i in range(1, k + 1)]
+        with mp.workdps(25):
+            ref = float(mp.besseljzero(nu, k))
+            # mpmath counts x = 0 as the first zero of J0'
+            ref_prime = float(mp.besseljzero(nu, k + 1 if nu == 0.0 else k, derivative=1))
+        assert zeros[-1] == pytest.approx(ref, rel=0.0, abs=1e-11)
+        assert primes[-1] == pytest.approx(ref_prime, rel=0.0, abs=1e-11)
 
 
 # orders of disks, of quarter/half-integer sectors, and of sectors with
@@ -390,6 +460,15 @@ class TestZeroMarch:
                 # mpmath counts x = 0 as the first zero of J0'
                 ref_p = mp.besseljzero(nu, k + 1 if nu == 0.0 else k, derivative=1)
                 assert zp == pytest.approx(float(ref_p), abs=1e-11)
+
+    def test_first_prime_zero_of_a_small_order(self):
+        # j'_{nu,1} ~ sqrt(2 nu) tends to 0 with nu: for nu < 1.25e-3 it lies
+        # below 0.05, where the march starts for larger small orders
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(25):
+            for nu in (1e-12, 1e-6, 1e-3):
+                ref = float(mp.besseljzero(nu, 1, derivative=1))
+                assert sf.bessel_j_prime_zero(nu, 1) == pytest.approx(ref, rel=0.0, abs=1e-11)
 
     def test_resume_after_exact_grid_zero(self):
         # zeros at 1.0 and 3.0 fall on the grid 0, 0.25, 0.5, ...; 2.1 does not
