@@ -34,9 +34,10 @@ class CornerKind:
 
     def __post_init__(self):
         if self.pair not in _SAME_TYPE_PAIRS | _MIXED_PAIRS:
-            raise DomainError(f"unknown boundary pair {self.pair!r}")
+            raise DomainError(f"unknown boundary pair {self.pair!r}", field="pair")
         if not 0.0 < self.alpha < 2.0 * math.pi:
-            raise DomainError(f"corner angle must lie in (0, 2*pi), got {self.alpha}")
+            raise DomainError(f"corner angle must lie in (0, 2*pi), got {self.alpha}",
+                              field="alpha")
 
     @property
     def same_type(self):
@@ -65,7 +66,8 @@ def cone_point_coeff(opening):
     An opening of 2*pi is a smooth point and contributes zero.
     """
     if not (opening > 0.0 and math.isfinite(opening)):
-        raise DomainError(f"cone opening must be positive and finite, got {opening}")
+        raise DomainError(f"cone opening must be positive and finite, got {opening}",
+                          field="opening")
     alpha = 0.5 * opening
     return (math.pi**2 - alpha * alpha) / (12.0 * math.pi * alpha)
 
@@ -151,7 +153,7 @@ def corner_finite_part(pair, alpha, eps_schedule=CORNER_EPS_SCHEDULE):
     before any integral is computed.
     """
     if not 0.0 < alpha < 2.0 * math.pi:
-        raise DomainError(f"corner angle must lie in (0, 2*pi), got {alpha}")
+        raise DomainError(f"corner angle must lie in (0, 2*pi), got {alpha}", field="alpha")
     eps = np.asarray(tuple(eps_schedule), dtype=float)
     cutoffs = 1.0 / eps  # increasing, since eps decreases
     z_max = 0.5 * cutoffs.max() ** 2
@@ -292,9 +294,9 @@ def term_contributions(term, gamma):
         F: identically zero (its angular diagonal integral vanishes).
     """
     if term not in _TERM_NAMES:
-        raise DomainError(f"term must be one of {_TERM_NAMES}, got {term!r}")
+        raise DomainError(f"term must be one of {_TERM_NAMES}, got {term!r}", field="term")
     if not 0.0 < gamma < 2.0 * math.pi:
-        raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}")
+        raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}", field="gamma")
     ts = np.exp(np.linspace(math.log(_TERM_T / 3.0), math.log(3.0 * _TERM_T), 7))
     taus = _TERM_RADIUS / np.sqrt(ts)
     taus = np.sort(taus)

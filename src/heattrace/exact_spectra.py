@@ -2,12 +2,13 @@
 
 Rectangles with any mix of Dirichlet/Neumann/Robin sides (1D factors via
 transcendental root bracketing), circular sectors and disks through Bessel
-zeros, lazily merged eigenvalue streams with rigorous Weyl-type tail bounds,
-partial heat traces, and weighted least-squares extraction of the trace
-coefficients (a_{-1}, a_{-1/2}, a_0) from trace samples.
+zeros, eigenvalue families scanned up to a cutoff with rigorous Weyl-type
+tail bounds, partial heat traces, and weighted least-squares extraction of
+the trace coefficients (a_{-1}, a_{-1/2}, a_0) from trace samples.
 """
 
-import heapq
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,42 +94,45 @@ def interval_eigenvalues(length, bc0, bc1, count):
 
 
 # ---------------------------------------------------------------------------
-# merged eigenvalue streams
+# spectra as families of eigenvalues
 
 @dataclass
 class Spectrum:
-    """Ordered eigenvalue stream with Weyl-type counting metadata.
+    """Eigenvalues as families, with Weyl-type counting metadata.
+
+    family(j) is a function k -> the k-th value of family j, ascending in k,
+    and the first values family(j)(0) ascend in j; each eigenvalue is one
+    family(j)(k), repeated by its multiplicity.
 
     counting_constants = (C1, C2, C3) bound the counting function
     N(lam) <= C1 lam + C2 sqrt(lam) + C3 for every lam >= 0, which yields a
     rigorous bound on the trace tail sum_{lambda > cutoff} e^{-lambda t}.
     """
 
-    factory: object  # () -> iterator of eigenvalues, ascending
+    family: object  # j -> (k -> value)
     weyl_area: float
     counting_constants: tuple
 
-    def __iter__(self):
-        prev = -math.inf
-        for lam in self.factory():
-            if lam < prev - 1e-12:
-                raise DomainError("eigenvalue stream is not nondecreasing")
-            prev = lam
-            yield lam
-
-    def first(self, n):
-        out = []
-        for lam in self:
-            out.append(lam)
-            if len(out) == n:
-                break
-        return np.array(out)
-
     def up_to(self, cutoff):
-        for lam in self:
-            if lam > cutoff:
-                return
-            yield lam
+        """Every eigenvalue <= cutoff, as an ascending float array.
+
+        The scan stops at the first family whose first value exceeds the
+        cutoff, which is sound only while first values ascend: a family
+        starting below the previous one raises DomainError.
+        """
+        out = []
+        prev = -math.inf
+        for j in itertools.count():
+            values = self.family(j)
+            first = values(0)
+            if first < prev:
+                raise DomainError(f"family {j} starts at {first}, below family {j - 1} at {prev}")
+            if first > cutoff:
+                return np.sort(np.array(out, dtype=float))
+            out.append(first)
+            out.extend(itertools.takewhile(lambda lam: lam <= cutoff,
+                                           map(values, itertools.count(1))))
+            prev = first
 
     def counting_bound(self, lam):
         c1, c2, c3 = self.counting_constants
@@ -167,7 +171,7 @@ def rectangle_spectrum(a, b, bc_x, bc_y):
     c2 = (a + b) / math.pi + 1.0
     c3 = 3.0
     return Spectrum(
-        factory=lambda: _family_merge_stream(family),
+        family=family,
         weyl_area=a * b,
         counting_constants=(c1, c2, c3),
     )
@@ -188,33 +192,16 @@ def _bessel_family(nu, radius, arc, cache):
     return value
 
 
-def _family_merge_stream(family):
-    """Merge the lazily created families in ascending order.  family(j) is a
-    function k -> the k-th value of family j, ascending in k, and the first
-    values family(j)(0) ascend in j.  So family j is seeded once the first
-    element of family j-1 has been emitted."""
-    fam = family(0)
-    heap = [(fam(0), 0, 0, fam)]
-    n_seeded = 1
-    while True:
-        lam, j, k, fam = heapq.heappop(heap)
-        yield lam
-        heapq.heappush(heap, (fam(k + 1), j, k + 1, fam))
-        if k == 0 and j == n_seeded - 1:
-            nxt = family(n_seeded)
-            heapq.heappush(heap, (nxt(0), n_seeded, 0, nxt))
-            n_seeded += 1
-
-
 def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
     """Spectrum of a circular sector (or full disk when gamma is None).
 
     For the sector, the angular orders are sector_models.mode_order(edge_pair,
     gamma, j) for the pair DD, NN, DN or ND, and the radial condition picks
-    zeros of J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk uses
-    integer orders with multiplicity two for m >= 1.  arc_bc takes any form
-    BoundaryCondition.parse reads; a Robin arc raises UnsupportedBCError.
-    Errors name the bad field: radius, arc_bc, gamma, in that order.
+    zeros of J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk is the
+    half disk's NN ladder merged with its DD ladder: every integer order, m >= 1
+    twice.  arc_bc takes any form BoundaryCondition.parse reads; a Robin arc
+    raises UnsupportedBCError.  Errors name the bad field: radius, arc_bc,
+    gamma, in that order.
     """
     check_coordinate("radius", radius, math.inf, False)
     arc = BoundaryCondition.parse(arc_bc).kind
@@ -222,38 +209,26 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
         raise UnsupportedBCError("arc condition must be Dirichlet or Neumann", field="arc_bc")
     if cache is None:
         cache = BesselZeroCache()
-    # crude rigorous counting with x = radius sqrt(lam): families with
-    # nu > x have no zero <= x (j_{nu,1} > nu), zeros within a family are
-    # spaced by more than 3, and the family count is bounded by the order
-    # density; expanding (#families)(x/3 + 1) gives the constants below
     if gamma is None:
-        area = math.pi * radius * radius
-
-        def orders(j):
-            # nu sequence 0, 1, 1, 2, 2, ... encodes disk multiplicities
-            return (j + 1) // 2
-
-        c1 = 2.0 * radius * radius / 3.0
-        c2 = radius * (2.0 + 1.0 / 3.0)
+        # total angle 2 pi; orders 0, 1, 1, 2, 2, ... are the half disk's NN
+        # orders j pi/pi merged with its DD orders (j + 1) pi/pi
+        beta, orders = 2.0 * math.pi, lambda j: (j + 1) // 2
     else:
         if not 0.0 < gamma < 2.0 * math.pi:
             raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}", field="gamma")
         mode_order(edge_pair, gamma, 0)  # raises for a pair with no ladder
-        area = 0.5 * gamma * radius * radius
-        h = math.pi / gamma
+        beta, orders = gamma, functools.partial(mode_order, edge_pair, gamma)
 
-        def orders(j):
-            return mode_order(edge_pair, gamma, j)
-
-        c1 = radius * radius / (3.0 * h)
-        c2 = radius * (1.0 / h + 1.0 / 3.0)
-
-    def factory():
-        return _family_merge_stream(
-            lambda j: _bessel_family(float(orders(j)), radius, arc, cache)
-        )
-
-    return Spectrum(factory=factory, weyl_area=area, counting_constants=(c1, c2, 1.0))
+    # crude rigorous counting with x = radius sqrt(lam): families with
+    # nu > x have no zero <= x (j_{nu,1} > nu), so at most x/h + 1 families
+    # (orders spaced by h = pi/beta) count, and zeros within a family are
+    # spaced by more than 3; expanding (x/h + 1)(x/3 + 1) gives the constants
+    h = math.pi / beta
+    return Spectrum(
+        family=lambda j: _bessel_family(float(orders(j)), radius, arc, cache),
+        weyl_area=0.5 * beta * radius * radius,
+        counting_constants=(radius * radius / (3.0 * h), radius * (1.0 / h + 1.0 / 3.0), 1.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,33 +237,30 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
 def partial_trace(spectrum, t, cutoff, tol=None):
     """(sum_{lambda <= cutoff} e^{-lambda t}, tail bound).
 
-    With tol given, raises TailBoundError (including a suggested larger
-    cutoff) when the rigorous tail bound exceeds it.
+    With tol given, raises TailBoundError, carrying choose_cutoff(spectrum,
+    t, tol) as the suggested cutoff, when the rigorous tail bound exceeds it.
     """
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    value = math.fsum(math.exp(-lam * t) for lam in spectrum.up_to(cutoff))
-    tail = spectrum.tail_bound(t, cutoff)
+    tail = spectrum.tail_bound(t, cutoff)  # raises DomainError unless t > 0
     if tol is not None and tail > tol:
-        lam_needed = cutoff
-        while spectrum.tail_bound(t, lam_needed) > tol:
-            lam_needed *= 2.0
         raise TailBoundError(
             f"tail bound {tail:.3e} exceeds tolerance {tol:.1e}",
             tail_bound=tail,
-            suggested_cutoff=lam_needed,
+            suggested_cutoff=choose_cutoff(spectrum, t, tol),
         )
-    return value, tail
+    eigs = np.fromiter(spectrum.up_to(cutoff), dtype=float)
+    return math.fsum(math.exp(-lam * t) for lam in eigs.tolist()), tail
 
 
 _TAIL_TOL = 1e-12  # trace tail bound at the smallest sample time
 
 
-def choose_cutoff(spectrum, t_min):
-    """Smallest power-of-two-ish cutoff whose tail bound at t_min is below
-    1e-12."""
+def choose_cutoff(spectrum, t_min, tol=_TAIL_TOL):
+    """The first cutoff 16/t_min * 1.5^k whose tail bound at t_min is at most
+    tol; a tol that is not positive raises DomainError with field "tol"."""
+    if not tol > 0.0:
+        raise DomainError(f"tail tolerance must be positive, got {tol}", field="tol")
     cutoff = 16.0 / t_min
-    while spectrum.tail_bound(t_min, cutoff) > _TAIL_TOL:
+    while spectrum.tail_bound(t_min, cutoff) > tol:
         cutoff *= 1.5
     return cutoff
 

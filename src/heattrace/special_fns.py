@@ -427,7 +427,7 @@ def _jv_series(nu, x):
 
 
 def _jv_base_integral(nu, x):
-    """J_nu(x) for 0 <= nu < 1, 12 < x < 25, from Bessel's integral
+    """J_nu(x) for 0 <= nu < 2, 12 < x < 25, from Bessel's integral
     (1/pi) int_0^pi cos(x sin t - nu t) dt  -  (sin(nu pi)/pi) int_0^inf e^{-x sinh s - nu s} ds."""
     n_panels = min(max(10, int(x)), _MAX_PANELS)
     t, w = panel_nodes(0.0, math.pi, n_panels)
@@ -441,7 +441,7 @@ def _jv_base_integral(nu, x):
 
 
 def _jv_base_hankel(nu, x):
-    """J_nu(x) for 0 <= nu < 1 and x >= 25 from the Hankel expansion; the
+    """J_nu(x) for 0 <= nu < 2 and x >= 25 from the Hankel expansion; the
     smallest term there is ~e^{-2x}, far below double precision."""
     mu4 = 4.0 * nu * nu
     p = 1.0
@@ -518,10 +518,10 @@ def bessel_j(nu, x):
 
 def bessel_j_prime(nu, x):
     """Derivative J'_nu(x) = (nu/x) J_nu - J_{nu+1}, with J_nu and J_{nu+1}
-    from one evaluation."""
+    from one evaluation; J'_nu(0) is +inf for 0 < nu < 1 (J'_nu ~ x^{nu-1})."""
     _check_order_and_arg(nu, x)
     if x == 0.0:
-        return 0.5 if nu == 1.0 else 0.0
+        return math.inf if 0.0 < nu < 1.0 else (0.5 if nu == 1.0 else 0.0)
     j_nu, j_next = ((_jv_series(nu, x), _jv_series(nu + 1.0, x)) if x <= 12.0
                     else _bessel_j_pair(nu, x))
     return (nu / x) * j_nu - j_next

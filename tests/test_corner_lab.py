@@ -59,6 +59,22 @@ class TestClosedForms:
             cl.CornerKind("XX", 1.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: cl.CornerKind("XX", 1.0), "pair"),
+    (lambda: cl.CornerKind("DD", 0.0), "alpha"),
+    (lambda: cl.CornerKind("DN", 2.0 * PI), "alpha"),
+    (lambda: cl.corner_finite_part("DD", math.nan), "alpha"),
+    (lambda: cl.term_contributions("Z", 1.0), "term"),
+    (lambda: cl.term_contributions("C", 7.0), "gamma"),
+    (lambda: cl.cone_point_coeff(0.0), "opening"),
+    (lambda: cl.cone_point_coeff(math.inf), "opening"),
+])
+def test_angle_errors_name_the_field(build, field):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert info.value.field == field
+
+
 class TestConePoints:
     def test_smooth_opening(self):
         assert cl.cone_point_coeff(2.0 * PI) == 0.0

@@ -76,7 +76,7 @@ class TestInterval1D:
 class TestRectangleSpectrum:
     def test_stream_sorted_and_correct(self):
         spec = es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D"))
-        first = spec.first(6)
+        first = spec.up_to(100.0)[:6]  # 10 pi^2 < 100 < 13 pi^2
         expect = sorted(
             (m * m + n * n) * PI**2 for m in range(1, 5) for n in range(1, 5)
         )[:6]
@@ -84,7 +84,7 @@ class TestRectangleSpectrum:
 
     def test_neumann_zero_mode(self):
         spec = es.rectangle_spectrum(1.0, 2.0, ("N", "N"), ("N", "N"))
-        assert spec.first(1)[0] == 0.0
+        assert spec.up_to(1.0)[0] == 0.0
 
     def test_weyl_counting(self):
         # the D/N mixed square cancels the boundary term, leaving the Weyl
@@ -125,34 +125,59 @@ class TestRectangleSpectrum:
         expect = np.sort(np.add.outer(lx, ly), axis=None)[:3000]
         # every eigenvalue up to the 3000th has both indices below n
         assert expect[-1] < min(lx[-1] + ly[0], lx[0] + ly[-1])
-        assert np.array_equal(es.rectangle_spectrum(a, b, bc_x, bc_y).first(3000), expect)
+        got = es.rectangle_spectrum(a, b, bc_x, bc_y).up_to(expect[-1])[:3000]
+        assert np.array_equal(got, expect)
 
 
 class TestSectorDiskSpectrum:
     def test_quarter_disk_dirichlet(self):
         spec = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "D")
-        assert spec.first(1)[0] == pytest.approx(QUARTER_DISK_LAMBDA1, rel=1e-10)
+        assert spec.up_to(30.0)[0] == pytest.approx(QUARTER_DISK_LAMBDA1, rel=1e-10)
 
     def test_full_disk_dirichlet(self):
         spec = es.sector_disk_spectrum(None, 1.0, None, "D")
-        first = spec.first(3)
+        first = spec.up_to(20.0)[:3]
         assert first[0] == pytest.approx(DISK_LAMBDA1, rel=1e-10)
         assert first[1] == pytest.approx(first[2])  # m = 1 doublet
 
     def test_neumann_disk_zero_mode(self):
         spec = es.sector_disk_spectrum(None, 1.0, None, "N")
-        assert spec.first(1)[0] == 0.0
+        assert spec.up_to(1.0)[0] == 0.0
 
     def test_radius_scaling(self):
-        a = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "D").first(4)
-        b = es.sector_disk_spectrum(PI / 2.0, 2.0, "DD", "D").first(4)
+        a = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "D").up_to(110.0)[:4]
+        b = es.sector_disk_spectrum(PI / 2.0, 2.0, "DD", "D").up_to(27.5)[:4]
         assert b == pytest.approx(a / 4.0)
 
     @pytest.mark.parametrize("raw, bc", [("D", DIRICHLET), ("N", NEUMANN)])
     def test_arc_condition_objects_and_strings_agree(self, raw, bc):
-        by_string = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", raw).first(12)
-        by_object = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", bc).first(12)
+        by_string = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", raw).up_to(400.0)[:12]
+        by_object = es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", bc).up_to(400.0)[:12]
         assert np.array_equal(by_string, by_object)
+
+    @pytest.mark.parametrize("arc", ["D", "N"])
+    def test_disk_is_the_half_disk_nn_and_dd_ladders(self, arc):
+        # orders j pi/pi (NN) and (j + 1) pi/pi (DD) are the disk's integer
+        # orders, so the merged half-disk spectra are the disk's bit for bit
+        halves = [es.sector_disk_spectrum(PI, 1.3, pair, arc).up_to(900.0) for pair in ("NN", "DD")]
+        disk = es.sector_disk_spectrum(None, 1.3, None, arc).up_to(900.0)
+        assert len(disk) > 100
+        assert np.array_equal(disk, np.sort(np.concatenate(halves)))
+
+    @pytest.mark.parametrize("radius", [1.0, 0.37, 2.9, 1e-3])
+    def test_disk_constants_are_the_sector_formula_at_two_pi(self, radius):
+        spec = es.sector_disk_spectrum(None, radius, None, "D")
+        assert spec.weyl_area == PI * radius * radius
+        assert spec.counting_constants == (
+            2.0 * radius * radius / 3.0, radius * (2.0 + 1.0 / 3.0), 1.0)
+
+    def test_descending_family_starts_are_refused(self):
+        # up_to stops at the first family that starts above the cutoff,
+        # which would miss a later family starting below it
+        spec = es.Spectrum(family=lambda j: (lambda k: (5.0 - j) + k), weyl_area=1.0,
+                           counting_constants=(1.0, 1.0, 1.0))
+        with pytest.raises(DomainError):
+            spec.up_to(10.0)
 
     def test_robin_arc_rejected(self):
         with pytest.raises(UnsupportedBCError):
@@ -160,8 +185,9 @@ class TestSectorDiskSpectrum:
 
     def test_stream_sorted(self):
         spec = es.sector_disk_spectrum(2.0, 1.0, "DN", "N")
-        first = spec.first(25)
-        assert np.all(np.diff(first) >= -1e-12)
+        first = spec.up_to(400.0)[:25]
+        assert len(first) == 25
+        assert np.all(np.diff(first) >= 0.0)
 
     @pytest.mark.parametrize(
         "gamma, pair, arc", [(None, None, "D"), (None, None, "N"), (PI / 4.0, "DD", "D")]
@@ -253,7 +279,10 @@ class TestPartialTrace:
         spec = es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D"))
         with pytest.raises(TailBoundError) as err:
             es.partial_trace(spec, 0.01, 100.0, tol=1e-12)
-        assert err.value.suggested_cutoff > 100.0
+        suggested = err.value.suggested_cutoff
+        assert suggested > 100.0
+        assert spec.tail_bound(0.01, suggested) <= 1e-12
+        assert suggested == es.choose_cutoff(spec, 0.01, 1e-12)
 
 
 class TestFit:
@@ -367,6 +396,8 @@ class TestCSV:
         (lambda: es.sample_times((0.05, 0.002)), "window"),
         (lambda: es.sample_times((0.002, math.inf)), "window"),
         (lambda: es.sample_times((0.002, 0.05), 4), "n"),
+        (lambda: es.partial_trace(es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D")),
+                                  0.01, 100.0, tol=-1.0), "tol"),
     ],
 )
 def test_errors_name_the_field(build, field):

@@ -93,7 +93,7 @@ class TestModeOrder:
             return bessel_family(nu, *args)
 
         monkeypatch.setattr(es, "_bessel_family", recorded)
-        es.sector_disk_spectrum(gamma, 1.0, pair, "D").first(60)
+        assert len(es.sector_disk_spectrum(gamma, 1.0, pair, "D").up_to(3000.0 / gamma)) >= 60
         assert len(families) >= 4
         assert families == ladder[:len(families)]
 

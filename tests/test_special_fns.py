@@ -361,6 +361,11 @@ class TestBesselJ:
             with pytest.raises(DomainError):
                 sf.bessel_j_prime(nu, x)
 
+    @pytest.mark.parametrize("nu, value", [(0.5, math.inf), (1.0, 0.5), (0.0, 0.0), (2.0, 0.0)])
+    def test_prime_at_zero(self, nu, value):
+        # J'_nu(x) ~ (nu/2)(x/2)^{nu-1}/Gamma(nu+1) as x -> 0
+        assert sf.bessel_j_prime(nu, 0.0) == value
+
     @pytest.mark.parametrize("nu, x", [(7.5, 30.0), (3.0, 18.0), (40.2, 40.7), (0.3, 50.0)])
     def test_prime_is_one_pair_evaluation(self, monkeypatch, nu, x):
         # J_nu and J_{nu+1} come from one recurrence normalized against one
@@ -381,6 +386,30 @@ class TestBesselJ:
             for x in (12.01, 13.5, 15.0, 18.0, 21.0, 24.0, 24.99, 25.0):
                 ref = float(mp.besselj(nu, x))
                 assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+    @pytest.mark.parametrize("xs", [np.linspace(12.01, 24.99, 12), np.linspace(25.0, 200.0, 12)],
+                             ids=["integral", "hankel"])
+    def test_base_orders_against_extended_precision(self, xs):
+        # _bessel_j_pair evaluates the base at nu_base and nu_base + 1, so
+        # both routes serve 0 <= nu < 2; errors relative to the amplitude
+        # sqrt(2/(pi x)), worst seen 1.6e-14
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        for nu in (0.0, 0.3, 0.9, 1.0, 1.25, 1.5, 1.99):
+            for x in xs.tolist():
+                amp = math.sqrt(2.0 / (math.pi * x))
+                assert abs(sf._jv_base(nu, x) - float(mp.besselj(nu, x))) <= 5e-14 * amp
+
+    def test_low_orders_in_the_integral_band_against_extended_precision(self):
+        # J_nu for 1 <= nu < 2 normalizes the recurrence against the base
+        # pair; worst seen 5.9e-14 of the amplitude
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        for nu in (1.0, 1.1, 1.5, 1.77, 1.99):
+            for x in np.linspace(12.01, 24.99, 12).tolist():
+                amp = math.sqrt(2.0 / (math.pi * x))
+                assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 2e-13 * amp
 
 
 @st.composite
