@@ -183,6 +183,11 @@ def _sector_arg(args):
                 SectorSpec, args.gamma, bc0, bc1)
 
 
+def _check_tol(args):
+    """Reject a --tol that is not a finite number > 0."""
+    _arg("--tol", sector_models.check_coordinate, "tol", args.tol, math.inf, False)
+
+
 def _floats_arg(raw, field):
     """A comma-separated list of numbers."""
     try:
@@ -210,6 +215,7 @@ def cmd_corner(args):
         "closed_form": corner_lab.corner_coeff(kind),
     }
     if args.numeric:
+        _check_tol(args)
         # the numeric route sums sector modes: the pair needs a mode ladder
         _arg("--pair", sector_models.mode_order, args.pair, args.angle, 0)
         result = corner_lab.corner_finite_part(args.pair, args.angle)
@@ -285,14 +291,15 @@ def cmd_kernel(args):
 
 
 def cmd_greens(args):
+    _check_tol(args)
     s_values = _floats_arg(args.s, "--s")
     if args.model == "halfplane":
         model = _arg("--bc0", BoundaryCondition.parse, args.bc0)
     else:
         model = _sector_arg(args)
     points = [((args.r, args.phi), (args.r0, args.phi0))]
-    # the Green's functions range-check s and the points, naming the field
-    flags = {name: f"--{name}" for name in ("s", "r", "phi", "r0", "phi0")}
+    # the Green's functions range-check s, the points and tol, naming the field
+    flags = {name: f"--{name}" for name in ("s", "r", "phi", "r0", "phi0", "tol")}
     report = {"model": args.model, "residuals": {}}
     worst = 0.0
     for s in s_values:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import quad_fp
 from .errors import DomainError
-from .sector_models import mode_order
+from .sector_models import _bracket_terms, check_angle, mode_order
 from .special_fns import (
     _I_MANY_X_MAX,
     _k_imag_scaled_table,
@@ -35,9 +35,7 @@ class CornerKind:
     def __post_init__(self):
         if self.pair not in _SAME_TYPE_PAIRS | _MIXED_PAIRS:
             raise DomainError(f"unknown boundary pair {self.pair!r}", field="pair")
-        if not 0.0 < self.alpha < 2.0 * math.pi:
-            raise DomainError(f"corner angle must lie in (0, 2*pi), got {self.alpha}",
-                              field="alpha")
+        check_angle("alpha", self.alpha)
 
     @property
     def same_type(self):
@@ -152,8 +150,7 @@ def corner_finite_part(pair, alpha, eps_schedule=CORNER_EPS_SCHEDULE):
     >= 1/sqrt(1400) = 0.0267; a schedule below that raises DomainError
     before any integral is computed.
     """
-    if not 0.0 < alpha < 2.0 * math.pi:
-        raise DomainError(f"corner angle must lie in (0, 2*pi), got {alpha}", field="alpha")
+    check_angle("alpha", alpha)
     eps = np.asarray(tuple(eps_schedule), dtype=float)
     cutoffs = 1.0 / eps  # increasing, since eps decreases
     z_max = 0.5 * cutoffs.max() ** 2
@@ -166,10 +163,7 @@ def corner_finite_part(pair, alpha, eps_schedule=CORNER_EPS_SCHEDULE):
         )
     orders = _corner_orders(pair, alpha, z_max)
     values = _cumulative_mode_integral(orders, cutoffs)
-    table = dict(zip((float(c) for c in cutoffs), values))
-    return quad_fp.finite_part(
-        lambda lam: table[float(lam)], basis=CORNER_BASIS, eps_schedule=eps
-    )
+    return quad_fp.finite_part(eps, values, basis=CORNER_BASIS)
 
 
 def corner_coeff_numeric(pair, alpha):
@@ -194,12 +188,9 @@ def i0_radial_finite_part(eps_max=0.15):
     (1/2) int_0^{L^2/2} e^{-u} I_0(u) du = g(L^2/2)/2, g = _primitive_g, so
     each of the 14 cutoffs costs one primitive value and no quadrature.
     """
-    eps_schedule = quad_fp.default_eps_schedule(eps_max=eps_max, ratio=0.85, count=14)
-    return quad_fp.finite_part(
-        lambda lam: 0.5 * _primitive_g(0.5 * lam * lam),
-        basis=CORNER_BASIS,
-        eps_schedule=eps_schedule,
-    )
+    eps = np.asarray(quad_fp.default_eps_schedule(eps_max=eps_max, ratio=0.85, count=14))
+    values = [0.5 * _primitive_g(0.5 * lam * lam) for lam in 1.0 / eps]
+    return quad_fp.finite_part(eps, values, basis=CORNER_BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +228,6 @@ def _log_u_grid(taus, mu_max):
     return u_nodes, w_nodes, ends
 
 
-def _stable_weight(term, gamma):
-    """Angular-diagonal integrated bracket weight times e^{-pi mu}:
-    SW(mu) = e^{-pi mu} int_0^gamma [bracket](mu, phi, phi) dphi, closed form."""
-    g = gamma
-
-    if term in ("C", "C1"):
-        # int_0^gamma on the diagonal: sinh((pi - gt) mu)/sinh(gt mu) e^{-pi mu} with
-        # gt = gamma for C and the doubled angle for C1; the angular factor
-        # of gamma is the same for both (the diagonal integral range)
-        gt = g if term == "C" else 2.0 * g
-
-        def w(mu, gt=gt):
-            num = np.exp(-2.0 * gt * mu) - np.exp(-2.0 * math.pi * mu)
-            den = -np.expm1(-2.0 * gt * mu)
-            return g * np.where(mu > 0.0, num / np.where(den > 0.0, den, 1.0), (math.pi - gt) / gt)
-        return w, min(2.0 * gt, 2.0 * math.pi)
-    if term == "B":
-        def w(mu):
-            # int_0^g B dphi = sinh(pi mu)/mu: times e^{-pi mu}
-            return np.where(mu > 0.0, -np.expm1(-2.0 * math.pi * mu) / (2.0 * mu), math.pi)
-        return w, 0.0
-    raise DomainError(f"no reduced weight for term {term!r}")
-
-
 def _fit_against_tau(taus, values):
     """Coefficient of tau^0 in a {tau^2, tau, 1, 1/tau} weighted LS fit."""
     taus = np.asarray(taus, dtype=float)
@@ -281,58 +248,52 @@ def term_contributions(term, gamma):
     """Fitted t^0 part of the named Green's-function term's diagonal trace
     over the sector truncated at radius R = 8, anchored at t = 0.01.
 
-    The angular integral over the diagonal is done in closed form (the
-    bracket weights reduce to sinh/cosh ratios); the remaining radial and mu
-    integrals are quadrature.  In the Laplace variable the trace of a term is
-    g(R sqrt s)/s, so sampling s = 1/t on a grid around the anchor t and
+    C (DD/NN bracket) and E (DN bracket) depend on phi - phi0 only, so
+    their angular integral over the diagonal is gamma times their
+    sector_models._bracket_terms factor at phi = phi0 = 0; the radial and mu
+    integrals are quadrature.  In the Laplace variable the trace of a term
+    is g(R sqrt s)/s, so sampling s = 1/t on a grid around the anchor t and
     fitting g against {tau^2, tau, 1, 1/tau} extracts the t^0 coefficient:
 
         A: exactly gamma R^2/(8 pi t), no t^0 part;
         B: R/(4 sqrt(pi t)) + O(sqrt t), no t^0 part;
         C: (pi^2 - gamma^2)/(24 pi gamma) + exponentially small;
-        E = 2 C1 - C2: -(pi^2 + 2 gamma^2)/(48 pi gamma);
+        E: -(pi^2 + 2 gamma^2)/(48 pi gamma), one mu integral of the DN
+           bracket, whose factor is 2 C(2 gamma) - C(gamma) (an identity
+           the tests check; no route uses it);
         F: identically zero (its angular diagonal integral vanishes).
     """
     if term not in _TERM_NAMES:
         raise DomainError(f"term must be one of {_TERM_NAMES}, got {term!r}", field="term")
-    if not 0.0 < gamma < 2.0 * math.pi:
-        raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}", field="gamma")
+    check_angle("gamma", gamma)
     ts = np.exp(np.linspace(math.log(_TERM_T / 3.0), math.log(3.0 * _TERM_T), 7))
-    taus = _TERM_RADIUS / np.sqrt(ts)
-    taus = np.sort(taus)
+    taus = np.sort(_TERM_RADIUS / np.sqrt(ts))
 
     if term == "A":
         # direct term: free heat kernel on the diagonal, trace = gamma R^2 / (8 pi t)
         values = gamma * taus**2 / (8.0 * math.pi)
-        return _fit_against_tau(taus, values)
-    if term == "B":
-        w, _ = _stable_weight("B", gamma)
-        values = _term_mu_integral(w, 0.0, taus, b_type=True)
-        return _fit_against_tau(taus, values)
-    if term == "F":
+    elif term == "B":
+        # after pairing with q~ the B weight decays only algebraically in mu,
+        # but its diagonal integral sinh(pi mu)/mu is angle independent, so
+        # the gamma = pi image form applies and has the closed primitive
+        # g_B = g(tau^2/2)/4
+        values = np.array([0.25 * _primitive_g(0.5 * tau * tau) for tau in taus])
+    elif term == "F":
         # F = -2 B1 + B2 with int_0^g B1 dphi = (1/2) int_0^g B2 dphi:
         # the angular diagonal integral cancels identically
-        return _fit_against_tau(taus, np.zeros_like(taus))
-    if term == "C":
-        w, gap = _stable_weight("C", gamma)
-        values = _term_mu_integral(w, gap, taus)
-        return _fit_against_tau(taus, values)
-    # E = 2*C1 - C2
-    w1, gap1 = _stable_weight("C1", gamma)
-    w2, gap2 = _stable_weight("C", gamma)
-    v1 = _term_mu_integral(w1, gap1, taus)
-    v2 = _term_mu_integral(w2, gap2, taus)
-    return _fit_against_tau(taus, 2.0 * v1 - v2)
+        values = np.zeros_like(taus)
+    else:
+        factor, _ = _bracket_terms("DD" if term == "C" else "DN", gamma, 0.0, 0.0)[term]
+        # on the diagonal both decay like e^{-min(2 gamma, 2 pi) mu}
+        values = _term_mu_integral(lambda mu: gamma * factor(mu),
+                                   min(2.0 * gamma, 2.0 * math.pi), taus)
+    return _fit_against_tau(taus, values)
 
 
-def _term_mu_integral(weight, gap, taus, b_type=False):
+def _term_mu_integral(weight, gap, taus):
     """g(tau) = (1/pi^2) int_0^inf SW(mu) q~(mu, tau) dmu for each tau,
-    with q~(mu, tau) = e^{pi mu} int_0^tau u K_{i mu}(u)^2 du."""
-    if b_type:
-        # after pairing with q~ the B weight decays only algebraically in mu,
-        # but its reduced weight is angle independent, so the gamma = pi
-        # image form applies and has the closed primitive g_B = g(tau^2/2)/4
-        return np.array([0.25 * _primitive_g(0.5 * tau * tau) for tau in taus])
+    with q~(mu, tau) = e^{pi mu} int_0^tau u K_{i mu}(u)^2 du and SW(mu) the
+    diagonal-integrated bracket factor, which decays like e^{-gap mu}."""
     mu_max = (math.log(1e12) + 10.0) / gap
     mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, max(8, int(math.ceil(mu_max))))
     u_nodes, u_wts, ends = _log_u_grid(taus, mus.max())

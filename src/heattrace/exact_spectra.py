@@ -17,7 +17,7 @@ import numpy as np
 from ._rootfind import brent
 from .errors import DomainError, TailBoundError, UnsupportedBCError
 from .quad_fp import weighted_lstsq
-from .sector_models import BoundaryCondition, check_coordinate, mode_order
+from .sector_models import BoundaryCondition, check_angle, check_coordinate, mode_order
 from .special_fns import (
     BesselZeroCache,
     bessel_j_prime_zero,
@@ -214,8 +214,7 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
         # orders j pi/pi merged with its DD orders (j + 1) pi/pi
         beta, orders = 2.0 * math.pi, lambda j: (j + 1) // 2
     else:
-        if not 0.0 < gamma < 2.0 * math.pi:
-            raise DomainError(f"opening angle must lie in (0, 2*pi), got {gamma}", field="gamma")
+        check_angle("gamma", gamma)
         mode_order(edge_pair, gamma, 0)  # raises for a pair with no ladder
         beta, orders = gamma, functools.partial(mode_order, edge_pair, gamma)
 

@@ -132,6 +132,8 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be > 0 and finite, got {tol!r}", field="tol")
     tail = 0.0
     if math.isinf(b):
         if envelope is None:
@@ -216,53 +218,45 @@ DEFAULT_BASIS = (-2, -1, 0, 1)
 _FP_COND_LIMIT = 1e8  # finite_part raises IllConditionedFitError above this
 
 
-def finite_part(F, basis=DEFAULT_BASIS, eps_schedule=None, value_errs=None):
-    """Finite part of a cutoff integral: the eps^0 coefficient of F(1/eps).
+def finite_part(eps, values, basis=DEFAULT_BASIS, value_errs=None):
+    """Finite part of a cutoff integral: the eps^0 coefficient of F(1/eps),
+    from its values F(1/eps_i) at the strictly decreasing positive eps_i.
 
-    F maps a cutoff Lambda = 1/eps to the integral value (a float or a
-    QuadResult).  The values are fitted by weighted least squares against
-    the model  F(1/eps) = sum_q c_q eps^q  over the exponents in `basis`
-    (which must contain 0); weights 1/eps favor small eps where the o(1)
-    remainder is smallest.  Divergent coefficients (q != 0) are reported
-    alongside the conditioning of the normalized design matrix.
+    The values are fitted by weighted least squares against the model
+    F(1/eps) = sum_q c_q eps^q  over the exponents in `basis` (which must
+    contain 0); weights 1/eps favor small eps where the o(1) remainder is
+    smallest.  value_errs, when given, are the values' error estimates: a
+    fit residual above 10x their largest raises ResidualError.  Divergent
+    coefficients (q != 0) are reported alongside the conditioning of the
+    normalized design matrix.
     """
     basis = tuple(basis)
     if 0 not in basis:
         raise DomainError("basis must contain the exponent 0")
     if len(set(basis)) != len(basis):
         raise DomainError("basis exponents must be distinct")
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule()
-    eps = np.asarray(tuple(eps_schedule), dtype=float)
+    eps = np.asarray(tuple(eps), dtype=float)
     if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise DomainError("eps_schedule must be positive and strictly decreasing")
+        raise DomainError("eps must be positive and strictly decreasing")
     if eps.size < len(basis) + 2:
         raise DomainError(
             f"need at least {len(basis) + 2} cutoffs for a {len(basis)}-term basis"
         )
-    values = np.empty(eps.size)
-    errs = np.zeros(eps.size)
-    for i, e in enumerate(eps):
-        out = F(1.0 / e)
-        if isinstance(out, QuadResult):
-            values[i] = out.value
-            errs[i] = out.abs_err_estimate
-        else:
-            values[i] = float(out)
-    if value_errs is not None:
-        errs = np.asarray(value_errs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    errs = np.zeros(eps.size) if value_errs is None else np.asarray(value_errs, dtype=float)
+    if values.shape != eps.shape or errs.shape != eps.shape:
+        raise DomainError(f"need one value and one error per cutoff, {eps.size} of each")
     design = eps[:, None] ** np.asarray(basis, dtype=float)[None, :]
     w = 1.0 / np.sqrt(eps)  # squared weight 1/eps
     coef, cond, resid_norm = weighted_lstsq(design, values, w)
     if cond > _FP_COND_LIMIT:
         raise IllConditionedFitError("finite-part fit is ill conditioned", cond)
-    if errs.any():
-        budget = 10.0 * float(errs.max())
-        if resid_norm > budget and budget > 0.0:
-            raise ResidualError(
-                f"fit residual {resid_norm:.3e} exceeds 10x the quadrature "
-                f"error estimate {errs.max():.3e}; basis likely incomplete"
-            )
+    budget = 10.0 * float(errs.max())
+    if budget > 0.0 and resid_norm > budget:
+        raise ResidualError(
+            f"fit residual {resid_norm:.3e} exceeds 10x the quadrature "
+            f"error estimate {errs.max():.3e}; basis likely incomplete"
+        )
     coeffs = dict(zip(basis, (float(c) for c in coef)))
     return FinitePartResult(
         finite_part=coeffs[0],

@@ -107,9 +107,7 @@ class SectorSpec:
     bc_at_gamma: BoundaryCondition = DIRICHLET
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < _TWO_PI:
-            raise DomainError(f"opening angle must lie in (0, 2*pi), got {self.gamma}",
-                              field="gamma")
+        check_angle("gamma", self.gamma)
         for name in ("bc_at_0", "bc_at_gamma"):
             if getattr(self, name).kind == "R":
                 raise UnsupportedBCError("no sector series model exists for Robin edges",
@@ -161,6 +159,13 @@ def check_coordinate(name, values, hi, zero_ok):
     return v
 
 
+def check_angle(name, value):
+    """The one check of a corner or opening angle: raises DomainError with
+    field `name` unless `value` is a number in (0, 2*pi)."""
+    if not 0.0 < value < _TWO_PI:
+        raise DomainError(f"{name} must lie in (0, 2*pi), got {value!r}", field=name)
+
+
 _KERNEL_ROWS = 128  # points per I-block of sector_heat_kernel; bounds its memory
 
 
@@ -180,8 +185,7 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     blocks of at most _KERNEL_ROWS points; a point beyond the cap takes
     bessel_i_scaled one order at a time.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+    check_coordinate("tol", tol, math.inf, False)
     t = check_coordinate("t", t, math.inf, False)
     r = check_coordinate("r", r, math.inf, True)
     r0 = check_coordinate("r0", r0, math.inf, True)
@@ -268,18 +272,18 @@ def _mode_sums(spec, counts, z, theta, theta0):
 # ---------------------------------------------------------------------------
 # Kontorovich-Lebedev Green's functions
 
-def _bracket_terms(spec, phi, phi0):
-    """Stable angular factors W(mu) = [bracket term] * e^{-pi mu} for the
-    sector Green's function, as (callable, decay gap) pairs.
+def _bracket_terms(pair, g, phi, phi0):
+    """Stable angular factors W(mu) = [bracket term] * e^{-pi mu} of the
+    Green's function of the sector (pair, opening g), as (callable, decay
+    gap) pairs keyed by term name: A, B, C for DD and NN, A, F, E for DN and
+    ND.  greens_kl sums them; corner_lab.term_contributions reads C and E.
 
     Every factor is assembled from decaying exponentials over
-    (1 -+ e^{-2 gamma mu}), so that multiplying the two K_{i mu} factors in
+    (1 -+ e^{-2 g mu}), so that multiplying the two K_{i mu} factors in
     e^{pi mu/2}-scaled form never produces a large intermediate.
     """
-    g = spec.gamma
-    pair = spec.pair
     if pair == "ND":
-        # reflect theta -> gamma - theta to reuse the D-at-0 bracket
+        # reflect theta -> g - theta to reuse the D-at-0 bracket
         phi, phi0 = g - phi, g - phi0
     theta = abs(phi - phi0)
     v = phi + phi0
@@ -288,7 +292,7 @@ def _bracket_terms(spec, phi, phi0):
         # cosh((pi - theta) mu) e^{-pi mu}
         return 0.5 * (np.exp(-theta * mu) + np.exp(-(_TWO_PI - theta) * mu))
 
-    terms = [(a_term, theta)]
+    terms = {"A": (a_term, theta)}
 
     if pair in ("DD", "NN"):
         sign = -1.0 if pair == "DD" else 1.0
@@ -302,14 +306,14 @@ def _bracket_terms(spec, phi, phi0):
 
         def c_term(mu):
             # sinh((pi - g) mu)/sinh(g mu) cosh(theta mu) e^{-pi mu},
-            # which decays like e^{-(2g - theta) mu}
+            # which decays like e^{-(2g - theta) mu}; (pi - g)/g at mu = 0
             num = np.exp(-(2.0 * g - theta) * mu) + np.exp(-(2.0 * g + theta) * mu) \
                 - np.exp(-(_TWO_PI - theta) * mu) - np.exp(-(_TWO_PI + theta) * mu)
             den = -np.expm1(-2.0 * g * mu)
-            return 0.5 * np.where(mu > 0.0, num / np.where(den > 0.0, den, 1.0), (math.pi - g) / g)
+            return np.where(mu > 0.0, 0.5 * num / np.where(den > 0.0, den, 1.0), (math.pi - g) / g)
 
-        terms.append((b_term, min(2.0 * g - v, v)))
-        terms.append((c_term, 2.0 * g - theta))
+        terms["B"] = (b_term, min(2.0 * g - v, v))
+        terms["C"] = (c_term, 2.0 * g - theta)
     else:  # DN (possibly after the ND reflection above)
 
         def f_term(mu):
@@ -325,8 +329,8 @@ def _bracket_terms(spec, phi, phi0):
             den = 1.0 + np.exp(-2.0 * g * mu)
             return -0.5 * num / den
 
-        terms.append((f_term, min(2.0 * g - v, v)))
-        terms.append((e_term, 2.0 * g - theta))
+        terms["F"] = (f_term, min(2.0 * g - v, v))
+        terms["E"] = (e_term, 2.0 * g - theta)
     return terms
 
 
@@ -342,6 +346,7 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     K factors at all its mu nodes from one call of the batched table
     special_fns._k_imag_scaled_table.
     """
+    check_coordinate("tol", tol, math.inf, False)
     check_coordinate("s", s, math.inf, False)
     check_coordinate("r", r, math.inf, False)  # K_{i mu} has no value at 0
     check_coordinate("r0", r0, math.inf, False)
@@ -349,7 +354,7 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     check_coordinate("phi0", phi0, spec.gamma, True)
     if r == r0 and phi == phi0:
         raise DiagonalPointError("on-diagonal Green's evaluation is rejected")
-    terms = _bracket_terms(spec, phi, phi0)
+    terms = _bracket_terms(spec.pair, spec.gamma, phi, phi0).values()
     delta = min(gap for _, gap in terms)
     if delta < 1e-3:
         raise WeakEnvelopeError(
@@ -450,6 +455,7 @@ def laplace_consistency(model, s, points, tol=1e-7):
     Each quadrature step hands the nodes of all its new panels to the
     kernel in one call (see quad_fp.integrate).
     """
+    check_coordinate("tol", tol, math.inf, False)
     check_coordinate("s", s, math.inf, False)
     pairs = list(points)
     if not pairs:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .corner_lab import CornerKind, cone_point_coeff, corner_coeff
 from .errors import DomainError, InconsistentSpecError, OverflowRangeError
-from .sector_models import BoundaryCondition, check_coordinate
+from .sector_models import BoundaryCondition, check_angle, check_coordinate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -77,11 +77,7 @@ class BoundaryLoop:
                 field="angles",
             )
         for j, a in enumerate(self.angles):
-            if not 0.0 < a < _TWO_PI:
-                raise DomainError(
-                    f"vertex angles must lie strictly inside (0, 2*pi), got {a}",
-                    field=f"angles[{j}]",
-                )
+            check_angle(f"angles[{j}]", a)
 
     def vertices(self):
         """(angle, edge_before, edge_after) triples; angles[j] joins edge j

@@ -285,7 +285,8 @@ class TestCriterion11PropertySuites:
         assert _report(11, "property suite: coefficients vs GB + strict inequality", ok)
 
     def test_finite_part_recovery_and_quadrature(self):
-        r = quad_fp.finite_part(lambda lam: -1.5 * lam**2 + 0.25 + 3.0 / lam)
+        eps = quad_fp.default_eps_schedule()
+        r = quad_fp.finite_part(eps, [-1.5 / e**2 + 0.25 + 3.0 * e for e in eps])
         ok = abs(r.finite_part - 0.25) <= 1e-10
         q = quad_fp.integrate(lambda x: np.exp(-x), 0.0, math.inf, tol=1e-12, envelope=(1.0, 1.0))
         ok = ok and abs(q.value - 1.0) <= 1e-11

@@ -390,6 +390,19 @@ class TestBadArguments:
                          id="greens-halfplane-s0"),
             pytest.param(["greens", "--model", "sector", "--s", "1,-4"], "--s",
                          id="greens-sector-s"),
+            # a tol <= 0 used to end in "math domain error", and NaN in a
+            # numerical failure
+            *(pytest.param(["greens", "--model", "halfplane", "--tol", tol], "--tol",
+                           id=f"greens-halfplane-tol-{tol}")
+              for tol in ("0", "-1", "nan", "inf")),
+            pytest.param(["greens", "--model", "sector", "--tol", "0"], "--tol",
+                         id="greens-sector-tol"),
+            # --tol passes, but the tenth of it the check runs at is 0
+            pytest.param(["greens", "--model", "halfplane", "--tol", "5e-324"], "--tol",
+                         id="greens-tol-underflow"),
+            *(pytest.param(["corner", "--pair", "DD", "--angle", "1.5", "--numeric",
+                            "--tol", tol], "--tol", id=f"corner-numeric-tol-{tol}")
+              for tol in ("0", "-1", "nan")),
         ],
     )
     def test_exit_2_names_the_field(self, argv, field, tmp_path, capsys):

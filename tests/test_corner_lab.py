@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heattrace import corner_lab as cl
+from heattrace import exact_spectra as es
 from heattrace import quad_fp
 from heattrace import special_fns as sf
+from heattrace import trace_coeffs as tc
 from heattrace.errors import DomainError, UnsupportedBCError
-from heattrace.sector_models import mode_order
+from heattrace.sector_models import DIRICHLET, SectorSpec, mode_order
 
 PI = math.pi
 
@@ -68,6 +70,10 @@ class TestClosedForms:
     (lambda: cl.term_contributions("C", 7.0), "gamma"),
     (lambda: cl.cone_point_coeff(0.0), "opening"),
     (lambda: cl.cone_point_coeff(math.inf), "opening"),
+    *((lambda a=a: SectorSpec(a), "gamma") for a in (math.nan, 2.0 * PI)),
+    *((lambda a=a: es.sector_disk_spectrum(a, 1.0, "DD"), "gamma") for a in (math.nan, 2.0 * PI)),
+    *((lambda a=a: tc.BoundaryLoop(edges=(tc.EdgeSpec(1.0, DIRICHLET),) * 2, angles=(1.0, a)),
+       "angles[1]") for a in (math.nan, 2.0 * PI)),
 ])
 def test_angle_errors_name_the_field(build, field):
     with pytest.raises(DomainError) as info:
@@ -246,6 +252,21 @@ class TestTermContributions:
     def test_e_term(self):
         val = cl.term_contributions("E", PI / 2.0)
         assert val == pytest.approx(-1.0 / 16.0, abs=1e-3)
+
+    @pytest.mark.parametrize("gamma", [1.05, PI / 2.0, 2.5, 3.5])
+    def test_c_and_e_reach_their_closed_forms(self, gamma):
+        # worst seen 3.5e-10 (E at 3.5)
+        assert cl.term_contributions("C", gamma) == pytest.approx(closed_same(gamma), rel=5e-10)
+        assert cl.term_contributions("E", gamma) == pytest.approx(closed_mixed(gamma), rel=5e-10)
+
+    def test_e_is_one_k_table(self, monkeypatch):
+        # one mu integral of the DN bracket, not 2 C(2 gamma) - C(gamma)
+        calls = []
+        table = cl._k_imag_scaled_table
+        monkeypatch.setattr(cl, "_k_imag_scaled_table",
+                            lambda mus, us: calls.append(mus.size) or table(mus, us))
+        cl.term_contributions("E", 1.5)
+        assert len(calls) == 1
 
     def test_f_term_no_contribution(self):
         for gamma in (PI / 2.0, 1.1):

@@ -50,6 +50,18 @@ class TestIntegrate:
             budget = rf.abs_err_estimate * abs(a_coef) + rg.abs_err_estimate * abs(b_coef) + rc.abs_err_estimate
             assert abs(rc.value - (a_coef * rf.value + b_coef * rg.value)) <= budget + 1e-13
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("b, envelope", [(1.0, None), (math.inf, (1.0, 1.0))])
+    def test_bad_tol_is_refused_up_front(self, tol, b, envelope):
+        # tol <= 0 used to spend the whole node budget on [0, 1], or fail
+        # in the truncation point's logarithm on [0, inf)
+        calls = []
+        f = lambda x: calls.append(x) or np.exp(-x)
+        with pytest.raises(DomainError) as info:
+            quad_fp.integrate(f, 0.0, b, tol=tol, envelope=envelope)
+        assert info.value.field == "tol"
+        assert calls == []
+
     def test_budget_error_carries_estimate(self):
         with pytest.raises(BudgetExceededError) as err:
             quad_fp.integrate(
@@ -186,13 +198,21 @@ class TestGaussRule:
         assert float(np.dot(w, x**41)) == pytest.approx((2.0**42 - 0.5**42) / 42.0, rel=1e-13)
 
 
+EPS = quad_fp.default_eps_schedule()
+
+
+def samples(f, eps=EPS):
+    """f(1/eps_i) at each eps_i: the values finite_part fits."""
+    return [f(1.0 / e) for e in eps]
+
+
 class TestFinitePart:
     def test_pure_divergence(self):
-        r = quad_fp.finite_part(lambda lam: lam)
+        r = quad_fp.finite_part(EPS, samples(lambda lam: lam))
         assert abs(r.finite_part) < 1e-12
 
     def test_synthetic_constant(self):
-        r = quad_fp.finite_part(lambda lam: 3.0 * lam**2 + 7.0 + 2.0 / lam)
+        r = quad_fp.finite_part(EPS, samples(lambda lam: 3.0 * lam**2 + 7.0 + 2.0 / lam))
         assert r.finite_part == pytest.approx(7.0, abs=1e-9)
         assert r.divergent_coeffs[-2] == pytest.approx(3.0, rel=1e-9)
         assert r.divergent_coeffs[1] == pytest.approx(2.0, rel=1e-6)
@@ -206,44 +226,49 @@ class TestFinitePart:
     @settings(max_examples=40, deadline=None)
     def test_exact_basis_recovery(self, c2, c1, c0, cm1):
         f = lambda lam: c2 * lam**2 + c1 * lam + c0 + cm1 / lam
-        r = quad_fp.finite_part(f)
+        r = quad_fp.finite_part(EPS, samples(f))
         scale = max(1.0, abs(c2), abs(c1), abs(c0), abs(cm1))
         assert abs(r.finite_part - c0) <= 1e-10 * scale
 
     def test_condition_number_reported(self):
-        r = quad_fp.finite_part(lambda lam: lam + 1.0)
+        r = quad_fp.finite_part(EPS, samples(lambda lam: lam + 1.0))
         assert r.condition_number >= 1.0
-        assert r.epsilons_used[0] > r.epsilons_used[-1]
+        assert r.epsilons_used == EPS
 
     def test_ill_conditioned_raises(self):
         with pytest.raises(IllConditionedFitError):
             quad_fp.finite_part(
-                lambda lam: lam + 1.0, basis=(-1, -1.0000001, 0, 1)
+                EPS, samples(lambda lam: lam + 1.0), basis=(-1, -1.0000001, 0, 1)
             )
 
     def test_residual_error_when_basis_incomplete(self):
-        eps = quad_fp.default_eps_schedule()
         with pytest.raises(ResidualError):
             quad_fp.finite_part(
-                lambda lam: lam**3,  # not representable in the default basis
-                eps_schedule=eps,
-                value_errs=[1e-14] * len(eps),
+                EPS,
+                samples(lambda lam: lam**3),  # not representable in the default basis
+                value_errs=[1e-14] * len(EPS),
             )
 
     def test_schedule_validation(self):
+        values = [1.0] * 5
         with pytest.raises(DomainError):
-            quad_fp.finite_part(lambda lam: lam, eps_schedule=(0.1, 0.2, 0.3))
+            quad_fp.finite_part((0.1, 0.2, 0.3, 0.4, 0.5), values)
         with pytest.raises(DomainError):
-            quad_fp.finite_part(lambda lam: lam, eps_schedule=(0.5, 0.4, 0.3, 0.2, 0.1)[:3])
+            quad_fp.finite_part((0.5, 0.4, 0.3), values[:3])
         with pytest.raises(DomainError):
-            quad_fp.finite_part(lambda lam: lam, basis=(-2, -1, 1))  # no eps^0
+            quad_fp.finite_part(EPS, samples(lambda lam: lam), basis=(-2, -1, 1))  # no eps^0
+        with pytest.raises(DomainError, match="one value and one error per cutoff"):
+            quad_fp.finite_part(EPS, samples(lambda lam: lam)[:-1])
+        with pytest.raises(DomainError, match="one value and one error per cutoff"):
+            quad_fp.finite_part(EPS, samples(lambda lam: lam), value_errs=[0.0])
 
     def test_accepts_quadresults(self):
-        def f(lam):
-            return quad_fp.integrate(lambda x: np.ones_like(x), 0.0, lam, tol=1e-12)
-
-        r = quad_fp.finite_part(f)  # integral = lam: pure divergence
-        assert abs(r.finite_part) < 1e-9
+        # integrate's values and error estimates feed values and value_errs
+        results = [quad_fp.integrate(lambda x: np.ones_like(x), 0.0, 1.0 / e, tol=1e-12)
+                   for e in EPS]
+        r = quad_fp.finite_part(EPS, [q.value for q in results],
+                                value_errs=[q.abs_err_estimate for q in results])
+        assert abs(r.finite_part) < 1e-9  # integral = lam: pure divergence
 
     def test_rescaled_cutoff_invariance_for_odd_expansions(self):
         # the radial corner integrand has only odd powers of eps in its
@@ -259,8 +284,8 @@ class TestFinitePart:
         basis = (-2, -1, 0, 1, 3, 5)
         fps = {}
         for c in (0.5, 1.0, 2.0):
-            r = quad_fp.finite_part(lambda lam, c=c: f_true(c * lam), basis=basis, eps_schedule=eps)
-            fps[c] = r.finite_part
+            values = samples(lambda lam, c=c: f_true(c * lam), eps)
+            fps[c] = quad_fp.finite_part(eps, values, basis=basis).finite_part
         assert abs(fps[0.5] - fps[1.0]) <= 1e-5
         assert abs(fps[2.0] - fps[1.0]) <= 1e-5
 

@@ -434,6 +434,52 @@ class TestGreensKL:
             sm.greens_half_plane_images(sm.NEUMANN, 1.0, 1.0, 0.0, 1.0, 0.0)
 
 
+BRACKET_POINTS = [(0.5, 0.1, 0.4), (1.3, 0.2, 0.9), (1.3, 0.0, 0.0), (2.7, 2.0, 0.3),
+                  (4.0, 1.0, 3.5), (5.9, 0.5, 5.0)]
+
+
+class TestBracketTerms:
+    @pytest.mark.parametrize("pair", ["DD", "NN", "DN", "ND"])
+    @pytest.mark.parametrize("g, phi, phi0", BRACKET_POINTS)
+    def test_value_at_zero_is_the_limit(self, pair, g, phi, phi0):
+        """Each factor W(mu) e^{pi mu} is even in mu, so W(0) = e^{pi mu}
+        W(mu) + O(mu^2).  The check runs at mu = 1e-6: C's numerator cancels
+        to 1e-16/mu relative, so at mu = 1e-12 its own value is good to only
+        2e-5.  The C factor used to return half its limit at mu = 0."""
+        terms = sm._bracket_terms(pair, g, phi, phi0)
+        assert list(terms) == (["A", "B", "C"] if pair in ("DD", "NN") else ["A", "F", "E"])
+        mu = 1e-6
+        for name, (factor, _) in terms.items():
+            at_zero, near = factor(np.array([0.0, mu])) * np.array([1.0, math.exp(PI * mu)])
+            # F vanishes at 0 like mu^2
+            assert at_zero == pytest.approx(near, rel=1e-9, abs=1e-10), name
+
+    @pytest.mark.parametrize("gamma", [0.4, 1.0, PI / 2.0, 2.5, 3.0])
+    def test_e_is_twice_c_at_the_doubled_angle_less_c(self, gamma):
+        """The diagonal identity -cosh((pi - g) mu)/cosh(g mu) =
+        2 sinh((pi - 2g) mu)/sinh(2g mu) - sinh((pi - g) mu)/sinh(g mu)
+        between the DN bracket's E and the DD bracket's C, mu = 0 included;
+        term_contributions("E") integrates the left side alone."""
+        mu = np.concatenate([[0.0], np.linspace(0.05, 20.0, 80)])
+        e_factor = sm._bracket_terms("DN", gamma, 0.0, 0.0)["E"][0]
+        c_double = sm._bracket_terms("DD", 2.0 * gamma, 0.0, 0.0)["C"][0]
+        c_single = sm._bracket_terms("DD", gamma, 0.0, 0.0)["C"][0]
+        np.testing.assert_allclose(2.0 * c_double(mu) - c_single(mu), e_factor(mu),
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda tol: sm.sector_heat_kernel(sm.SectorSpec(1.0), 0.1, 1.0, 0.5, 1.2, 0.3, tol=tol),
+    lambda tol: sm.greens_kl(sm.SectorSpec(1.0), 1.0, 1.0, 0.5, 1.2, 0.3, tol=tol),
+    lambda tol: sm.laplace_consistency(sm.NEUMANN, 1.0, [((1.0, 1.0), (2.0, 1.5))], tol=tol),
+], ids=["sector_heat_kernel", "greens_kl", "laplace_consistency"])
+def test_bad_tol_names_the_field(call, tol):
+    with pytest.raises(DomainError) as info:
+        call(tol)
+    assert info.value.field == "tol"
+
+
 class TestLaplaceConsistency:
     def test_half_plane_neumann(self):
         res = sm.laplace_consistency(
