@@ -390,8 +390,8 @@ class TestBadArguments:
                          id="greens-halfplane-s0"),
             pytest.param(["greens", "--model", "sector", "--s", "1,-4"], "--s",
                          id="greens-sector-s"),
-            # a tol <= 0 used to end in "math domain error", and NaN in a
-            # numerical failure
+            # a tol <= 0 or NaN is an input error, not a "math domain error"
+            # traceback or a numerical failure
             *(pytest.param(["greens", "--model", "halfplane", "--tol", tol], "--tol",
                            id=f"greens-halfplane-tol-{tol}")
               for tol in ("0", "-1", "nan", "inf")),

@@ -70,10 +70,13 @@ class TestClosedForms:
     (lambda: cl.term_contributions("C", 7.0), "gamma"),
     (lambda: cl.cone_point_coeff(0.0), "opening"),
     (lambda: cl.cone_point_coeff(math.inf), "opening"),
-    *((lambda a=a: SectorSpec(a), "gamma") for a in (math.nan, 2.0 * PI)),
-    *((lambda a=a: es.sector_disk_spectrum(a, 1.0, "DD"), "gamma") for a in (math.nan, 2.0 * PI)),
-    *((lambda a=a: tc.BoundaryLoop(edges=(tc.EdgeSpec(1.0, DIRICHLET),) * 2, angles=(1.0, a)),
-       "angles[1]") for a in (math.nan, 2.0 * PI)),
+    *(pytest.param(build, field, id=f"{name}-{a:.4f}") for a in (math.nan, 2.0 * PI)
+      for name, build, field in [
+          ("SectorSpec", lambda a=a: SectorSpec(a), "gamma"),
+          ("sector_disk_spectrum", lambda a=a: es.sector_disk_spectrum(a, 1.0, "DD"), "gamma"),
+          ("BoundaryLoop", lambda a=a: tc.BoundaryLoop(
+              edges=(tc.EdgeSpec(1.0, DIRICHLET),) * 2, angles=(1.0, a)), "angles[1]"),
+      ]),
 ])
 def test_angle_errors_name_the_field(build, field):
     with pytest.raises(DomainError) as info:

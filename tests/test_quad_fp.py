@@ -53,8 +53,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("b, envelope", [(1.0, None), (math.inf, (1.0, 1.0))])
     def test_bad_tol_is_refused_up_front(self, tol, b, envelope):
-        # tol <= 0 used to spend the whole node budget on [0, 1], or fail
-        # in the truncation point's logarithm on [0, inf)
+        # refused before any node: a tol <= 0 would spend the whole node
+        # budget on [0, 1], or fail in the truncation point's logarithm on
+        # [0, inf)
         calls = []
         f = lambda x: calls.append(x) or np.exp(-x)
         with pytest.raises(DomainError) as info:

@@ -445,7 +445,7 @@ class TestBracketTerms:
         """Each factor W(mu) e^{pi mu} is even in mu, so W(0) = e^{pi mu}
         W(mu) + O(mu^2).  The check runs at mu = 1e-6: C's numerator cancels
         to 1e-16/mu relative, so at mu = 1e-12 its own value is good to only
-        2e-5.  The C factor used to return half its limit at mu = 0."""
+        2e-5.  A C factor that returns half its limit at mu = 0 fails."""
         terms = sm._bracket_terms(pair, g, phi, phi0)
         assert list(terms) == (["A", "B", "C"] if pair in ("DD", "NN") else ["A", "F", "E"])
         mu = 1e-6
