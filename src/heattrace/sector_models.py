@@ -305,10 +305,13 @@ def _bracket_terms(pair, g, phi, phi0):
             return s * ratio * 0.5 * (np.exp(-(2.0 * g - v) * mu) + np.exp(-v * mu))
 
         def c_term(mu):
-            # sinh((pi - g) mu)/sinh(g mu) cosh(theta mu) e^{-pi mu},
-            # which decays like e^{-(2g - theta) mu}; (pi - g)/g at mu = 0
-            num = np.exp(-(2.0 * g - theta) * mu) + np.exp(-(2.0 * g + theta) * mu) \
-                - np.exp(-(_TWO_PI - theta) * mu) - np.exp(-(_TWO_PI + theta) * mu)
+            # sinh((pi - g) mu)/sinh(g mu) cosh(theta mu) e^{-pi mu}, which
+            # decays like e^{-(2h - theta) mu}, h = min(g, pi); (pi - g)/g at
+            # mu = 0.  sinh((pi - g) mu) goes through expm1, so nothing
+            # cancels as mu -> 0, and no exponential grows
+            h = min(g, math.pi)
+            num = math.copysign(1.0, math.pi - g) * -np.expm1(-2.0 * abs(math.pi - g) * mu) \
+                * (np.exp(-(2.0 * h - theta) * mu) + np.exp(-(2.0 * h + theta) * mu))
             den = -np.expm1(-2.0 * g * mu)
             return np.where(mu > 0.0, 0.5 * num / np.where(den > 0.0, den, 1.0), (math.pi - g) / g)
 

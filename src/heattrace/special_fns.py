@@ -2,11 +2,12 @@
 order, Bessel J with its zeros, and complementary error functions.
 
 Everything is evaluated in double precision from series, asymptotic
-expansions, stable recurrences, and integral representations; no external
-special-function library is used.  Scaled variants are provided wherever the
-unscaled value over- or underflows.  K_{i mu} has one algorithm, the batched
-table _k_imag_scaled_table with its error estimates; the scalar functions are
-its one-entry case.
+expansions, stable recurrences, and the cosine integral of K_{i mu}; no
+external special-function library is used.  Scaled variants are provided
+wherever the unscaled value over- or underflows.  K_{i mu} has one algorithm,
+the batched table _k_imag_scaled_table with its error estimates; the scalar
+functions are its one-entry case.  J_nu for x > 12 has one too, a recurrence
+normalized by Neumann's sum, with a Hankel shortcut for nu < 1, x >= 25.
 """
 
 import cmath
@@ -27,7 +28,6 @@ _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _I_MANY_X_MAX = 700.0  # bessel_i_scaled_many's argument cap
 _TWO_PI = 2.0 * math.pi
 _MAX_TERMS = 20000  # term cap of every series and continued fraction
-_MAX_PANELS = 4000  # panel cap of the J integral representation
 _K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
 
 
@@ -426,20 +426,6 @@ def _jv_series(nu, x):
     raise ConvergenceError("J series did not converge", {"nu": nu, "x": x})
 
 
-def _jv_base_integral(nu, x):
-    """J_nu(x) for 0 <= nu < 2, 12 < x < 25, from Bessel's integral
-    (1/pi) int_0^pi cos(x sin t - nu t) dt  -  (sin(nu pi)/pi) int_0^inf e^{-x sinh s - nu s} ds."""
-    n_panels = min(max(10, int(x)), _MAX_PANELS)
-    t, w = panel_nodes(0.0, math.pi, n_panels)
-    first = float(np.dot(w, np.cos(x * np.sin(t) - nu * t))) / math.pi
-    if nu == 0.0:
-        return first
-    s_max = math.asinh(50.0 / x) + 1.0
-    s, ws = panel_nodes(0.0, s_max, 12)
-    second = float(np.dot(ws, np.exp(-x * np.sinh(s) - nu * s))) / math.pi
-    return first - math.sin(nu * math.pi) * second
-
-
 def _jv_base_hankel(nu, x):
     """J_nu(x) for 0 <= nu < 2 and x >= 25 from the Hankel expansion; the
     smallest term there is ~e^{-2x}, far below double precision."""
@@ -463,49 +449,42 @@ def _jv_base_hankel(nu, x):
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
 
 
-def _jv_base(nu, x):
-    return _jv_base_hankel(nu, x) if x >= 25.0 else _jv_base_integral(nu, x)
-
-
 def _bessel_j_pair(nu, x):
-    """(J_nu(x), J_{nu+1}(x)) for x > 12: the base-order values for nu < 1,
-    else one downward (Miller) recurrence from well above the turning point of
-    J_{nu+1}, normalized against directly computed base-order values."""
-    nu_base = nu - math.floor(nu)
-    j0, j1 = _jv_base(nu_base, x), _jv_base(nu_base + 1.0, x)
-    if nu < 1.0:
-        return j0, j1
-    want = round(nu - nu_base)  # ladder indices: nu at want, nu + 1 at hi
-    hi = want + 1
-    n_extra = math.ceil(max(0.0, x - (nu + 1.0)) + 15.0 + 2.0 * x ** (1.0 / 3.0))
-    f_hi, f, rescales = 0.0, 1e-280, 0
-    log_unit = math.log(1e280)
-    saved = {}  # ladder index k -> (value, rescale count at save time)
-    for k in range(want + n_extra, -1, -1):
-        order = nu_base + k + 1.0
-        f_lo = (2.0 * order / x) * f - f_hi
-        f_hi, f = f, f_lo
-        if abs(f) > 1e280:
-            f *= 1e-280
-            f_hi *= 1e-280
-            rescales += 1
-        if k <= hi and (k >= want or k <= 1):
-            saved[k] = (f, rescales)
-    # normalize at whichever base order is farther from a zero of J
-    ref_val, (ref_f, ref_r) = (j1, saved[1]) if abs(j1) > abs(j0) else (j0, saved[0])
-    if ref_val == 0.0:
-        return 0.0, 0.0
-    log_ref, log_ref_f = math.log(abs(ref_val)), math.log(abs(ref_f))
-    sign_ref = math.copysign(1.0, ref_val) * math.copysign(1.0, ref_f)
+    """(J_nu(x), J_{nu+1}(x)) for x > 12.
 
-    def normalized(k):
-        ft, rt = saved[k]
-        if ft == 0.0:
-            return 0.0
-        log_mag = log_ref + math.log(abs(ft)) - log_ref_f + log_unit * (rt - ref_r)
-        return sign_ref * math.copysign(math.exp(log_mag), ft) if log_mag >= -745.0 else 0.0
+    For nu < 1 at x >= 25 both come from the Hankel expansion.  Otherwise
+    one downward (Miller) recurrence over the orders b + k, b = nu - floor(nu),
+    runs from an even index 15 + 8 x^{1/3} above max(x, nu + 1) and is
+    normalized by Neumann's sum, accumulated as it runs:
 
-    return normalized(want), normalized(hi)
+        (x/2)^b / Gamma(b + 1) = sum_m c_m J_{b+2m}(x),
+        c_0 = 1,  c_m = (b + 2m) Gamma(b + m) / (m! Gamma(b + 1)).
+    """
+    b = nu - math.floor(nu)
+    if nu < 1.0 and x >= 25.0:
+        return _jv_base_hankel(nu, x), _jv_base_hankel(nu + 1.0, x)
+    want = round(nu - b)  # ladder index of order nu; nu + 1 is at want + 1
+    top = 2 * math.ceil(0.5 * (max(x, nu + 1.0) - b + 15.0 + 8.0 * x ** (1.0 / 3.0)))
+    f_hi, f = 0.0, 1.0  # the values at ladder indices k + 1 and k
+    total, c = 0.0, 1.0  # Neumann's sum so far and c_{k/2}, both over c_{top/2}
+    j_nu = j_next = 0.0
+    for k in range(top, -1, -1):
+        if k == want:
+            j_nu = f
+        elif k == want + 1:
+            j_next = f
+        if k % 2 == 0:
+            total += c * f
+            m = k // 2
+            if m > 1:
+                c *= m * (b + k - 2.0) / ((b + k) * (b + m - 1.0))
+            elif m == 1:
+                c /= b + 2.0
+        f_hi, f = f, (2.0 * (b + k) / x) * f - f_hi
+        if abs(f) > 1e100:  # rescale the sum with the values
+            f, f_hi, total, j_nu, j_next = (v * 1e-100 for v in (f, f_hi, total, j_nu, j_next))
+    scale = (0.5 * x) ** b / math.gamma(b + 1.0) * c / total
+    return j_nu * scale, j_next * scale
 
 
 def bessel_j(nu, x):
@@ -513,7 +492,7 @@ def bessel_j(nu, x):
     _check_order_and_arg(nu, x)
     if x <= 12.0:
         return _jv_series(nu, x)
-    return _jv_base(nu, x) if nu < 1.0 else _bessel_j_pair(nu, x)[0]
+    return _bessel_j_pair(nu, x)[0]
 
 
 def bessel_j_prime(nu, x):

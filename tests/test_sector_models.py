@@ -443,9 +443,8 @@ class TestBracketTerms:
     @pytest.mark.parametrize("g, phi, phi0", BRACKET_POINTS)
     def test_value_at_zero_is_the_limit(self, pair, g, phi, phi0):
         """Each factor W(mu) e^{pi mu} is even in mu, so W(0) = e^{pi mu}
-        W(mu) + O(mu^2).  The check runs at mu = 1e-6: C's numerator cancels
-        to 1e-16/mu relative, so at mu = 1e-12 its own value is good to only
-        2e-5.  A C factor that returns half its limit at mu = 0 fails."""
+        W(mu) + O(mu^2).  The check runs at mu = 1e-6.  A C factor that
+        returns half its limit at mu = 0 fails."""
         terms = sm._bracket_terms(pair, g, phi, phi0)
         assert list(terms) == (["A", "B", "C"] if pair in ("DD", "NN") else ["A", "F", "E"])
         mu = 1e-6
@@ -453,6 +452,15 @@ class TestBracketTerms:
             at_zero, near = factor(np.array([0.0, mu])) * np.array([1.0, math.exp(PI * mu)])
             # F vanishes at 0 like mu^2
             assert at_zero == pytest.approx(near, rel=1e-9, abs=1e-10), name
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-10])
+    @pytest.mark.parametrize("g, phi, phi0", BRACKET_POINTS)
+    def test_c_keeps_its_limit_at_tiny_mu(self, g, phi, phi0, mu):
+        """sinh((pi - g) mu) must go through expm1: as a difference of four
+        exponentials C's numerator cancels to 1e-16/mu relative, 2e-5 at
+        mu = 1e-12."""
+        c_factor = sm._bracket_terms("DD", g, phi, phi0)["C"][0]
+        assert c_factor(np.array([mu]))[0] == pytest.approx((PI - g) / g, rel=1e-9)
 
     @pytest.mark.parametrize("gamma", [0.4, 1.0, PI / 2.0, 2.5, 3.0])
     def test_e_is_twice_c_at_the_doubled_angle_less_c(self, gamma):

@@ -368,18 +368,18 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu, x", [(7.5, 30.0), (3.0, 18.0), (40.2, 40.7), (0.3, 50.0)])
     def test_prime_is_one_pair_evaluation(self, monkeypatch, nu, x):
-        # J_nu and J_{nu+1} come from one recurrence normalized against one
-        # pair of base-order values
+        # J_nu and J_{nu+1} come from one normalized recurrence (or, for
+        # nu < 1 at x >= 25, one pair of Hankel expansions)
         calls = []
-        base = sf._jv_base
-        monkeypatch.setattr(sf, "_jv_base", lambda n, v: calls.append(n) or base(n, v))
+        pair = sf._bessel_j_pair
+        monkeypatch.setattr(sf, "_bessel_j_pair", lambda n, v: calls.append(n) or pair(n, v))
         sf.bessel_j_prime(nu, x)
-        assert len(calls) == 2
+        assert calls == [nu]
 
     def test_handoff_band_against_extended_precision(self):
-        # 12 < x < 25 runs Bessel's integral on fixed panels with no error
-        # estimate; x = 25 is the first Hankel point.  The worst error seen
-        # here is 1.3e-13 relative, 1.4e-14 absolute
+        # 12 < x < 25 runs the recurrence for every order; at x = 25 orders
+        # nu < 1 switch to the Hankel expansion.  The worst error seen here
+        # is 1.4e-14 relative, 2.7e-16 absolute
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         for nu in (0.0, 0.25, 0.5, 0.9, 1.3, 7.0):
@@ -387,23 +387,24 @@ class TestBesselJ:
                 ref = float(mp.besselj(nu, x))
                 assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
-
-    @pytest.mark.parametrize("xs", [np.linspace(12.01, 24.99, 12), np.linspace(25.0, 200.0, 12)],
-                             ids=["integral", "hankel"])
-    def test_base_orders_against_extended_precision(self, xs):
-        # _bessel_j_pair evaluates the base at nu_base and nu_base + 1, so
-        # both routes serve 0 <= nu < 2; errors relative to the amplitude
-        # sqrt(2/(pi x)), worst seen 1.6e-14
+    @pytest.mark.parametrize("xs, j", [(np.linspace(12.01, 24.99, 12), sf.bessel_j),
+                                       (np.linspace(25.0, 200.0, 12), sf._jv_base_hankel)],
+                             ids=["recurrence", "hankel"])
+    def test_base_orders_against_extended_precision(self, xs, j):
+        # the orders 0 <= nu < 2 below x = 25 through the recurrence, and
+        # from x = 25 through the Hankel expansion, which serves nu < 1 and
+        # nu + 1; errors relative to the amplitude sqrt(2/(pi x)), worst
+        # seen 1.5e-15 below x = 25 and 1.1e-14 from it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         for nu in (0.0, 0.3, 0.9, 1.0, 1.25, 1.5, 1.99):
             for x in xs.tolist():
                 amp = math.sqrt(2.0 / (math.pi * x))
-                assert abs(sf._jv_base(nu, x) - float(mp.besselj(nu, x))) <= 5e-14 * amp
+                assert abs(j(nu, x) - float(mp.besselj(nu, x))) <= 5e-14 * amp
 
-    def test_low_orders_in_the_integral_band_against_extended_precision(self):
-        # J_nu for 1 <= nu < 2 normalizes the recurrence against the base
-        # pair; worst seen 5.9e-14 of the amplitude
+    def test_low_orders_below_the_hankel_band_against_extended_precision(self):
+        # J_nu for 1 <= nu < 2 at 12 < x < 25; worst seen 1.8e-15 of the
+        # amplitude
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         for nu in (1.0, 1.1, 1.5, 1.77, 1.99):
@@ -411,13 +412,51 @@ class TestBesselJ:
                 amp = math.sqrt(2.0 / (math.pi * x))
                 assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 2e-13 * amp
 
+    @pytest.mark.parametrize("x", [126.4, 200.0, 230.0, 262.0, 300.0])
+    def test_pair_at_large_arguments_against_extended_precision(self, x):
+        # Neumann's sum needs the Miller start 15 + 8 x^{1/3} orders above
+        # the turning point; 15 + 2 x^{1/3} loses up to 8e-9 of the
+        # amplitude here.  Worst seen 1.5e-14
+        mp = pytest.importorskip("mpmath")
+        amp = math.sqrt(2.0 / (math.pi * x))
+        with mp.workdps(25):
+            for nu in (1.0, 7.5, 30.0, 61.7):
+                j_nu, j_next = sf._bessel_j_pair(nu, x)
+                assert abs(j_nu - float(mp.besselj(nu, x))) <= 5e-13 * amp, nu
+                assert abs(j_next - float(mp.besselj(nu + 1.0, x))) <= 5e-13 * amp, nu
+                assert sf.bessel_j(nu, x) == j_nu
+
+    def test_rescaled_recurrence(self):
+        # from order 184 down to 0 the values at x = 13 grow by ~1e188, so
+        # the sum and the values are rescaled on the way; J_400(12.5) ~
+        # 1e-549 underflows to 0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(25):
+            ref = float(mp.besselj(150, 13))
+        assert sf.bessel_j(150.0, 13.0) == pytest.approx(ref, rel=1e-12)
+        assert sf.bessel_j(400.0, 12.5) == 0.0
+
+    def test_no_gauss_grid_in_j(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a J evaluation built a Gauss grid")
+
+        monkeypatch.setattr(sf, "panel_nodes", refuse)
+        cache = sf.BesselZeroCache()
+        for nu in (0.0, 0.5, 1.0, 1.5, 7.0):
+            for x in (12.5, 18.0, 24.5):
+                sf.bessel_j(nu, x)
+                sf.bessel_j_prime(nu, x)
+            zeros = [sf.bessel_j_zero(nu, k, cache=cache) for k in range(1, 9)]
+            primes = [sf.bessel_j_prime_zero(nu, k, cache=cache) for k in range(1, 9)]
+            assert max(zeros + primes) > 24.0
+
 
 @st.composite
 def _j_points(draw):
     """(nu, x) with 12 < x <= 120, the recurrence's range: anywhere, in the
     band nu < x < nu + 1 where the recurrence starts at J_{nu+1}'s turning
-    point rather than J_nu's, or across the x = 25 hand-off of the base
-    orders."""
+    point rather than J_nu's, or across the x = 25 hand-off to the Hankel
+    expansion for nu < 1."""
     band = draw(st.sampled_from(["any", "turning", "handoff"]))
     if band == "turning":
         nu = draw(st.floats(min_value=12.0, max_value=60.0))
@@ -473,6 +512,22 @@ class TestZeroMarch:
             cold = [zero(nu, k) for k in range(1, 41)]
             assert warm == cold, nu
             assert all(a < b for a, b in zip(warm, warm[1:])), nu
+
+    def test_zeros_near_260_against_extended_precision(self):
+        # the zeros of J_1 and J'_{7.5} up to x ~ 252, each march resumed
+        # through one shared cache; J's error near x ~ 250 moves them, by up
+        # to 5.4e-9 with a Miller start 15 + 2 x^{1/3} orders above the
+        # turning point
+        mp = pytest.importorskip("mpmath")
+        cache = sf.BesselZeroCache()
+        zeros = [sf.bessel_j_zero(1.0, k, cache=cache) for k in range(1, 81)]
+        primes = [sf.bessel_j_prime_zero(7.5, k, cache=cache) for k in range(1, 78)]
+        with mp.workdps(25):
+            for k, z in enumerate(zeros, start=1):
+                assert z == pytest.approx(float(mp.besseljzero(1, k)), rel=0.0, abs=1e-11), k
+            for k, z in enumerate(primes, start=1):
+                ref = float(mp.besseljzero(7.5, k, derivative=1))
+                assert z == pytest.approx(ref, rel=0.0, abs=1e-11), k
 
     def test_against_extended_precision(self):
         mp = pytest.importorskip("mpmath")
