@@ -117,8 +117,9 @@ def _cumulative_mode_integral(orders, cutoffs):
     Each segment between cutoffs sums the prefix of the ladder `orders` up to
     the last order whose _log_mode_bound reaches _MODE_TOL at some node of
     the segment (at least one order), so every order it leaves out is below
-    _MODE_TOL at all its nodes.  Every node is checked, not only the largest
-    z, because the bound need not grow with z for orders below 1.
+    _MODE_TOL at all its nodes.  For orders >= 1 the bound grows with z, so
+    the segment's largest node decides them; orders below 1 are checked at
+    every node.
     """
     edges = np.concatenate([[0.0], np.asarray(cutoffs)])
     log_tol = math.log(_MODE_TOL)
@@ -128,7 +129,10 @@ def _cumulative_mode_integral(orders, cutoffs):
         n_pan = max(2, int(math.ceil((b - a) / 0.4)))
         r_nodes, w_nodes = quad_fp.panel_nodes(a, b, n_pan, rule=21)
         z = 0.5 * r_nodes * r_nodes
-        needed = np.flatnonzero((_log_mode_bound(orders, z[:, None]) >= log_tol).any(axis=0))
+        reach = _log_mode_bound(orders, z.max()) >= log_tol
+        low = orders < 1.0
+        reach[low] |= (_log_mode_bound(orders[low], z[:, None]) >= log_tol).any(axis=0)
+        needed = np.flatnonzero(reach)
         keep = int(needed[-1]) + 1 if needed.size else 1
         # one (nodes x orders) block per segment; rows are summed one by one
         # and accumulated in node order
@@ -283,23 +287,24 @@ def term_contributions(term, gamma):
         # the angular diagonal integral cancels identically
         values = np.zeros_like(taus)
     else:
-        factor, _ = _bracket_terms("DD" if term == "C" else "DN", gamma, 0.0, 0.0)[term]
-        # on the diagonal both decay like e^{-min(2 gamma, 2 pi) mu}
-        values = _term_mu_integral(lambda mu: gamma * factor(mu),
-                                   min(2.0 * gamma, 2.0 * math.pi), taus)
+        values = _term_mu_integral(term, gamma, taus)
     return _fit_against_tau(taus, values)
 
 
-def _term_mu_integral(weight, gap, taus):
+def _term_mu_integral(term, gamma, taus):
     """g(tau) = (1/pi^2) int_0^inf SW(mu) q~(mu, tau) dmu for each tau,
-    with q~(mu, tau) = e^{pi mu} int_0^tau u K_{i mu}(u)^2 du and SW(mu) the
-    diagonal-integrated bracket factor, which decays like e^{-gap mu}."""
+    with q~(mu, tau) = e^{pi mu} int_0^tau u K_{i mu}(u)^2 du and SW(mu)
+    gamma times the term's bracket factor at phi = phi0 = 0, which decays
+    like e^{-gap mu}, gap = min(2 gamma, 2 pi), its _bracket_terms label."""
+    factor, gap = _bracket_terms("DD" if term == "C" else "DN", gamma, 0.0, 0.0)[term]
     mu_max = (math.log(1e12) + 10.0) / gap
-    mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, max(8, int(math.ceil(mu_max))))
+    # ten-node panels: one per unit of mu, one per 4 e-folds of e^{-2 gamma mu}
+    n_pan = max(8, math.ceil(mu_max), math.ceil(0.5 * gamma * mu_max))
+    mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, n_pan)
     u_nodes, u_wts, ends = _log_u_grid(taus, mus.max())
     k_table = _k_imag_scaled_table(mus, u_nodes)[0]
     integrand = k_table**2 * (u_nodes * u_wts)[None, :]  # rows: mu, cols: u
     cum = np.cumsum(integrand, axis=1)
     q_cols = cum[:, np.asarray(ends) - 1]  # (n_mu, n_tau)
-    sw = weight(mus) * mu_wts
+    sw = gamma * factor(mus) * mu_wts
     return (sw @ q_cols) / math.pi**2

@@ -316,7 +316,7 @@ def _bracket_terms(pair, g, phi, phi0):
             return np.where(mu > 0.0, 0.5 * num / np.where(den > 0.0, den, 1.0), (math.pi - g) / g)
 
         terms["B"] = (b_term, min(2.0 * g - v, v))
-        terms["C"] = (c_term, 2.0 * g - theta)
+        terms["C"] = (c_term, 2.0 * min(g, math.pi) - theta)
     else:  # DN (possibly after the ND reflection above)
 
         def f_term(mu):
@@ -333,7 +333,7 @@ def _bracket_terms(pair, g, phi, phi0):
             return -0.5 * num / den
 
         terms["F"] = (f_term, min(2.0 * g - v, v))
-        terms["E"] = (e_term, 2.0 * g - theta)
+        terms["E"] = (e_term, 2.0 * min(g, math.pi) - theta)
     return terms
 
 

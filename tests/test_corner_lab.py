@@ -202,6 +202,21 @@ class TestFinitePartRoute:
             nu = mode_order(pair, alpha, orders.size)
             assert max(sf.bessel_i_scaled(nu, float(x)) for x in z) <= 1e-16
 
+    @pytest.mark.parametrize("pair, alpha", [("NN", 1.05), ("DN", 1.6), ("DD", 1.5 * PI)])
+    def test_each_segment_keeps_what_the_full_scan_keeps(self, pair, alpha, monkeypatch):
+        """The segment's prefix, found from its largest node for orders >= 1
+        and from every node below 1, is the prefix that checking every node
+        against every order of the ladder gives."""
+        calls = self._count_i_calls(monkeypatch)
+        cl.corner_finite_part(pair, alpha)
+        ladder = cl._corner_orders(pair, alpha, 0.5 / min(cl.CORNER_EPS_SCHEDULE) ** 2)
+        assert len(calls) == 14
+        for orders, z in calls:
+            scan = cl._log_mode_bound(ladder, z[:, None]) >= math.log(cl._MODE_TOL)
+            needed = np.flatnonzero(scan.any(axis=0))
+            assert orders.size == (int(needed[-1]) + 1 if needed.size else 1)
+            assert np.array_equal(orders, ladder[:orders.size])
+
     def test_eps_below_the_i_argument_limit_fails_up_front(self, monkeypatch):
         # the last cutoff 1/eps puts I_nu at 1/(2 eps^2) = 1048 > 700
         calls = self._count_i_calls(monkeypatch)
@@ -262,6 +277,27 @@ class TestTermContributions:
         assert cl.term_contributions("C", gamma) == pytest.approx(closed_same(gamma), rel=5e-10)
         assert cl.term_contributions("E", gamma) == pytest.approx(closed_mixed(gamma), rel=5e-10)
 
+    @pytest.mark.parametrize("gamma", [4.7, 5.9])
+    def test_reflex_c_and_e_reach_their_closed_forms(self, gamma):
+        # with 8 mu panels once the gap is 2 pi, E was off by 4.2e-9 at 4.7
+        # and 3.7e-8 at 5.9; panels sized by e^{-2 gamma mu} give ~6e-11
+        assert cl.term_contributions("C", gamma) == pytest.approx(closed_same(gamma), rel=2e-10)
+        assert cl.term_contributions("E", gamma) == pytest.approx(closed_mixed(gamma), rel=2e-10)
+
+    @pytest.mark.parametrize("term", ["C", "E"])
+    @pytest.mark.parametrize("gamma, panels", [(1.4, 14), (1.5, 13), (1.6, 12), (4.7, 15),
+                                               (5.9, 18)])
+    def test_mu_panels(self, term, gamma, panels, monkeypatch):
+        """max(8, ceil(mu_max), ceil(gamma mu_max / 2)) ten-node panels: one
+        per unit of mu up to gamma = 1.88, one per 4 e-folds of e^{-2 gamma mu}
+        beyond."""
+        sizes = []
+        table = cl._k_imag_scaled_table
+        monkeypatch.setattr(cl, "_k_imag_scaled_table",
+                            lambda mus, us: sizes.append(mus.size) or table(mus, us))
+        cl.term_contributions(term, gamma)
+        assert sizes == [10 * panels]
+
     def test_e_is_one_k_table(self, monkeypatch):
         # one mu integral of the DN bracket, not 2 C(2 gamma) - C(gamma)
         calls = []
@@ -304,9 +340,10 @@ class TestKTable:
         the scalar route) on a subsample of the grid
         term_contributions("C", gamma) tabulates: to 1e-9 relative where the
         one-entry estimate is below 1e-12 relative, elsewhere within twice
-        that estimate.  The batched table shares one panel count and w grid
-        across its entries.  On the gamma = 1.5 grid a table that trusts the
-        series up to u = pi mu/2 + 16 is 1-3 % low at mu ~ 11, u ~ 29."""
+        that estimate.  The batched table sizes one w grid per block of 256
+        columns, the one-entry table one for its single entry.  On the
+        gamma = 1.5 grid a table that trusts the series up to u = pi mu/2 + 16
+        is 1-3 % low at mu ~ 11, u ~ 29."""
         grids = []
         table = cl._k_imag_scaled_table
 
@@ -329,3 +366,32 @@ class TestKTable:
                 else:
                     assert abs(out[i, j] - value) <= 2.0 * err + 1e-9 * abs(value), (mus[i], us[j])
         assert tight > 5000
+
+    def test_one_cell_per_column_block_against_extended_precision(self, monkeypatch):
+        """In each 256-column block of the gamma = 1.5 C grid, the integral
+        cell at the block's largest such mu and smallest u, where the block's
+        panel count and w grid are sized, is within twice the table's error
+        estimate of mpmath, plus 2e-15 of the value: the estimate models the
+        rounding of the exponents u cosh w, not of the sum itself."""
+        mp = pytest.importorskip("mpmath")
+        grids = []
+        table = cl._k_imag_scaled_table
+
+        def capture(mus, us):
+            out = table(mus, us)
+            grids.append((mus, us, *out))
+            return out
+
+        monkeypatch.setattr(cl, "_k_imag_scaled_table", capture)
+        cl.term_contributions("C", 1.5)
+        mus, us, value, err = grids[0]
+        assert us.size == 2300
+        integral = ~sf._series_preferred(mus[:, None], us[None, :])
+        with mp.workdps(30):
+            for start in range(0, us.size, 256):
+                block = integral[:, start:start + 256]
+                i = int(np.flatnonzero(block.any(axis=1))[-1])
+                j = start + int(np.argmax(block[i]))
+                ref = float((mp.besselk(1j * mp.mpf(mus[i]), mp.mpf(us[j]))
+                             * mp.exp(mp.pi * mus[i] / 2)).real)
+                assert abs(value[i, j] - ref) <= 2.0 * err[i, j] + 2e-15 * abs(ref), (mus[i], us[j])

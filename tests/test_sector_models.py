@@ -475,6 +475,28 @@ class TestBracketTerms:
         np.testing.assert_allclose(2.0 * c_double(mu) - c_single(mu), e_factor(mu),
                                    rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("pair, name", [("DD", "C"), ("NN", "C"), ("DN", "E"), ("ND", "E")])
+    @pytest.mark.parametrize("g, phi, phi0", [(4.7, 0.3, 4.0), (4.7, 2.0, 2.5),
+                                              (5.9, 0.5, 5.0), (5.9, 3.0, 3.0)])
+    def test_reflex_gap_label_bounds_the_factor(self, pair, name, g, phi, phi0):
+        """For g > pi the C and E factors decay like e^{-(2 pi - theta) mu},
+        not e^{-(2 g - theta) mu}: the label is 2 min(g, pi) - theta, and
+        |factor| e^{gap mu} stays below 2 out to mu = 40 (E's four
+        exponentials over 1 + e^{-2 g mu} make 2 its limit at theta = 0)."""
+        factor, gap = sm._bracket_terms(pair, g, phi, phi0)[name]
+        theta = abs(phi - phi0)
+        assert gap == 2.0 * PI - theta
+        mu = np.linspace(0.0, 40.0, 401)
+        assert np.all(np.abs(factor(mu)) * np.exp(gap * mu) <= 2.0)
+
+    @pytest.mark.parametrize("g", [PI / 3.0, PI / 2.0, PI])
+    def test_gap_label_up_to_pi_is_two_g_less_theta(self, g):
+        # the labels greens_kl truncates by at the kernels' sector angles
+        phi, phi0 = 0.2 * g, 0.7 * g
+        theta = abs(phi - phi0)
+        assert sm._bracket_terms("DD", g, phi, phi0)["C"][1] == 2.0 * g - theta
+        assert sm._bracket_terms("DN", g, phi, phi0)["E"][1] == 2.0 * g - theta
+
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("call", [

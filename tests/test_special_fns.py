@@ -298,6 +298,54 @@ class TestKImagTable:
             ref, err = sf._k_imag_scaled_impl(mu, 2.0)
             assert abs(value - ref) <= _k_bound(mu, 2.0, err, ref, mu >= 0.5)
 
+    def test_each_column_block_sizes_its_own_grid(self, monkeypatch):
+        """One w grid per block of 256 integral columns: w_max is
+        acosh(1 + 50/u) at the block's smallest u, and the panel count comes
+        from the largest mu among the rows that hold an integral cell in the
+        block.  Below u = 24 only mu = 0.3 needs the integral (the series
+        serves mu >= 0.5 while u^2 <= 72 mu), so the first two blocks take
+        4 w_max panels; the third also holds mu = 8 cells past u = 24, and
+        its count is 2 * 8 * w_max / pi.  mu = 80 sizes nothing."""
+        grids = []
+        real = sf.panel_nodes
+        monkeypatch.setattr(sf, "panel_nodes",
+                            lambda a, b, n: grids.append((a, b, n)) or real(a, b, n))
+        mus = np.array([0.3, 8.0, 80.0])
+        us = np.geomspace(1e-6, 40.0, 600)
+        table, _ = sf._k_imag_scaled_table(mus, us)
+        expect = []
+        for start, mu_max in ((0, 0.3), (256, 0.3), (512, 8.0)):
+            w_max = math.acosh(1.0 + 50.0 / us[start])
+            n_pan = max(8, int(4.0 * w_max), int(2.0 * mu_max * w_max / math.pi))
+            expect.append((0.0, w_max, n_pan))
+        assert grids == expect
+        assert expect[2][2] > int(4.0 * expect[2][1])  # mu = 8 sized the third block
+        for j in (0, 300, 599):
+            for i, mu in enumerate(mus):
+                ref, err = sf._k_imag_scaled_impl(mu, us[j])
+                assert abs(table[i, j] - ref) <= _k_bound(mu, us[j], err, ref, mu >= 0.5)
+
+
+class TestClgamma:
+    def test_against_extended_precision(self):
+        """log Gamma(1 + i mu) for mu in [0, 200], both parts within 1e-13;
+        the imaginary part reaches 860 there, where 1e-13 is under one ulp."""
+        mp = pytest.importorskip("mpmath")
+        mus = np.concatenate([np.linspace(0.0, 200.0, 801), [1e-8, 0.5, 199.99]])
+        got = sf._clgamma(1.0 + 1j * mus)
+        with mp.workdps(30):
+            for mu, value in zip(mus, got):
+                ref = mp.loggamma(mp.mpc(1.0, mu))
+                assert abs(mp.mpf(value.real) - ref.real) <= 1e-13, mu
+                assert abs(mp.mpf(value.imag) - ref.imag) <= 1e-13, mu
+
+    def test_left_half_of_the_domain(self):
+        # Re z >= 0.5: the shift by 8 keeps Stirling's series at |w| >= 8.5
+        mp = pytest.importorskip("mpmath")
+        zs = np.array([0.5, 0.5 + 3.0j, 0.7 - 20.0j, 2.5 + 0.1j])
+        for z, value in zip(zs, sf._clgamma(zs)):
+            assert abs(complex(mp.loggamma(complex(z))) - value) <= 1e-14, z
+
 
 class TestBesselJ:
     def test_at_zero(self):

@@ -1,8 +1,9 @@
 """The benchmark's tracer (bench/tracer.py) patches package functions by
 (module, attribute) name, so a function moved or renamed without it makes
 `bench/run.py --trace 1` crash.  This reads the tracer by path, checks that
-every name it patches still resolves, and that a traced pass computes what
-an untraced one does."""
+every name it patches still resolves, that a traced pass computes what an
+untraced one does, and that the K-table boundary still sees the table's
+work."""
 
 import functools
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from heattrace import corner_lab as cl
 from heattrace import exact_spectra as es
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -68,3 +70,21 @@ def test_traced_samples_equal_untraced(build):
     cutoff = es.choose_cutoff(build(), window[0])
     assert tracer.counts["exact_spectra.eigenvalues"] == len(build().up_to(cutoff)) > 0
     assert tracer.maxima["exact_spectra.cutoff_max"] == cutoff
+
+
+@pytest.mark.parametrize("term", ["C", "E"])
+def test_k_table_boundary_carries_the_term_work(term):
+    # the corner_lab.k_table metrics read one wrapped table call per C or E
+    # term_contributions job, and the table's time is most of the job's
+    expect = cl.term_contributions(term, 1.5)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        got = cl.term_contributions(term, 1.5)
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    assert got == expect
+    assert tracer.calls["corner_lab.term_contributions"] == 1
+    assert tracer.calls["corner_lab.k_table"] == 1
+    assert tracer.self_s["corner_lab.k_table"] > tracer.self_s["corner_lab.term_contributions"]
