@@ -76,6 +76,8 @@ def cone_point_coeff(opening):
 CORNER_EPS_SCHEDULE = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.85, count=14)
 CORNER_BASIS = (-2, -1, 0, 1, 3, 5)  # the cutoff expansion has no even powers >= 2
 _MODE_TOL = 1e-16  # truncation bound of the corner mode ladder
+_RADIAL_RULE = 10  # Gauss nodes per panel of the radial integral
+_VERTEX_GRADING = 0.25 ** np.arange(12.0, -1.0, -1.0)  # graded edges on (0, 1], first 6e-8
 
 
 def _log_mode_bound(nu, z):
@@ -97,22 +99,34 @@ def _corner_orders(pair, alpha, z_max):
     """Bessel orders mode_order(pair, alpha, j), j = 0, 1, ..., of the sector
     mode sum, up to the first order whose _log_mode_bound at z_max is below
     _MODE_TOL; every later order is below it too, at every z <= z_max
-    (for nu >= 1 the bound grows with z).  Robin pairs have no ladder
-    (their corners use the Neumann formula) and raise UnsupportedBCError."""
+    (for nu >= 1 the bound grows with z), bounding j < n in one array call
+    for n doubling up to 100,001.  Robin pairs have no ladder (their corners
+    use the Neumann formula) and raise UnsupportedBCError."""
     log_tol = math.log(_MODE_TOL)
-    orders = []
-    nu = mode_order(pair, alpha, 0)
-    while _log_mode_bound(nu, z_max) >= log_tol:
-        orders.append(nu)
-        nu = mode_order(pair, alpha, len(orders))
-        if len(orders) > 100_000:
-            raise DomainError("mode ladder did not truncate; angle too large?")
-    return np.asarray(orders)
+    for n in [64 << k for k in range(11)] + [100_001]:
+        orders = mode_order(pair, alpha, np.arange(n))
+        below = np.flatnonzero(_log_mode_bound(orders, z_max) < log_tol)
+        if below.size:
+            return orders[:below[0]]
+    raise DomainError("mode ladder did not truncate; angle too large?")
+
+
+def _radial_nodes(a, b):
+    """Radial Gauss nodes and weights of the cutoff segment [a, b], increasing:
+    one panel per level of _VERTEX_GRADING on (0, min(b, 1)] when a = 0, then
+    panels of length <= 1."""
+    top = min(b, 1.0) if a == 0.0 else a
+    graded = top * _VERTEX_GRADING if a == 0.0 else ()
+    uniform = np.linspace(top, b, math.ceil(b - top) + 1)[1:]
+    return quad_fp.edge_nodes(np.concatenate([[a], graded, uniform]), _RADIAL_RULE)
 
 
 def _cumulative_mode_integral(orders, cutoffs):
     """F(L) = int_0^L (1/2) R e^{-R^2/2} sum_j I_{nu_j}(R^2/2) dR at each
-    cutoff (increasing), by fixed Gauss panels of length <= 0.4.
+    cutoff (increasing), on the nodes of _radial_nodes: mode j behaves like
+    R^{2 nu_j + 1} at the vertex, with nu_0 as low as 1/4 (DN near 2 pi), so
+    the panels there are graded; beyond R = 1 the modes switch on like
+    e^{-nu^2/R^2}, smooth on a scale >= 1.
 
     Each segment between cutoffs sums the prefix of the ladder `orders` up to
     the last order whose _log_mode_bound reaches _MODE_TOL at some node of
@@ -126,8 +140,7 @@ def _cumulative_mode_integral(orders, cutoffs):
     total = 0.0
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
-        n_pan = max(2, int(math.ceil((b - a) / 0.4)))
-        r_nodes, w_nodes = quad_fp.panel_nodes(a, b, n_pan, rule=21)
+        r_nodes, w_nodes = _radial_nodes(a, b)
         z = 0.5 * r_nodes * r_nodes
         reach = _log_mode_bound(orders, z.max()) >= log_tol
         low = orders < 1.0

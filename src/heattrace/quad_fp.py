@@ -41,8 +41,13 @@ def gauss_rule(order):
 def panel_nodes(a, b, n_panels, rule=10):
     """Gauss-Legendre nodes/weights tiling [a, b] with n_panels equal panels,
     panel by panel in increasing order."""
+    return edge_nodes(np.linspace(a, b, n_panels + 1), rule)
+
+
+def edge_nodes(edges, rule=10):
+    """Gauss-Legendre nodes/weights on the panels between consecutive entries
+    of the increasing array `edges`, panel by panel in increasing order."""
     gx, gw = gauss_rule(rule)
-    edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()

@@ -217,7 +217,7 @@ def bessel_i(nu, x):
 def bessel_i_scaled_many(nus, x):
     """e^{-x} I_nu(x) for an array of orders at arguments 0 <= x <= 700.
 
-    Vectorized forward series used by the corner-contribution mode sums;
+    Vectorized forward series for the corner mode sums and the sector kernel;
     the x cap keeps the scaled first term representable.  A scalar x gives
     one value per order.  A 1-D array x gives a (len(x), len(nus)) block
     whose row i is, bit for bit, the scalar call at x[i]: every row takes

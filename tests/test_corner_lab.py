@@ -177,7 +177,7 @@ class TestFinitePartRoute:
 
     def test_one_i_block_per_cutoff_segment(self, monkeypatch):
         # one (nodes x orders) block per segment of the cutoff ladder, not
-        # one call per Gauss node (1,848 calls for the default schedule)
+        # one call per Gauss node (510 calls for the default schedule)
         calls = self._count_i_calls(monkeypatch)
         eps = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.8, count=9)
         result = cl.corner_finite_part("DN", PI / 2.0, eps_schedule=eps)
@@ -185,13 +185,14 @@ class TestFinitePartRoute:
         assert result.finite_part == pytest.approx(closed_mixed(PI / 2.0), abs=1e-3)
 
     def test_each_segment_sums_only_the_orders_it_needs(self, monkeypatch):
-        # the whole 1,163-order ladder in each of the 14 segments would be
-        # 2,149,224 block entries over the 1,848 rows; the trimmed segments
-        # need 383,607
+        # the whole 461-order ladder in each of the 14 segments would be
+        # 235,110 block entries over the 510 rows; the trimmed segments
+        # need 84,300
         calls = self._count_i_calls(monkeypatch)
         cl.corner_finite_part("DD", 1.5 * PI)
         assert len(calls) == 14
-        assert sum(orders.size * z.size for orders, z in calls) <= 540_000
+        assert sum(z.size for _, z in calls) <= 600
+        assert sum(orders.size * z.size for orders, z in calls) <= 100_000
 
     @pytest.mark.parametrize("pair, alpha", [("NN", 1.05), ("DN", 1.6), ("DD", 1.5 * PI)])
     def test_first_order_left_out_is_below_the_tolerance(self, pair, alpha, monkeypatch):
@@ -216,6 +217,30 @@ class TestFinitePartRoute:
             needed = np.flatnonzero(scan.any(axis=0))
             assert orders.size == (int(needed[-1]) + 1 if needed.size else 1)
             assert np.array_equal(orders, ladder[:orders.size])
+
+    @pytest.mark.parametrize("nu0", [0.25, 0.5, 2.0 / 3.0, 0.98])
+    def test_radial_quadrature_meets_the_recurrence(self, nu0):
+        """DLMF 10.29.1, I_{nu-1} + I_{nu+1} = 2 I'_nu, integrates to an exact
+        identity for G_nu(X) = int_0^X e^{-u} I_nu(u) du = 2 F(L), X = L^2/2:
+
+            G_{nu0}(X) + G_{nu0+2}(X) - 2 G_{nu0+1}(X) = 2 e^{-X} I_{nu0+1}(X).
+
+        Orders below 1 vanish like R^{2 nu + 1} at the vertex; panels of
+        uniform length missed it by up to 1.4e-9 at nu0 = 1/4."""
+        cutoffs = 1.0 / np.asarray(cl.CORNER_EPS_SCHEDULE)
+        g = [2.0 * cl._cumulative_mode_integral(np.array([nu0 + k]), cutoffs) for k in range(3)]
+        exact = [2.0 * sf.bessel_i_scaled(nu0 + 1.0, 0.5 * lam * lam) for lam in cutoffs]
+        assert np.abs(g[0] + g[2] - 2.0 * g[1] - exact).max() <= 2e-13
+
+    @pytest.mark.parametrize("cutoffs", [
+        pytest.param(1.0 / np.asarray(cl.CORNER_EPS_SCHEDULE), id="default"),
+        pytest.param(np.array([0.3, 0.7, 0.95, 1.4, 2.5, 6.0, 20.0]), id="first-below-1"),
+    ])
+    def test_order_zero_matches_the_primitive(self, cutoffs):
+        # with a first cutoff below 1 the graded vertex panels stop at it
+        values = cl._cumulative_mode_integral(np.array([0.0]), cutoffs)
+        exact = [0.5 * cl._primitive_g(0.5 * lam * lam) for lam in cutoffs]
+        assert values == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_eps_below_the_i_argument_limit_fails_up_front(self, monkeypatch):
         # the last cutoff 1/eps puts I_nu at 1/(2 eps^2) = 1048 > 700
@@ -253,6 +278,23 @@ class TestModeBound:
         nu = np.linspace(0.0, 3000.0, 6001)
         z = np.geomspace(1e-8, 700.0, 80)[:, None]
         assert (np.diff(cl._log_mode_bound(nu, z), axis=1) < 0.0).all()
+
+    @pytest.mark.parametrize("pair, alpha", [("NN", 1.05), ("DN", 1.6), ("DD", 1.5 * PI),
+                                             ("DN", 1.9 * PI), ("NN", 0.3)])
+    def test_ladder_matches_the_order_by_order_scan(self, pair, alpha):
+        z_max = 0.5 / min(cl.CORNER_EPS_SCHEDULE) ** 2
+        scan = []
+        nu = mode_order(pair, alpha, 0)
+        while cl._log_mode_bound(nu, z_max) >= math.log(cl._MODE_TOL):
+            scan.append(nu)
+            nu = mode_order(pair, alpha, len(scan))
+        assert np.array_equal(cl._corner_orders(pair, alpha, z_max), scan)
+
+    def test_ladder_that_does_not_truncate_fails(self):
+        # an opening far beyond 2 pi puts the first 100,001 orders below 0.04,
+        # and every one of them reaches the tolerance
+        with pytest.raises(DomainError, match="did not truncate"):
+            cl._corner_orders("NN", 1e7, 700.0)
 
     def test_global_ladder_ends_at_the_first_order_below_the_tolerance(self):
         z_max = 0.5 / min(cl.CORNER_EPS_SCHEDULE) ** 2

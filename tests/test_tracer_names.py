@@ -88,3 +88,22 @@ def test_k_table_boundary_carries_the_term_work(term):
     assert tracer.calls["corner_lab.term_contributions"] == 1
     assert tracer.calls["corner_lab.k_table"] == 1
     assert tracer.self_s["corner_lab.k_table"] > tracer.self_s["corner_lab.term_contributions"]
+
+
+def test_i_many_boundary_carries_the_mode_sum_work():
+    # the special_fns.i_many metrics read one wrapped I block per cutoff
+    # segment, and the blocks hold more self time than the finite part's own
+    # code (the grid, the order bounds, the row sums and the fit)
+    expect = cl.corner_finite_part("DD", 1.5 * math.pi)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        got = cl.corner_finite_part("DD", 1.5 * math.pi)
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    assert got == expect
+    assert tracer.calls["corner_lab.corner_finite_part"] == 1
+    assert tracer.calls["special_fns.i_many"] == 14
+    assert (tracer.self_s["special_fns.i_many"]
+            > tracer.self_s["corner_lab.corner_finite_part"])
