@@ -22,12 +22,11 @@ from .errors import (
     WeakEnvelopeError,
 )
 from .special_fns import (
-    _I_MANY_X_MAX,
     _LOG_HUGE,
     _MAX_TERMS,
     _k_imag_scaled_impl,
     _k_imag_scaled_table,
-    bessel_i_scaled,
+    bessel_i_scaled,  # unused here; the benchmark tracer patches it (ROADMAP item 1)
     bessel_i_scaled_many,
     erfcx,
 )
@@ -181,9 +180,10 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     The five coordinates are numbers or arrays that broadcast together; the
     result has their broadcast shape, and is a float when all five are
     numbers.  Each point keeps its own cutoff (see _mode_counts).  The
-    e^{-z} I_nu(z) of all points with z <= 700 come from bessel_i_scaled_many
-    blocks of at most _KERNEL_ROWS points; a point beyond the cap takes
-    bessel_i_scaled one order at a time.
+    e^{-z} I_nu(z) come from bessel_i_scaled_many blocks of at most
+    _KERNEL_ROWS points, at any z: per entry the power series (z <= 20, or
+    1 <= nu < 5 and z < 10 nu^2), the large-argument expansion (other
+    nu < 5) or the uniform large-order expansion (nu >= 5, z > 20).
     """
     check_coordinate("tol", tol, math.inf, False)
     t = check_coordinate("t", t, math.inf, False)
@@ -257,13 +257,7 @@ def _mode_sums(spec, counts, z, theta, theta0):
     trig = np.sin if spec.bc_at_0.kind == "D" else np.cos
     weights = np.where(orders == 0.0, 1.0, 2.0) / spec.gamma \
         * trig(theta[:, None] * orders) * trig(theta0[:, None] * orders)
-    i_vals = np.zeros((z.size, m))
-    small = z <= _I_MANY_X_MAX
-    if small.any():
-        i_vals[small] = bessel_i_scaled_many(orders, z[small])
-    for row in np.flatnonzero(~small):  # Python floats: scalar calls run faster on them
-        n, x = int(counts[row]), float(z[row])
-        i_vals[row, :n] = [bessel_i_scaled(nu, x) for nu in orders[:n].tolist()]
+    i_vals = bessel_i_scaled_many(orders, z)
     kept = np.arange(m) < counts[:, None]
     # cumsum adds left to right, so the masked zeros leave each sum unchanged
     return np.cumsum(np.where(kept, i_vals * weights, 0.0), axis=1)[:, -1]

@@ -4,9 +4,13 @@ order, Bessel J with its zeros, and complementary error functions.
 Everything is evaluated in double precision from series, asymptotic
 expansions, stable recurrences, and the cosine integral of K_{i mu}; no
 external special-function library is used.  Scaled variants are provided
-wherever the unscaled value over- or underflows.  K_{i mu} has one algorithm,
-the batched table _k_imag_scaled_table with its error estimates; the scalar
-functions are its one-entry case.  J_nu for x > 12 has one too, a recurrence
+wherever the unscaled value over- or underflows.  e^{-x} I_nu(x) has one
+algorithm, the array function bessel_i_scaled_many: per entry the power
+series (x <= 20, or 1 <= nu < 5 and x < 10 nu^2), the large-argument
+expansion (other nu < 5) or the uniform large-order expansion (nu >= 5,
+x > 20), with no argument cap.  K_{i mu} has one too, the batched table
+_k_imag_scaled_table with its error estimates.  For both, the scalar
+functions are the one-entry case.  J_nu for x > 12 has one too, a recurrence
 normalized by Neumann's sum, with a Hankel shortcut for nu < 1, x >= 25.
 """
 
@@ -24,7 +28,6 @@ from .errors import (
 from .quad_fp import panel_nodes
 
 _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
-_I_MANY_X_MAX = 700.0  # bessel_i_scaled_many's argument cap
 _TWO_PI = 2.0 * math.pi
 _MAX_TERMS = 20000  # term cap of every series and continued fraction
 _K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
@@ -72,107 +75,128 @@ def _clgamma(z):
 # ---------------------------------------------------------------------------
 # modified Bessel function I_nu, real order nu >= 0
 
-def _ive_series(nu, x):
-    """e^{-x} I_nu(x) by the (all-positive) power series, anchored at its
-    largest term so that no intermediate value under- or overflows."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    log_half = math.log(x) + math.log(0.5)  # safe for subnormal x
-    # index of the largest term solves k(k+nu) = (x/2)^2
-    k_peak = 0.5 * (-nu + math.hypot(nu, x))
-    k0 = max(0, int(k_peak))
-    ln_anchor = (nu + 2.0 * k0) * log_half - math.lgamma(k0 + 1.0) - math.lgamma(nu + k0 + 1.0)
-    q = 0.25 * x * x
-    s = 1.0
-    t = 1.0
-    k = k0
-    for _ in range(_MAX_TERMS):
-        t *= q / ((k + 1.0) * (nu + k + 1.0))
-        s += t
-        k += 1
-        if t < 1e-18 * s:
-            break
-    else:
-        raise ConvergenceError("I series did not converge", {"nu": nu, "x": x})
-    t = 1.0
-    k = k0
-    while k > 0:
-        t *= k * (nu + k) / q
-        s += t
-        k -= 1
-        if t < 1e-18 * s:
-            break
-    ln_val = ln_anchor - x + math.log(s)
-    if ln_val < -745.0:
-        return 0.0
-    return math.exp(ln_val)
+def _debye_polynomials(count):
+    """Coefficients of U_0, ..., U_{count-1} of the uniform large-order
+    expansion, from U_0 = 1 and the recurrence (DLMF 10.41.10)
+
+        U_{k+1}(p) = p^2 (1 - p^2) U_k'(p) / 2 + int_0^p (1 - 5 t^2) U_k(t) dt / 8.
+
+    The coefficient of p^m in U_{k+1} is a c_{m-1} - b c_{m-3} with a, b > 0
+    and c_j those of U_k, whose signs alternate in steps of p^2, so nothing
+    cancels.  U_k(p) = p^k P_k(p^2), P_k of degree k; row k of the returned
+    (count, count) array holds the coefficients of P_k in increasing powers."""
+    u = np.ones(1)  # U_k in increasing powers of p
+    rows = np.zeros((count, count))
+    for k in range(count):
+        rows[k, :k + 1] = u[k::2]
+        i = np.arange(u.size)
+        new = np.zeros(u.size + 3)
+        new[1:-2] += (i / 2.0 + 1.0 / (8.0 * (i + 1.0))) * u
+        new[3:] -= (i / 2.0 + 5.0 / (8.0 * (i + 3.0))) * u
+        u = new
+    return rows
 
 
-def _ive_asymptotic(nu, x):
-    """e^{-x} I_nu(x) from the fixed-order large-argument expansion; accurate
-    to ~1e-13 for x >= 20 when nu < 1, and more generally once x >= 10 nu^2
-    (the terms then decay well past double precision before turning)."""
-    mu4 = 4.0 * nu * nu
-    s = 1.0
-    c = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        c *= -(mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
-        if abs(c) >= prev:
-            break
-        s += c
-        prev = abs(c)
-        if abs(c) < 1e-18 * abs(s):
-            break
-    return s / math.sqrt(_TWO_PI * x)
+_DEBYE = _debye_polynomials(15)  # U_0 ... U_14
 
 
-def _ive_ratio_cf(nu, x):
-    """Continued fraction for I_{nu+1}(x) / I_nu(x) (modified Lentz)."""
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    for j in range(1, _MAX_TERMS):
-        b = 2.0 * (nu + j) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return f
-    raise ConvergenceError("I ratio continued fraction stalled", {"nu": nu, "x": x})
+def _ive_series(nu, x, lg):
+    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu, x >= 0 by the
+    power series sum_k t_k, t_0 = e^{-x} (x/2)^nu / Gamma(nu + 1) (lg holds
+    log Gamma(nu + 1)), t_k = t_{k-1} (x/2)^2 / (k (nu + k)).
+
+    Each entry stops at its first k with t_k <= 1e-18 s_k, s_k the sum up to
+    t_k.  The terms and sums are built in runs of steps, one product and one
+    sum per step and entry in order, so an entry's value depends on its own
+    (nu, x) only, not on the other entries or the run lengths.  t_0 is
+    representable where bessel_i_scaled_many uses the series (x <= 250).
+    """
+    out = np.where(nu == 0.0, 1.0, 0.0)  # the values at x = 0
+    live = np.flatnonzero(x > 0.0)
+    nu, x = nu[live], x[live]
+    with np.errstate(under="ignore"):
+        t = np.exp(nu * (np.log(x) + math.log(0.5)) - lg[live] - x)
+    s, q = t, 0.25 * x * x
+    k = 0
+    while live.size:
+        if k >= _MAX_TERMS:
+            raise ConvergenceError("I series did not converge",
+                                   {"nu": float(nu[0]), "x": 2.0 * math.sqrt(q[0])})
+        steps = max(1, min(64, 8192 // live.size))  # short runs while many entries are live
+        ks = np.arange(k + 1.0, k + steps + 1.0)[:, None]
+        factors = q / (ks * (nu + ks))
+        # numpy's accumulate walks each entry's steps in turn: fast for few
+        # entries, slow for many, which take one array product per step
+        if live.size < 512:
+            terms = np.cumprod(np.concatenate([t[None], factors]), axis=0)[1:]
+            sums = np.cumsum(np.concatenate([s[None], terms]), axis=0)[1:]
+        else:
+            terms, sums = np.empty_like(factors), np.empty_like(factors)
+            for i, f in enumerate(factors):
+                t = np.multiply(t, f, out=terms[i])
+                s = np.add(s, t, out=sums[i])
+        stop = terms <= 1e-18 * sums  # row i: step k + 1 + i
+        hit = stop.any(axis=0)
+        out[live[hit]] = sums[stop[:, hit].argmax(axis=0), hit]
+        live, nu, q, t, s = (a[~hit] for a in (live, nu, q, terms[-1], sums[-1]))
+        k += steps
+    return out
 
 
-def _ive_ladder(nu, x):
-    """e^{-x} I_nu(x) for nu >= 1, x > max(20, 2 nu): stable downward
-    recurrence seeded by the continued-fraction ratio, normalized at the
-    fractional base order where the large-argument expansion is exact."""
-    nu_base = nu - math.floor(nu)
-    steps = int(round(nu - nu_base))
-    ratio = _ive_ratio_cf(nu, x)
-    f_hi = ratio  # order nu + 1
-    f = 1.0       # order nu
-    log_top = 0.0
-    order = nu
-    for _ in range(steps):
-        f_lo = f_hi + (2.0 * order / x) * f
-        f_hi, f = f, f_lo
-        order -= 1.0
-        if f > 1e250:
-            f *= 1e-250
-            f_hi *= 1e-250
-            log_top -= math.log(1e250)
-    base = _ive_asymptotic(nu_base, x)
-    ln_val = math.log(base) + log_top - math.log(f)
-    if ln_val < -745.0:
-        return 0.0
-    return math.exp(ln_val)
+def _ive_hankel(nu, x):
+    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu, x > 0 from the
+    fixed-order large-argument expansion (DLMF 10.40.1),
+
+        sqrt(2 pi x) e^{-x} I_nu(x) ~ 1 + sum_k c_k,
+        c_k = -c_{k-1} (4 nu^2 - (2k - 1)^2) / (8 x k),  c_0 = 1,
+
+    cut before the first term that does not decrease, or after the first
+    term below 1e-18 of the sum, and at k = 59.  Accurate to ~1e-13 for
+    x >= 20 when nu < 1, and more generally once x >= 10 nu^2 (the terms
+    then decay well past double precision before turning)."""
+    ks = np.arange(1.0, 60.0)[:, None]
+    terms = np.cumprod(((2.0 * ks - 1.0) ** 2 - 4.0 * nu * nu) / (8.0 * ks) / x, axis=0)
+    sums = np.cumsum(np.vstack([np.ones(x.size), terms]), axis=0)  # row k: 1 + c_1 + ... + c_k
+    size = np.abs(terms)
+    turn = np.vstack([np.zeros((1, x.size), dtype=bool), size[1:] >= size[:-1]])
+    stop = turn | (size < 1e-18 * np.abs(sums[1:]))
+    cols = np.arange(x.size)
+    first = stop.argmax(axis=0)
+    # the number of terms kept: up to the first small one, before a turn
+    kept = np.where(stop.any(axis=0), first + 1 - turn[first, cols], 59)
+    return sums[kept, cols] / np.sqrt(x) / math.sqrt(_TWO_PI)
+
+
+def _ive_uniform(nu, x):
+    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu > 0, x > 0 from
+    the uniform large-order expansion (DLMF 10.41.3; Olver 1954):
+
+        e^{-x} I_nu(x) ~ e^{nu eta - x} sqrt(p / (2 pi nu)) sum_k U_k(p) / nu^k,
+
+    with z = x/nu, s = sqrt(1 + z^2), p = 1/s and U_0 ... U_14.  The exponent
+    nu eta - x is taken as nu/(s + z) - nu asinh(1/z), which does not cancel
+    (written as nu eta - x it loses 1e-12 at x ~ 8000).  Within 4e-14 of the
+    value for 5 <= nu <= 300, 20 < x <= 1e4; at nu = 5 it is off by 6e-11
+    at x = 10 and 2e-8 at x = 3, so it serves no x <= 20."""
+    z = x / nu
+    s = np.hypot(1.0, z)
+    p = 1.0 / s
+    r = p * p
+    w = p / nu
+    total = np.empty(x.size)  # sum_k w^k P_k(r), by Horner's rule in r, then in w
+    for part in range(0, x.size, 1 << 14):  # bounds the memory of the P_k rows
+        cut = slice(part, part + (1 << 14))
+        polys = np.zeros((_DEBYE.shape[0], r[cut].size))  # row k: P_k(r)
+        for j in range(_DEBYE.shape[1] - 1, -1, -1):
+            polys[j:] *= r[cut]  # P_k has no power of r above r^k
+            polys[j:] += _DEBYE[j:, j, None]
+        acc = polys[-1]
+        for row in polys[-2::-1]:
+            acc = acc * w[cut] + row
+        total[cut] = acc
+    with np.errstate(under="ignore"):
+        scale = np.exp(nu / (s + z) - nu * np.arcsinh(1.0 / z))
+    return scale * np.sqrt(p / (_TWO_PI * nu)) * total
 
 
 def _check_order_and_arg(nu, x):
@@ -182,19 +206,59 @@ def _check_order_and_arg(nu, x):
         raise DomainError(f"argument must be finite and >= 0, got {x}")
 
 
-def bessel_i_scaled(nu, x):
-    """Exponentially scaled modified Bessel function e^{-x} I_nu(x).
+def bessel_i_scaled_many(nus, x):
+    """e^{-x} I_nu(x) for an array of orders nu >= 0 at arguments x >= 0,
+    with no cap on either: the one I algorithm.
 
-    Power series for x <= max(20, 2 nu); for larger x the value follows from
-    the large-argument expansion at the fractional base order plus a stable
-    downward recurrence in the order.  Never overflows for x <= 1e8.
+    A scalar x gives one value per order; a 1-D array x gives a
+    (len(x), len(nus)) block.  Each entry takes one of three branches:
+
+    - the power series (_ive_series) where x <= 20, or where 1 <= nu < 5
+      and x < 10 nu^2;
+    - the large-argument expansion (_ive_hankel) where x > 20, nu < 5, and
+      nu < 1 or x >= 10 nu^2;
+    - the uniform large-order expansion (_ive_uniform) where nu >= 5 and
+      x > 20.
+
+    Every branch computes each entry from its own (nu, x) alone and stops
+    it on its own test, so every entry is, bit for bit, the one-entry call
+    bessel_i_scaled(nu, x).
     """
-    _check_order_and_arg(nu, x)
-    if x <= max(20.0, 2.0 * nu):
-        return _ive_series(nu, x)
-    if nu < 1.0 or x >= 10.0 * nu * nu:
-        return _ive_asymptotic(nu, x)
-    return _ive_ladder(nu, x)
+    nus = np.asarray(nus, dtype=float)
+    if nus.size and (nus.min() < 0.0 or not np.isfinite(nus).all()):
+        raise DomainError("orders must be finite and >= 0")
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError(f"argument must be a scalar or a 1-D array, got shape {xs.shape}")
+    rows = np.atleast_1d(xs)
+    bad = ~(np.isfinite(rows) & (rows >= 0.0))
+    if bad.any():
+        raise DomainError(f"argument must be finite and >= 0, got {rows[bad][0]}")
+    shape = (rows.size, nus.size)
+    nu, z = np.broadcast_to(nus, shape), np.broadcast_to(rows[:, None], shape)
+    low = (nus >= 1.0) & (nus < 5.0)
+    series = (z <= 20.0) | (low & (z < 10.0 * np.minimum(nus, 5.0) ** 2))
+    hankel = ~series & (nu < 5.0)
+    uniform = ~series & (nu >= 5.0)
+    out = np.empty(shape)
+    if series.any():
+        lg = np.broadcast_to([math.lgamma(v + 1.0) for v in nus.tolist()], shape)
+        out[series] = _ive_series(nu[series], z[series], lg[series])
+    if hankel.any():
+        out[hankel] = _ive_hankel(nu[hankel], z[hankel])
+    if uniform.any():
+        out[uniform] = _ive_uniform(nu[uniform], z[uniform])
+    return out if xs.ndim else out[0]
+
+
+def bessel_i_scaled(nu, x):
+    """Exponentially scaled modified Bessel function e^{-x} I_nu(x) for
+    nu >= 0, x >= 0: the one-entry case of bessel_i_scaled_many (power
+    series for x <= 20 and for 1 <= nu < 5, x < 10 nu^2; the large-argument
+    expansion for other nu < 5; the uniform large-order expansion for
+    nu >= 5, x > 20).  No argument is too large.
+    """
+    return float(bessel_i_scaled_many([nu], x)[0])
 
 
 def bessel_i(nu, x):
@@ -212,58 +276,6 @@ def bessel_i(nu, x):
             f"I_{nu}({x}) overflows double precision; use bessel_i_scaled"
         )
     return math.exp(ln_val)
-
-
-def bessel_i_scaled_many(nus, x):
-    """e^{-x} I_nu(x) for an array of orders at arguments 0 <= x <= 700.
-
-    Vectorized forward series for the corner mode sums and the sector kernel;
-    the x cap keeps the scaled first term representable.  A scalar x gives
-    one value per order.  A 1-D array x gives a (len(x), len(nus)) block
-    whose row i is, bit for bit, the scalar call at x[i]: every row takes
-    the same steps and stops at the same term as that call, and a row that
-    has converged is frozen (its term set to 0) while the others run on.
-    """
-    nus = np.asarray(nus, dtype=float)
-    if nus.size and (nus.min() < 0.0 or not np.isfinite(nus).all()):
-        raise DomainError("orders must be finite and >= 0")
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise DomainError(f"argument must be a scalar or a 1-D array, got shape {xs.shape}")
-    rows = np.atleast_1d(xs)
-    bad = ~((rows >= 0.0) & (rows <= _I_MANY_X_MAX))
-    if bad.any():
-        raise DomainError(f"argument must lie in [0, {_I_MANY_X_MAX:g}], got {rows[bad][0]}")
-    s = np.zeros((rows.size, nus.size))
-    s[rows == 0.0] = np.where(nus == 0.0, 1.0, 0.0)
-    if nus.size:
-        # 0.5 * v underflows only at v = 0 and at the smallest subnormal
-        log_half = np.array(
-            [math.log(0.5 * v) if 0.5 * v > 0.0 else math.log(v or 1.0) - math.log(2.0)
-             for v in rows]
-        )
-        lg = np.array([math.lgamma(v + 1.0) for v in nus])
-        with np.errstate(under="ignore"):
-            t = np.exp(nus * log_half[:, None] - lg - rows[:, None])
-        t[rows == 0.0] = 0.0  # rows at x = 0 are final already
-        s += t
-        q = 0.25 * rows * rows
-        lo = 0  # the rows before lo have converged and left the block
-        for k in range(_MAX_TERMS):
-            t *= q[:, None] / ((k + 1.0) * (nus + k + 1.0))
-            s[lo:] += t
-            done = t.max(axis=1) < 1e-18 * np.maximum(s[lo:].max(axis=1), 1e-300)
-            if done.all():
-                break
-            t[done] = 0.0  # a converged row is frozen: it adds nothing more
-            skip = int(np.argmin(done))
-            lo += skip
-            t, q = t[skip:], q[skip:]
-        else:
-            raise ConvergenceError(
-                "vectorized I series did not converge", {"x": float(rows[lo:][~done][0])}
-            )
-    return s if xs.ndim else s[0]
 
 
 # ---------------------------------------------------------------------------

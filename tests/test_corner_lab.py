@@ -242,13 +242,17 @@ class TestFinitePartRoute:
         exact = [0.5 * cl._primitive_g(0.5 * lam * lam) for lam in cutoffs]
         assert values == pytest.approx(exact, rel=1e-14, abs=0.0)
 
-    def test_eps_below_the_i_argument_limit_fails_up_front(self, monkeypatch):
-        # the last cutoff 1/eps puts I_nu at 1/(2 eps^2) = 1048 > 700
-        calls = self._count_i_calls(monkeypatch)
-        eps = quad_fp.default_eps_schedule(eps_max=0.25, ratio=0.85, count=16)
-        with pytest.raises(DomainError, match=r"eps_schedule.*1/sqrt\(1400\)"):
-            cl.corner_finite_part("NN", 1.05, eps_schedule=eps)
-        assert calls == []
+    def test_narrow_corner_below_the_old_i_cap_reaches_its_closed_form(self):
+        # at alpha = 0.3 the default schedule is off by 0.066: the image term
+        # e^{-2 z sin^2 alpha} needs z >~ 23 / (2 sin^2 alpha) = 132.  14
+        # geometric eps from 0.0615 down to 0.0117 put I_nu at up to
+        # z = 3,652, and reach 1e-10
+        ratio = (0.0117 / 0.0615) ** (1.0 / 13.0)
+        eps = quad_fp.default_eps_schedule(eps_max=0.0615, ratio=ratio, count=14)
+        assert 0.5 / eps[-1] ** 2 > 3600.0
+        for pair in ("DD", "DN", "NN"):
+            result = cl.corner_finite_part(pair, 0.3, eps_schedule=eps)
+            assert abs(result.finite_part - cl.corner_coeff(cl.CornerKind(pair, 0.3))) <= 1e-9
 
     def test_eps_just_above_the_i_argument_limit_is_accepted(self):
         ratio = (0.0268 / 0.25) ** (1.0 / 13.0)

@@ -65,15 +65,20 @@ class TestBesselI:
                 assert v == pytest.approx(sf.bessel_i_scaled(float(nu), x), rel=1e-11, abs=1e-280)
 
     def test_block_rows_equal_scalar_calls(self):
-        # rows stop at different steps (x = 0 at once, x = 700 last) and in
-        # any order; each row is the scalar call's float, bit for bit
-        nus = np.arange(0.0, 150.0) * 3.0 + 0.25
-        nus[0] = 0.0
-        xs = np.array([0.3, 0.0, 700.0, 12.5, 1e-8, 399.0, 0.0, 85.0, 699.9])
+        # entries stop at different steps (x = 0 at once) and in different
+        # branches, on both sides of each branch edge: x = 20, nu = 1, nu = 5
+        # and x = 10 nu^2 (22.5 at nu = 1.5, 240.1 at nu = 4.9); the series
+        # runs over more than 512 entries, as kernel blocks do.  Each entry
+        # is the one-entry call's float, bit for bit
+        nus = np.array([0.0, 0.25, 0.999, 1.0, 1.001, 1.5, 4.9, 4.999, 5.0, 5.001, 12.5, 60.0,
+                        150.25, 449.5])
+        xs = np.concatenate([[0.3, 0.0, 700.0, 12.5, 1e-8, 399.0, 0.0, 85.0, 699.9, 19.999, 20.0,
+                              20.001, 22.4, 22.6, 240.0, 240.2, 1e4], np.linspace(0.5, 20.0, 40)])
         block = sf.bessel_i_scaled_many(nus, xs)
         assert block.shape == (xs.size, nus.size)
         for x, row in zip(xs, block):
             assert np.array_equal(row, sf.bessel_i_scaled_many(nus, float(x)))
+            assert np.array_equal(row, [sf.bessel_i_scaled(float(nu), float(x)) for nu in nus])
         assert block[1, 0] == 1.0 and not block[1, 1:].any()
 
     def test_scalar_argument_keeps_1d_result(self):
@@ -82,25 +87,61 @@ class TestBesselI:
         assert sf.bessel_i_scaled_many(nus, np.float64(0.0)).shape == (3,)
         assert sf.bessel_i_scaled_many(nus, np.array([2.0])).shape == (1, 3)
 
-    @pytest.mark.parametrize("bad", [700.5, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_block_argument_domain(self, bad):
         with pytest.raises(DomainError, match="argument"):
             sf.bessel_i_scaled_many([0.0, 1.0], np.array([0.5, bad, 3.0]))
 
+    def test_block_argument_beyond_700(self):
+        # past x ~ 709 the scaled series' first term e^{-x} (x/2)^nu /
+        # Gamma(nu+1) is no longer representable; the block has no such cap
+        mp = pytest.importorskip("mpmath")
+        nus = [0.0, 1.0, 4.9, 5.0, 37.5]
+        block = sf.bessel_i_scaled_many(nus, np.array([0.5, 700.5, 3.0, 1.7976931348623157e308]))
+        with mp.workdps(30):
+            for nu, v in zip(nus, block[1]):
+                assert v == pytest.approx(float(mp.besseli(nu, 700.5) * mp.exp(-700.5)), rel=1e-12)
+        # at the largest double e^{-x} I_nu(x) is 1 / sqrt(2 pi x) to double precision
+        expect = 1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(1.7976931348623157e308))
+        assert block[3] == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("nu, x", [
+        *((nu, x) for nu in (0.0, 0.5, 3.0, 5.0, 30.0) for x in (19.999, 20.0, 20.001)),
+        *((nu, x) for nu in (0.999, 1.0, 1.001) for x in (21.0, 100.0)),
+        *((nu, x) for nu in (4.999, 5.0, 5.001) for x in (21.0, 100.0, 300.0, 1e4)),
+        (1.5, 22.49), (1.5, 22.5), (1.5, 22.51),
+        (4.9, 240.09), (4.9, 240.1), (4.9, 240.11),
+    ])
+    def test_branch_edges_against_extended_precision(self, nu, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp.besseli(nu, x) * mp.exp(-x))
+        assert sf.bessel_i_scaled(nu, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_uniform_expansion_serves_no_small_argument(self):
+        # at nu = 5, x = 3 the uniform expansion alone is off by 2e-8, so the
+        # series serves every x <= 20
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp.besseli(5, 3) * mp.exp(-3))
+        uniform = sf._ive_uniform(np.array([5.0]), np.array([3.0]))[0]
+        assert abs(uniform / ref - 1.0) > 1e-9
+        assert sf.bessel_i_scaled(5.0, 3.0) == pytest.approx(ref, rel=1e-12)
+
     @given(
         nus=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=6),
-        xs=st.lists(st.floats(min_value=0.0, max_value=700.0), min_size=1, max_size=6),
+        xs=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=6),
     )
     @settings(max_examples=40, deadline=None)
     def test_block_against_scalar_property(self, nus, xs):
         block = sf.bessel_i_scaled_many(nus, np.array(xs))
         for x, row in zip(xs, block):
             for nu, v in zip(nus, row):
-                assert v == pytest.approx(sf.bessel_i_scaled(nu, x), rel=1e-11, abs=1e-280)
+                assert v == sf.bessel_i_scaled(nu, x)
 
     @given(
-        nus=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=4),
-        x=st.floats(min_value=0.0, max_value=700.0),
+        nus=st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=1, max_size=4),
+        x=st.floats(min_value=0.0, max_value=1e4),
     )
     @settings(max_examples=40, deadline=None)
     def test_block_against_extended_precision_property(self, nus, x):
