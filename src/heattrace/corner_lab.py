@@ -14,6 +14,7 @@ import numpy as np
 from . import quad_fp
 from .errors import DomainError
 from .sector_models import _bracket_terms, check_angle, mode_order
+# _k_imag_scaled_table is unused here; the benchmark tracer patches it (ROADMAP item 1)
 from .special_fns import _k_imag_scaled_table, bessel_i_scaled, bessel_i_scaled_many
 
 _SAME_TYPE_PAIRS = frozenset({"DD", "NN", "RR", "NR", "RN"})
@@ -214,30 +215,6 @@ def _primitive_g(u):
     return u * (bessel_i_scaled(0.0, u) + bessel_i_scaled(1.0, u))
 
 
-def _log_u_grid(taus, mu_max):
-    """Log-u quadrature grid whose panel edges include every tau.
-
-    Returns (u_nodes, w_nodes, tau_slice_ends): weights are for du, and
-    cumulative sums up to tau_slice_ends[i] integrate over (0, tau_i].
-    """
-    taus = np.asarray(taus)
-    breakpoints = [math.log(1e-6)] + [math.log(tau) for tau in taus]
-    per_unit = max(4.0, 3.0 * mu_max) / math.pi
-    v_chunks, w_chunks, ends = [], [], []
-    count = 0
-    for v_a, v_b in zip(breakpoints[:-1], breakpoints[1:]):
-        n_pan = max(2, int(math.ceil((v_b - v_a) * per_unit)))
-        v, w = quad_fp.panel_nodes(v_a, v_b, n_pan)
-        v_chunks.append(v)
-        w_chunks.append(w)
-        count += v.size
-        ends.append(count)
-    v_nodes = np.concatenate(v_chunks)
-    u_nodes = np.exp(v_nodes)
-    w_nodes = np.concatenate(w_chunks) * u_nodes  # du = u dv
-    return u_nodes, w_nodes, ends
-
-
 def _fit_against_tau(taus, values):
     """Coefficient of tau^0 in a {tau^2, tau, 1, 1/tau} weighted LS fit."""
     taus = np.asarray(taus, dtype=float)
@@ -255,30 +232,33 @@ _TERM_T = 0.01  # anchor time of its Laplace-variable fit
 
 
 def term_contributions(term, gamma):
-    """Fitted t^0 part of the named Green's-function term's diagonal trace
-    over the sector truncated at radius R = 8, anchored at t = 0.01.
+    """t^0 part of the named Green's-function term's diagonal trace over
+    the sector truncated at radius R = 8.
 
-    C (DD/NN bracket) and E (DN bracket) depend on phi - phi0 only, so
-    their angular integral over the diagonal is gamma times their
-    sector_models._bracket_terms factor at phi = phi0 = 0; the radial and mu
-    integrals are quadrature.  In the Laplace variable the trace of a term
-    is g(R sqrt s)/s, so sampling s = 1/t on a grid around the anchor t and
-    fitting g against {tau^2, tau, 1, 1/tau} extracts the t^0 coefficient:
+    In the Laplace variable the trace of a term is g(R sqrt s)/s.  For A, B
+    and F, sampling s = 1/t around the anchor t = 0.01 and fitting g against
+    {tau^2, tau, 1, 1/tau} extracts the t^0 coefficient:
 
         A: exactly gamma R^2/(8 pi t), no t^0 part;
         B: R/(4 sqrt(pi t)) + O(sqrt t), no t^0 part;
-        C: (pi^2 - gamma^2)/(24 pi gamma) + exponentially small;
+        F: identically zero (its angular diagonal integral vanishes).
+
+    For C (DD/NN bracket) and E (DN bracket) g(tau) tends to its limit
+    exponentially fast, so the t^0 coefficient is g(inf), the s -> inf
+    limit (_term_mu_integral):
+
+        C: (pi^2 - gamma^2)/(24 pi gamma);
         E: -(pi^2 + 2 gamma^2)/(48 pi gamma), one mu integral of the DN
            bracket, whose factor is 2 C(2 gamma) - C(gamma) (an identity
-           the tests check; no route uses it);
-        F: identically zero (its angular diagonal integral vanishes).
+           the tests check; no route uses it).
     """
     if term not in _TERM_NAMES:
         raise DomainError(f"term must be one of {_TERM_NAMES}, got {term!r}", field="term")
     check_angle("gamma", gamma)
+    if term in ("C", "E"):
+        return _term_mu_integral(term, gamma)
     ts = np.exp(np.linspace(math.log(_TERM_T / 3.0), math.log(3.0 * _TERM_T), 7))
     taus = np.sort(_TERM_RADIUS / np.sqrt(ts))
-
     if term == "A":
         # direct term: free heat kernel on the diagonal, trace = gamma R^2 / (8 pi t)
         values = gamma * taus**2 / (8.0 * math.pi)
@@ -288,29 +268,28 @@ def term_contributions(term, gamma):
         # the gamma = pi image form applies and has the closed primitive
         # g_B = g(tau^2/2)/4
         values = np.array([0.25 * _primitive_g(0.5 * tau * tau) for tau in taus])
-    elif term == "F":
+    else:
         # F = -2 B1 + B2 with int_0^g B1 dphi = (1/2) int_0^g B2 dphi:
         # the angular diagonal integral cancels identically
         values = np.zeros_like(taus)
-    else:
-        values = _term_mu_integral(term, gamma, taus)
     return _fit_against_tau(taus, values)
 
 
-def _term_mu_integral(term, gamma, taus):
-    """g(tau) = (1/pi^2) int_0^inf SW(mu) q~(mu, tau) dmu for each tau,
-    with q~(mu, tau) = e^{pi mu} int_0^tau u K_{i mu}(u)^2 du and SW(mu)
-    gamma times the term's bracket factor at phi = phi0 = 0, which decays
-    like e^{-gap mu}, gap = min(2 gamma, 2 pi), its _bracket_terms label."""
+def _term_mu_integral(term, gamma):
+    """g(inf) = (1/pi^2) int_0^inf SW(mu) q~(mu) dmu.  C and E depend on
+    phi - phi0 only, so their angular diagonal integral SW(mu) is gamma
+    times their _bracket_terms factor at phi = phi0 = 0, which decays like
+    e^{-gap mu}.  q~(mu) = e^{pi mu} int_0^inf u K_{i mu}(u)^2 du is exact,
+
+        q~(mu) = pi mu / (1 - e^{-2 pi mu})   (Gradshteyn-Ryzhik 6.576.4),
+
+    from the antiderivative [(u^2 - mu^2) K^2 - u^2 K'^2]/2, which tends to
+    -pi mu/(2 sinh(pi mu)) as u -> 0; cut at u = tau = R sqrt s the radial
+    integral differs by O(e^{-2 tau})."""
     factor, gap = _bracket_terms("DD" if term == "C" else "DN", gamma, 0.0, 0.0)[term]
-    mu_max = (math.log(1e12) + 10.0) / gap
-    # ten-node panels: one per unit of mu, one per 4 e-folds of e^{-2 gamma mu}
-    n_pan = max(8, math.ceil(mu_max), math.ceil(0.5 * gamma * mu_max))
+    mu_max = (math.log(1e12) + 20.0) / gap
+    # ten-node panels: two per unit of mu, two per 4 e-folds of e^{-2 gamma mu}
+    n_pan = 2 * max(8, math.ceil(mu_max), math.ceil(0.5 * gamma * mu_max))
     mus, mu_wts = quad_fp.panel_nodes(0.0, mu_max, n_pan)
-    u_nodes, u_wts, ends = _log_u_grid(taus, mus.max())
-    k_table = _k_imag_scaled_table(mus, u_nodes)[0]
-    integrand = k_table**2 * (u_nodes * u_wts)[None, :]  # rows: mu, cols: u
-    cum = np.cumsum(integrand, axis=1)
-    q_cols = cum[:, np.asarray(ends) - 1]  # (n_mu, n_tau)
-    sw = gamma * factor(mus) * mu_wts
-    return (sw @ q_cols) / math.pi**2
+    q = math.pi * mus / -np.expm1(-2.0 * math.pi * mus)
+    return gamma * float(factor(mus) @ (mu_wts * q)) / math.pi**2

@@ -31,6 +31,9 @@ _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _TWO_PI = 2.0 * math.pi
 _MAX_TERMS = 20000  # term cap of every series and continued fraction
 _K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
+# largest I order: below it nu log(x/2) - log Gamma(nu + 1) stays finite at
+# every x >= 5e-324, and so does nu asinh(nu/x) at every x > 20
+_MAX_I_ORDER = 1e305
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +210,8 @@ def _check_order_and_arg(nu, x):
 
 
 def bessel_i_scaled_many(nus, x):
-    """e^{-x} I_nu(x) for an array of orders nu >= 0 at arguments x >= 0,
-    with no cap on either: the one I algorithm.
+    """e^{-x} I_nu(x) for an array of orders 0 <= nu <= 1e305 at arguments
+    x >= 0, with no argument cap: the one I algorithm.
 
     A scalar x gives one value per order; a 1-D array x gives a
     (len(x), len(nus)) block.  Each entry takes one of three branches:
@@ -227,6 +230,8 @@ def bessel_i_scaled_many(nus, x):
     nus = np.asarray(nus, dtype=float)
     if nus.size and (nus.min() < 0.0 or not np.isfinite(nus).all()):
         raise DomainError("orders must be finite and >= 0")
+    if nus.size and nus.max() > _MAX_I_ORDER:
+        raise DomainError(f"order must be <= {_MAX_I_ORDER:g}, got {float(nus.max())!r}")
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise DomainError(f"argument must be a scalar or a 1-D array, got shape {xs.shape}")
@@ -348,11 +353,14 @@ def _k_imag_scaled_table(mus, us):
     one matrix product per block of at most 256 such columns, over the rows
     with such an entry in the block, on a w grid that ends at acosh(1 + 50/u)
     for the block's smallest u (at least every column's own) with as many
-    panels as the largest of those mu needs.  Its error is the rounding
-    floor 1e-16 (1 + u) acosh(1 + 50/u) e^{pi mu/2 - u}: each term's exponent
+    panels as the largest of those mu needs.  Its rounding floor is
+    1e-16 (1 + u) acosh(1 + 50/u) e^{pi mu/2 - u}: each term's exponent
     u cosh w is rounded to about 1e-16 of itself.  Where the floor exceeds
     1e-11 of the value and mu >= 0.5 (large mu past the series' edge), the
-    series is tried too, and the entry keeps the smaller error estimate.
+    series is tried too, and the entry keeps it if its error estimate is
+    below the floor.  The reported error of an integral entry adds to the
+    floor 1e-16 sqrt(n) |value|, the rounding of its sum over the block's n
+    w nodes; the choice of route reads the floor alone.
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -380,12 +388,13 @@ def _k_imag_scaled_table(mus, us):
             vals = (osc @ decay.T) * np.exp(np.minimum(0.5 * math.pi * mu_rows, 700.0))[:, None]
             cell = np.ix_(rows, block)
             out[cell] = np.where(need_int[cell], vals, out[cell])
-        np.copyto(err, floor, where=need_int)
+            summed = floor[cell] + 1e-16 * math.sqrt(w_nodes.size) * np.abs(vals)
+            err[cell] = np.where(need_int[cell], summed, err[cell])
     retry = ~series_ok & (mus[:, None] >= 0.5) & (
         floor > 1e-11 * np.maximum(np.abs(out), 1e-300))
     if retry.any():
         v2, e2 = _k_series(mus, us, retry)
-        better = retry & (e2 < err)
+        better = retry & (e2 < floor)
         np.copyto(out, v2, where=better)
         np.copyto(err, e2, where=better)
     return out, err

@@ -308,6 +308,16 @@ class TestModeBound:
         assert cl._log_mode_bound(mode_order("DD", 1.5 * PI, orders.size), z_max) < log_tol
 
 
+def term_tol(closed):
+    # the bound on C and E: 1e-14 relative, absolute 1e-16 near gamma = pi
+    return 1e-14 * max(abs(closed), 0.01)
+
+
+def assert_c_and_e_closed(gamma):
+    for term, closed in (("C", closed_same(gamma)), ("E", closed_mixed(gamma))):
+        assert abs(cl.term_contributions(term, gamma) - closed) <= term_tol(closed), (term, gamma)
+
+
 class TestTermContributions:
     def test_c_term(self):
         val = cl.term_contributions("C", PI / 2.0)
@@ -319,39 +329,55 @@ class TestTermContributions:
 
     @pytest.mark.parametrize("gamma", [1.05, PI / 2.0, 2.5, 3.5])
     def test_c_and_e_reach_their_closed_forms(self, gamma):
-        # worst seen 3.5e-10 (E at 3.5)
-        assert cl.term_contributions("C", gamma) == pytest.approx(closed_same(gamma), rel=5e-10)
-        assert cl.term_contributions("E", gamma) == pytest.approx(closed_mixed(gamma), rel=5e-10)
+        assert_c_and_e_closed(gamma)
 
     @pytest.mark.parametrize("gamma", [4.7, 5.9])
     def test_reflex_c_and_e_reach_their_closed_forms(self, gamma):
         # with 8 mu panels once the gap is 2 pi, E was off by 4.2e-9 at 4.7
-        # and 3.7e-8 at 5.9; panels sized by e^{-2 gamma mu} give ~6e-11
-        assert cl.term_contributions("C", gamma) == pytest.approx(closed_same(gamma), rel=2e-10)
-        assert cl.term_contributions("E", gamma) == pytest.approx(closed_mixed(gamma), rel=2e-10)
+        # and 3.7e-8 at 5.9; panels sized by e^{-2 gamma mu} fixed that
+        assert_c_and_e_closed(gamma)
+
+    def test_c_and_e_over_a_sweep_of_angles(self):
+        for gamma in np.linspace(0.15, 2.0 * PI - 0.01, 400):
+            assert_c_and_e_closed(gamma)
+
+    @given(gamma=st.floats(min_value=0.15, max_value=2.0 * PI, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_c_and_e_at_any_angle(self, gamma):
+        assert_c_and_e_closed(gamma)
+
+    def test_c_vanishes_at_the_straight_angle(self):
+        assert abs(cl.term_contributions("C", PI)) <= 1e-15
 
     @pytest.mark.parametrize("term", ["C", "E"])
     @pytest.mark.parametrize("gamma, panels", [(1.4, 14), (1.5, 13), (1.6, 12), (4.7, 15),
                                                (5.9, 18)])
     def test_mu_panels(self, term, gamma, panels, monkeypatch):
-        """max(8, ceil(mu_max), ceil(gamma mu_max / 2)) ten-node panels: one
-        per unit of mu up to gamma = 1.88, one per 4 e-folds of e^{-2 gamma mu}
-        beyond."""
-        sizes = []
-        table = cl._k_imag_scaled_table
-        monkeypatch.setattr(cl, "_k_imag_scaled_table",
-                            lambda mus, us: sizes.append(mus.size) or table(mus, us))
+        """The K-table route integrated over `panels` ten-node mu panels,
+        max(8, ceil(mu_0), ceil(gamma mu_0 / 2)) on [0, mu_0],
+        mu_0 = (log 1e12 + 10) / gap.  The closed-form route runs the tail 10
+        e-folds further, to mu_max = (log 1e12 + 20) / gap, on
+        2 max(8, ceil(mu_max), ceil(gamma mu_max / 2)) panels: two per unit
+        of mu up to gamma = 1.88, two per 4 e-folds of e^{-2 gamma mu} beyond,
+        and at least twice as many as before."""
+        grids = []
+        nodes = quad_fp.panel_nodes
+        monkeypatch.setattr(quad_fp, "panel_nodes",
+                            lambda a, b, n: grids.append((a, b, n)) or nodes(a, b, n))
         cl.term_contributions(term, gamma)
-        assert sizes == [10 * panels]
+        mu_max = (math.log(1e12) + 20.0) / (2.0 * min(gamma, PI))
+        count = {1.4: 36, 1.5: 32, 1.6: 30, 4.7: 36, 5.9: 46}[gamma]
+        assert grids == [(0.0, pytest.approx(mu_max, rel=1e-15), count)]
+        assert count >= 2 * panels
 
-    def test_e_is_one_k_table(self, monkeypatch):
+    def test_e_is_one_dn_bracket(self, monkeypatch):
         # one mu integral of the DN bracket, not 2 C(2 gamma) - C(gamma)
         calls = []
-        table = cl._k_imag_scaled_table
-        monkeypatch.setattr(cl, "_k_imag_scaled_table",
-                            lambda mus, us: calls.append(mus.size) or table(mus, us))
+        brackets = cl._bracket_terms
+        monkeypatch.setattr(cl, "_bracket_terms",
+                            lambda pair, *args: calls.append(pair) or brackets(pair, *args))
         cl.term_contributions("E", 1.5)
-        assert len(calls) == 1
+        assert calls == ["DN"]
 
     def test_f_term_no_contribution(self):
         for gamma in (PI / 2.0, 1.1):
@@ -367,10 +393,9 @@ class TestTermContributions:
             assert val == pytest.approx(closed_same(gamma), abs=1e-3)
 
     def test_c_term_narrow_angle(self):
-        # large mu rows: where the series cancels but the integral's rounding
-        # floor is higher still, the K table keeps the series
-        val = cl.term_contributions("C", 0.5)
-        assert val == pytest.approx(closed_same(0.5), rel=1e-8)
+        # a long mu tail: gap 1, mu_max = 47.6 on 96 panels
+        c = closed_same(0.5)
+        assert abs(cl.term_contributions("C", 0.5) - c) <= term_tol(c)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -379,29 +404,112 @@ class TestTermContributions:
             cl.term_contributions("C", 7.0)
 
 
+def scaled_radial_integral(mu):
+    """e^{pi mu} int_0^inf u K_{i mu}(u)^2 du in closed form."""
+    return PI * mu / -math.expm1(-2.0 * PI * mu)
+
+
+def mp_scaled_radial_integral(mp, mu, cuts):
+    """e^{pi mu} int u K_{i mu}(u)^2 du over the panels between `cuts` by
+    mpmath's adaptive quadrature, at a working precision that covers the
+    e^{-pi mu/2} cancellation in its K_{i mu}."""
+    with mp.workdps(20 + int(1.4 * mu)):
+        m = mp.mpf(mu)
+        cuts = [mp.mpf(c) for c in cuts]
+        return float(mp.quad(lambda u: u * mp.besselk(1j * m, u).real ** 2, cuts)
+                     * mp.exp(mp.pi * m))
+
+
+_SERIES_BAR = "the K_imu series error estimate leaves out the phase rounding (ROADMAP item 8)"
+
+
+def k_table_grid(gamma):
+    """The mu x u grid (mus, us, u weights) on which the C term's K-table
+    route tabulated e^{pi mu/2} K_{i mu}(u): ten-node mu panels,
+    max(8, ceil(mu_max), ceil(gamma mu_max / 2)) of them on [0, mu_max],
+    mu_max = (log 1e12 + 10) / gap, and ten-node panels in v = log u from
+    log 1e-6 through the seven log tau, tau = 8 / sqrt(t) for t geometric on
+    [0.01/3, 0.03], max(4, 3 mu_max) / pi of them per unit of v (at least 2
+    per segment)."""
+    gap = 2.0 * min(gamma, PI)
+    mu_max = (math.log(1e12) + 10.0) / gap
+    n_pan = max(8, math.ceil(mu_max), math.ceil(0.5 * gamma * mu_max))
+    mus, _ = quad_fp.panel_nodes(0.0, mu_max, n_pan)
+    ts = np.exp(np.linspace(math.log(0.01 / 3.0), math.log(0.03), 7))
+    edges = [math.log(1e-6)] + [math.log(tau) for tau in np.sort(8.0 / np.sqrt(ts))]
+    per_unit = max(4.0, 3.0 * mus.max()) / PI
+    vs, ws = zip(*(quad_fp.panel_nodes(a, b, max(2, math.ceil((b - a) * per_unit)))
+                   for a, b in zip(edges[:-1], edges[1:])))
+    us = np.exp(np.concatenate(vs))
+    return mus, us, np.concatenate(ws) * us
+
+
+class TestRadialIdentity:
+    @pytest.mark.parametrize("mu", [0.01, 0.5, 3.0, 11.7])
+    def test_closed_form_against_extended_precision(self, mu):
+        """int_0^inf u K_{i mu}(u)^2 du = pi mu / (2 sinh(pi mu))
+        (Gradshteyn-Ryzhik 6.576.4), which term_contributions uses for C and
+        E, against adaptive quadrature of mpmath's K_{i mu}."""
+        mp = pytest.importorskip("mpmath")
+        cuts = [0, mu / 4, mu, mu + 10, math.inf] if mu > 1.0 else [0, 1, 10, math.inf]
+        ref = mp_scaled_radial_integral(mp, mu, cuts)
+        assert scaled_radial_integral(mu) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("mu", [
+        0.01,
+        pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason=_SERIES_BAR)),
+        3.0,
+        pytest.param(11.7, marks=pytest.mark.xfail(strict=True, reason=_SERIES_BAR)),
+    ])
+    def test_closed_form_against_the_k_table(self, mu):
+        """The K table integrated on the C term's old log-u grid for
+        gamma = 1.5, plus the piece below its first edge u = 1e-6 (mpmath),
+        reaches the closed form within the table's propagated error estimate
+        sum w u 2 |K| err.  Past tau >= 138 the tail is below 1e-100.
+
+        The series error estimate leaves out the rounding of the phase
+        mu log(u/2) - arg Gamma(1 + i mu) (ROADMAP item 8): at mu = 0.5 and
+        11.7, 1,574 and 1,936 of the 2,300 series cells exceed it, by up to
+        4.3x and 62x, and the table is off by 1.4e-14 and 5.7e-13 against
+        bars of 8.4e-15 and 1.6e-13; the grid with exact K values is within
+        2e-15.
+        At mu = 3 its cells exceed the estimate too (up to 15x), but their
+        errors cancel in the sum; the integral cells stay within theirs."""
+        mp = pytest.importorskip("mpmath")
+        _, us, wts = k_table_grid(1.5)
+        value, err = sf._k_imag_scaled_table([mu], us)
+        grid = float(np.sum(value[0] ** 2 * us * wts))
+        bar = float(np.sum(2.0 * np.abs(value[0]) * err[0] * us * wts))
+        head = mp_scaled_radial_integral(mp, mu, [0, 1e-6])
+        assert abs(grid + head - scaled_radial_integral(mu)) <= bar
+
+
 class TestKTable:
+    @pytest.mark.parametrize("gamma, size", [(1.5, (130, 2300)), (0.5, (380, 6760))])
+    def test_grid_is_the_term_route_grid(self, gamma, size):
+        # the K-table checks run on the grids term_contributions("C", gamma)
+        # tabulated before C and E took the closed radial integral: the same
+        # sizes, node sums and ends
+        mus, us, wts = k_table_grid(gamma)
+        assert (mus.size, us.size) == size
+        expect = {1.5: (815.3387908451186, 20685.18947563508, 12.531084936381847),
+                  0.5: (7149.894012026424, 51908.768618668866, 37.618101063608044)}[gamma]
+        assert (mus.sum(), us.sum(), mus.max()) == pytest.approx(expect, rel=1e-14)
+        assert 1e-6 < us[0] and us[-1] < 8.0 / math.sqrt(0.01 / 3.0)  # (1e-6, tau_max)
+        assert np.all(np.diff(us) > 0.0) and np.all(wts > 0.0)
+
     @pytest.mark.parametrize("gamma, row_step, col_step", [(1.5, 2, 7), (0.5, 6, 41)])
-    def test_matches_scalar_route(self, gamma, row_step, col_step, monkeypatch):
+    def test_matches_scalar_route(self, gamma, row_step, col_step):
         """The batched table against one-entry tables (_k_imag_scaled_impl,
-        the scalar route) on a subsample of the grid
-        term_contributions("C", gamma) tabulates: to 1e-9 relative where the
-        one-entry estimate is below 1e-12 relative, elsewhere within twice
-        that estimate.  The batched table sizes one w grid per block of 256
+        the scalar route) on a subsample of the grid the C term's K-table
+        route tabulated at gamma: to 1e-9 relative where the one-entry
+        estimate is below 1e-12 relative, elsewhere within twice that
+        estimate.  The batched table sizes one w grid per block of 256
         columns, the one-entry table one for its single entry.  On the
         gamma = 1.5 grid a table that trusts the series up to u = pi mu/2 + 16
         is 1-3 % low at mu ~ 11, u ~ 29."""
-        grids = []
-        table = cl._k_imag_scaled_table
-
-        def capture(mus, us):
-            out = table(mus, us)
-            grids.append((mus, us, out[0]))
-            return out
-
-        monkeypatch.setattr(cl, "_k_imag_scaled_table", capture)
-        cl.term_contributions("C", gamma)
-        mus, us, out = grids[0]
-        assert np.all(np.diff(us) > 0.0)
+        mus, us, _ = k_table_grid(gamma)
+        out = sf._k_imag_scaled_table(mus, us)[0]
         tight = 0
         for i in range(0, mus.size, row_step):
             for j in range(0, us.size, col_step):
@@ -413,24 +521,14 @@ class TestKTable:
                     assert abs(out[i, j] - value) <= 2.0 * err + 1e-9 * abs(value), (mus[i], us[j])
         assert tight > 5000
 
-    def test_one_cell_per_column_block_against_extended_precision(self, monkeypatch):
+    def test_one_cell_per_column_block_against_extended_precision(self):
         """In each 256-column block of the gamma = 1.5 C grid, the integral
         cell at the block's largest such mu and smallest u, where the block's
         panel count and w grid are sized, is within twice the table's error
-        estimate of mpmath, plus 2e-15 of the value: the estimate models the
-        rounding of the exponents u cosh w, not of the sum itself."""
+        estimate of mpmath, plus 2e-15 of the value."""
         mp = pytest.importorskip("mpmath")
-        grids = []
-        table = cl._k_imag_scaled_table
-
-        def capture(mus, us):
-            out = table(mus, us)
-            grids.append((mus, us, *out))
-            return out
-
-        monkeypatch.setattr(cl, "_k_imag_scaled_table", capture)
-        cl.term_contributions("C", 1.5)
-        mus, us, value, err = grids[0]
+        mus, us, _ = k_table_grid(1.5)
+        value, err = sf._k_imag_scaled_table(mus, us)
         assert us.size == 2300
         integral = ~sf._series_preferred(mus[:, None], us[None, :])
         with mp.workdps(30):
@@ -441,3 +539,21 @@ class TestKTable:
                 ref = float((mp.besselk(1j * mp.mpf(mus[i]), mp.mpf(us[j]))
                              * mp.exp(mp.pi * mus[i] / 2)).real)
                 assert abs(value[i, j] - ref) <= 2.0 * err[i, j] + 2e-15 * abs(ref), (mus[i], us[j])
+
+    @pytest.mark.parametrize("u", [2.6e-6, 7.1e-5])
+    def test_integral_error_bar_covers_the_sum_rounding(self, u):
+        """At mu = 0.0126 and small u the rounding of the cosine integral's
+        sum over about 700 w nodes exceeds the exponents' rounding floor:
+        the floor alone was 4x and 3.7x too small at these cells of the
+        gamma = 1.5 C grid.  The reported error adds 1e-16 sqrt(nodes) of the
+        value; it still says something (below 1e3 times the error)."""
+        mp = pytest.importorskip("mpmath")
+        mus, us, _ = k_table_grid(1.5)
+        j = int(np.argmin(np.abs(np.log(us / u))))
+        value, err = sf._k_imag_scaled_table(mus, us)
+        assert mus[0] == pytest.approx(0.0126, abs=1e-4)
+        assert not sf._series_preferred(mus[0], us[j])
+        with mp.workdps(30):
+            ref = float((mp.besselk(1j * mp.mpf(mus[0]), mp.mpf(us[j]))
+                         * mp.exp(mp.pi * mus[0] / 2)).real)
+        assert abs(value[0, j] - ref) <= err[0, j] <= 1e3 * abs(value[0, j] - ref)

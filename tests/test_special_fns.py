@@ -87,6 +87,21 @@ class TestBesselI:
         assert sf.bessel_i_scaled_many(nus, np.float64(0.0)).shape == (3,)
         assert sf.bessel_i_scaled_many(nus, np.array([2.0])).shape == (1, 3)
 
+    @pytest.mark.parametrize("x", [5.0, 50.0])
+    def test_order_beyond_the_cap_is_refused(self, x):
+        # past nu ~ 2.5e305 log Gamma(nu + 1) overflows (a bare OverflowError
+        # from the series) and nu asinh(nu/x) overflows in the uniform
+        # expansion (a RuntimeWarning, an error under this suite)
+        with pytest.raises(DomainError, match="1e[+]306"):
+            sf.bessel_i_scaled(1e306, x)
+        with pytest.raises(DomainError, match="order"):
+            sf.bessel_i_scaled_many([1.0, 1e306], np.array([x]))
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 5.0, 20.0, 20.000001, 50.0, 1e300])
+    def test_largest_order_stays_finite(self, x):
+        # every branch keeps its exponent finite up to the cap, at any x
+        assert sf.bessel_i_scaled(sf._MAX_I_ORDER, x) == 0.0
+
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_block_argument_domain(self, bad):
         with pytest.raises(DomainError, match="argument"):
