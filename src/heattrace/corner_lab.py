@@ -14,7 +14,7 @@ import numpy as np
 from . import quad_fp
 from .errors import DomainError
 from .sector_models import _bracket_terms, check_angle, mode_order
-# _k_imag_scaled_table is unused here; the benchmark tracer patches it (ROADMAP item 1)
+# _k_imag_scaled_table, bessel_i_scaled: unused; the benchmark tracer patches them
 from .special_fns import _k_imag_scaled_table, bessel_i_scaled, bessel_i_scaled_many
 
 _SAME_TYPE_PAIRS = frozenset({"DD", "NN", "RR", "NR", "RN"})
@@ -197,10 +197,11 @@ def i0_radial_finite_part(eps_max=0.15):
     mode); its finite part vanishes because the cutoff expansion carries only
     odd powers of eps.  With u = R^2/2 the cutoff integral is exactly
     (1/2) int_0^{L^2/2} e^{-u} I_0(u) du = g(L^2/2)/2, g = _primitive_g, so
-    each of the 14 cutoffs costs one primitive value and no quadrature.
+    the 14 cutoffs cost one block of primitive values and no quadrature.
     """
     eps = np.asarray(quad_fp.default_eps_schedule(eps_max=eps_max, ratio=0.85, count=14))
-    values = [0.5 * _primitive_g(0.5 * lam * lam) for lam in 1.0 / eps]
+    lam = 1.0 / eps
+    values = 0.5 * _primitive_g(0.5 * lam * lam)
     return quad_fp.finite_part(eps, values, basis=CORNER_BASIS)
 
 
@@ -211,8 +212,8 @@ _TERM_NAMES = ("A", "B", "C", "E", "F")
 
 
 def _primitive_g(u):
-    """g(u) = e^{-u} u (I_0(u) + I_1(u)), the primitive with g'(u) = e^{-u} I_0(u)."""
-    return u * (bessel_i_scaled(0.0, u) + bessel_i_scaled(1.0, u))
+    """g(u) = e^{-u} u (I_0(u) + I_1(u)), g'(u) = e^{-u} I_0(u), at each entry of u."""
+    return u * bessel_i_scaled_many([0.0, 1.0], u).sum(axis=-1)
 
 
 def _fit_against_tau(taus, values):
@@ -267,7 +268,7 @@ def term_contributions(term, gamma):
         # but its diagonal integral sinh(pi mu)/mu is angle independent, so
         # the gamma = pi image form applies and has the closed primitive
         # g_B = g(tau^2/2)/4
-        values = np.array([0.25 * _primitive_g(0.5 * tau * tau) for tau in taus])
+        values = 0.25 * _primitive_g(0.5 * taus * taus)
     else:
         # F = -2 B1 + B2 with int_0^g B1 dphi = (1/2) int_0^g B2 dphi:
         # the angular diagonal integral cancels identically

@@ -28,6 +28,7 @@ from .special_fns import (
     _k_imag_scaled_table,
     bessel_i_scaled,  # unused here; the benchmark tracer patches it (ROADMAP item 1)
     bessel_i_scaled_many,
+    erfc,
     erfcx,
 )
 
@@ -502,12 +503,9 @@ def model_sf(big_x, xi, xi0, sign):
     )
 
 
-_ERFC_VEC = np.vectorize(math.erfc)
-
-
 def model_sf_robin(big_x, xi, xi0, kappa):
     """Robin side-face correction model -(kappa/2 sqrt pi) e^{-X^2/4} erfc((xi+xi')/2)."""
-    return -(kappa / (2.0 * math.sqrt(math.pi))) * np.exp(-0.25 * big_x**2) * _ERFC_VEC(
+    return -(kappa / (2.0 * math.sqrt(math.pi))) * np.exp(-0.25 * big_x**2) * erfc(
         0.5 * (xi + xi0)
     )
 

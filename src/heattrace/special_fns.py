@@ -9,11 +9,12 @@ algorithm, the array function bessel_i_scaled_many: per entry the power
 series (x <= 20, or 1 <= nu < 5 and x < 10 nu^2), the large-argument
 expansion (other nu < 5) or the uniform large-order expansion (nu >= 5,
 x > 20), with no argument cap.  K_{i mu} has one too, the batched table
-_k_imag_scaled_table with its error estimates.  For both, the scalar
-functions are the one-entry case.  J_nu for x > 12 has one too, a recurrence
-normalized by Neumann's sum, with a Hankel shortcut for nu < 1, x >= 25.
+_k_imag_scaled_table, and one power series serves I_nu and I_{i mu}.  The
+scalar functions are the one-entry case.  J_nu for x > 12 has one too, a
+recurrence normalized by Neumann's sum, Hankel's expansion for nu < 1, x >= 25.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ def _clgamma(z):
     Stirling's series at w = z + 8 (|w| >= 8.5, so ten terms leave < 1e-18)
     less log z + ... + log(z + 7).  The product Im w (log|w| - 1), 860 at
     z = 1 + 200i, keeps its rounding error and that of log|w|, so at
-    z = 1 + i mu, mu <= 200, both parts are within 1e-13."""
+    z = 1 + i mu, mu <= 200, both parts are within 1e-14 + 4.5e-16 mu."""
     z = np.asarray(z, dtype=complex)
     w = z + 8.0
     r = 1.0 / (w * w)
@@ -103,28 +104,28 @@ def _debye_polynomials(count):
 _DEBYE = _debye_polynomials(15)  # U_0 ... U_14
 
 
-def _ive_series(nu, x, lg):
-    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu, x >= 0 by the
-    power series sum_k t_k, t_0 = e^{-x} (x/2)^nu / Gamma(nu + 1) (lg holds
-    log Gamma(nu + 1)), t_k = t_{k-1} (x/2)^2 / (k (nu + k)).
+def _power_series(t0, q, nu):
+    """(sum, largest |term|) of sum_k t_k, t_k = t_{k-1} q / (k (nu + k)), at
+    the entries of the 1-d arrays t0, q, nu: the power series of I_nu(x),
+    q = (x/2)^2, for real nu >= 0 and for nu = i mu.
 
-    Each entry stops at its first k with t_k <= 1e-18 s_k, s_k the sum up to
-    t_k.  The terms and sums are built in runs of steps, one product and one
-    sum per step and entry in order, so an entry's value depends on its own
-    (nu, x) only, not on the other entries or the run lengths.  t_0 is
-    representable where bessel_i_scaled_many uses the series (x <= 250).
+    Each entry stops at its first k with |t_k| <= 1e-18 |s_k|, s_k the sum
+    up to t_k.  Terms and sums are built in runs of steps, one product and
+    one sum per step and entry in order, so an entry's results depend on its
+    own (t0, q, nu) only.  Terms past an entry's stop are below its largest
+    (|q / (k (nu + k))| falls with k).
     """
-    out = np.where(nu == 0.0, 1.0, 0.0)  # the values at x = 0
-    live = np.flatnonzero(x > 0.0)
-    nu, x = nu[live], x[live]
-    with np.errstate(under="ignore"):
-        t = np.exp(nu * (np.log(x) + math.log(0.5)) - lg[live] - x)
-    s, q = t, 0.25 * x * x
+    # numpy's complex multiply fuses a c - b d in its SIMD loops, and cumprod
+    # does not; einsum's complex products round as cumprod's do
+    multiply = functools.partial(np.einsum, "i,i->i") if np.iscomplexobj(t0) else np.multiply
+    out, largest = np.empty_like(t0), np.empty(t0.shape)
+    live = np.arange(t0.size)
+    t, s, big = t0, t0, np.abs(t0)
     k = 0
     while live.size:
         if k >= _MAX_TERMS:
-            raise ConvergenceError("I series did not converge",
-                                   {"nu": float(nu[0]), "x": 2.0 * math.sqrt(q[0])})
+            raise ConvergenceError("power series did not converge",
+                                   {"nu": nu[0].item(), "x": 2.0 * math.sqrt(q[0])})
         steps = max(1, min(64, 8192 // live.size))  # short runs while many entries are live
         ks = np.arange(k + 1.0, k + steps + 1.0)[:, None]
         factors = q / (ks * (nu + ks))
@@ -136,13 +137,29 @@ def _ive_series(nu, x, lg):
         else:
             terms, sums = np.empty_like(factors), np.empty_like(factors)
             for i, f in enumerate(factors):
-                t = np.multiply(t, f, out=terms[i])
+                t = multiply(t, f, out=terms[i])
                 s = np.add(s, t, out=sums[i])
-        stop = terms <= 1e-18 * sums  # row i: step k + 1 + i
+        sizes = np.abs(terms)
+        big = np.maximum(big, sizes.max(axis=0))
+        stop = sizes <= 1e-18 * np.abs(sums)  # row i: step k + 1 + i
         hit = stop.any(axis=0)
         out[live[hit]] = sums[stop[:, hit].argmax(axis=0), hit]
-        live, nu, q, t, s = (a[~hit] for a in (live, nu, q, terms[-1], sums[-1]))
+        largest[live[hit]] = big[hit]
+        live, nu, q, t, s, big = (a[~hit] for a in (live, nu, q, terms[-1], sums[-1], big))
         k += steps
+    return out, largest
+
+
+def _ive_series(nu, x, lg):
+    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu, x >= 0 by
+    _power_series, lg holding log Gamma(nu + 1); t_0 = e^{-x} (x/2)^nu /
+    Gamma(nu + 1) is representable where the series serves (x <= 250)."""
+    out = np.where(nu == 0.0, 1.0, 0.0)  # the values at x = 0
+    live = x > 0.0
+    nu, x = nu[live], x[live]
+    with np.errstate(under="ignore"):
+        t0 = np.exp(nu * (np.log(x) + math.log(0.5)) - lg[live] - x)
+    out[live] = _power_series(t0, 0.25 * x * x, nu)[0]
     return out
 
 
@@ -296,50 +313,28 @@ def _series_preferred(mu, x):
 
 
 def _k_series(mus, us, mask):
-    """(value, abs_err) arrays of e^{pi mu/2} K_{i mu}(u) on the grid
-    mus x us (us ascending) from the complex power series for I_{i mu}(u),
-    K_{i mu} = -pi Im I_{i mu} / sinh(pi mu), at the entries where mask
-    holds (each with mu > 0); both are 0 elsewhere.
-
-    The error estimate is 4e-16 * 2 pi * (largest term) / (1 - e^{-2 pi mu}).
-    Only the rows that hold an entry run, on blocks of 256 columns, which
-    stay in cache.  Each column stops on its own convergence test and is
-    frozen there; as us ascends, the converged columns are a prefix and
-    leave the block.
+    """(value, abs_err, phase_err) arrays of e^{pi mu/2} K_{i mu}(u) on the
+    grid mus x us at the entries where mask holds (each with mu > 0), 0
+    elsewhere: K_{i mu} = -pi Im I_{i mu} / sinh(pi mu), I_{i mu} by
+    _power_series.  abs_err, 4e-16 2 pi (largest term) / (1 - e^{-2 pi mu}),
+    is the terms' rounding; phase_err is that of t_0 = exp(i mu log(u/2) -
+    log Gamma(1 + i mu) - pi mu/2), which every term carries.  Its exponent
+    rounds to 5e-16 of its parts, and _clgamma's parts are within
+    1e-14 + 4.5e-16 mu.  An error d in the phase moves Im s by up to d |s|,
+    far above |Im s| where the sum cancels; one in the real part scales s.
     """
-    value, err = np.zeros(mask.shape), np.zeros(mask.shape)
-    rows = np.nonzero(mask.any(axis=1))[0]
-    served = np.nonzero(mask.any(axis=0))[0]
-    if not served.size:
-        return value, err
-    hi = int(served[-1]) + 1  # no entry past column hi uses the series
-    m = mus[rows, None]
-    lg = _clgamma(1.0 + 1j * mus[rows])
-    denom = -np.expm1(-_TWO_PI * m)
-    for start in range(0, hi, 256):
-        block = slice(start, min(start + 256, hi))
-        c = np.exp(1j * m * np.log(0.5 * us[None, block]) - lg[:, None] - 0.5 * math.pi * m)
-        # keep the recurrence off the entries the series does not serve
-        c = np.where(mask[rows, block], c, 0.0)
-        s, largest, q = c.copy(), np.abs(c), 0.25 * us[block] ** 2
-        lo = 0  # the series runs on the live columns lo: of the block
-        for k in range(1, _MAX_TERMS):
-            if lo == q.size:
-                break
-            c *= q[None, lo:] * (1.0 / (k * (k + 1j * m)))
-            s[:, lo:] += c
-            size = np.abs(c)
-            np.maximum(largest[:, lo:], size, out=largest[:, lo:])
-            done = size.max(axis=0) < 1e-18 * np.maximum(np.abs(s[:, lo:]).max(axis=0), 1e-300)
-            c[:, done] = 0.0  # a converged column adds nothing more
-            skip = done.size if done.all() else int(np.argmin(done))
-            lo += skip
-            c = c[:, skip:]
-        if lo < q.size:
-            raise ConvergenceError("K_imu series did not converge", {"u": float(us[start + lo])})
-        value[rows, block] = -_TWO_PI * s.imag / denom
-        err[rows, block] = 4e-16 * _TWO_PI * largest / denom
-    return value, err
+    value, err, phase_err = (np.zeros(mask.shape) for _ in range(3))
+    rows, cols = np.nonzero(mask)
+    mu, u, lg = mus[rows], us[cols], _clgamma(1.0 + 1j * mus)[rows]
+    phase = mu * np.log(0.5 * u)
+    t0 = np.exp(1j * phase - lg - 0.5 * math.pi * mu)
+    s, largest = _power_series(t0, 0.25 * u * u, 1j * mu)
+    denom = -np.expm1(-_TWO_PI * mu)
+    value[rows, cols] = v = -_TWO_PI * s.imag / denom
+    d = 5e-16 * (np.abs(phase) + np.abs(lg) + mu + 1.0) + 1e-14 + 4.5e-16 * mu
+    err[rows, cols] = 4e-16 * _TWO_PI * largest / denom
+    phase_err[rows, cols] = d * (_TWO_PI * np.abs(s) / denom + np.abs(v))
+    return value, err, phase_err
 
 
 def _k_imag_scaled_table(mus, us):
@@ -360,17 +355,18 @@ def _k_imag_scaled_table(mus, us):
     series is tried too, and the entry keeps it if its error estimate is
     below the floor.  The reported error of an integral entry adds to the
     floor 1e-16 sqrt(n) |value|, the rounding of its sum over the block's n
-    w nodes; the choice of route reads the floor alone.
+    w nodes, and that of a series entry its phase_err; the choice reads neither.
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
     series_ok = _series_preferred(mus[:, None], us[None, :])
-    out, err = _k_series(mus, us, series_ok)
+    out, err, phase_err = _k_series(mus, us, series_ok)
     with np.errstate(over="ignore"):  # 50/u is inf for u < 3e-307: the floor too
         floor = 1e-16 * ((1.0 + us) * np.arccosh(1.0 + 50.0 / us))[None, :] * np.exp(
             np.minimum(0.5 * math.pi * mus, 700.0)[:, None] - us[None, :])
     lossy = err > 1e-11 * np.maximum(np.abs(out), 1e-300)
     need_int = ~series_ok | (lossy & (floor < err))
+    err += phase_err  # the integral below replaces it where need_int holds
 
     cols = np.nonzero(need_int.any(axis=0))[0]
     if cols.size:
@@ -393,10 +389,10 @@ def _k_imag_scaled_table(mus, us):
     retry = ~series_ok & (mus[:, None] >= 0.5) & (
         floor > 1e-11 * np.maximum(np.abs(out), 1e-300))
     if retry.any():
-        v2, e2 = _k_series(mus, us, retry)
+        v2, e2, p2 = _k_series(mus, us, retry)
         better = retry & (e2 < floor)
         np.copyto(out, v2, where=better)
-        np.copyto(err, e2, where=better)
+        np.copyto(err, e2 + p2, where=better)
     return out, err
 
 
@@ -648,10 +644,14 @@ def bessel_j_prime_zero(nu, k, cache=None):
 # complementary error function and its scaled variant
 
 def erfc(x):
-    """Complementary error function erfc(x) = (2/sqrt(pi)) int_x^inf e^{-s^2} ds."""
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
-    return math.erfc(x)
+    """Complementary error function erfc(x) = (2/sqrt(pi)) int_x^inf e^{-s^2} ds,
+    at each entry of an array x (math.erfc), keeping its shape."""
+    arr = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DomainError(f"argument must be finite, got {arr[bad].flat[0]}")
+    out = np.array([math.erfc(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return out if arr.ndim else float(out)
 
 
 def erfcx(x):

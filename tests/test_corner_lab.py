@@ -146,12 +146,14 @@ class TestFinitePartRoute:
             assert 0.5 * cl._primitive_g(0.5 * lam * lam) == pytest.approx(total, rel=1e-14)
 
     def test_i0_route_is_two_bessel_values_per_cutoff(self, monkeypatch):
+        # one I block of orders 0 and 1 at the 14 cutoffs, and no quadrature
         calls = []
-        scalar = cl.bessel_i_scaled
-        monkeypatch.setattr(cl, "bessel_i_scaled", lambda nu, x: calls.append(x) or scalar(nu, x))
+        block = cl.bessel_i_scaled_many
+        monkeypatch.setattr(cl, "bessel_i_scaled_many",
+                            lambda nus, x: calls.append((list(nus), np.shape(x))) or block(nus, x))
         monkeypatch.setattr(quad_fp, "integrate", None)
         cl.i0_radial_finite_part()
-        assert len(calls) == 28
+        assert calls == [([0.0, 1.0], (14,))]
 
     def test_robin_pairs_rejected(self):
         with pytest.raises(UnsupportedBCError):
@@ -420,9 +422,6 @@ def mp_scaled_radial_integral(mp, mu, cuts):
                      * mp.exp(mp.pi * m))
 
 
-_SERIES_BAR = "the K_imu series error estimate leaves out the phase rounding (ROADMAP item 8)"
-
-
 def k_table_grid(gamma):
     """The mu x u grid (mus, us, u weights) on which the C term's K-table
     route tabulated e^{pi mu/2} K_{i mu}(u): ten-node mu panels,
@@ -455,26 +454,18 @@ class TestRadialIdentity:
         ref = mp_scaled_radial_integral(mp, mu, cuts)
         assert scaled_radial_integral(mu) == pytest.approx(ref, rel=1e-14)
 
-    @pytest.mark.parametrize("mu", [
-        0.01,
-        pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason=_SERIES_BAR)),
-        3.0,
-        pytest.param(11.7, marks=pytest.mark.xfail(strict=True, reason=_SERIES_BAR)),
-    ])
+    @pytest.mark.parametrize("mu", [0.01, 0.5, 3.0, 11.7])
     def test_closed_form_against_the_k_table(self, mu):
         """The K table integrated on the C term's old log-u grid for
         gamma = 1.5, plus the piece below its first edge u = 1e-6 (mpmath),
         reaches the closed form within the table's propagated error estimate
         sum w u 2 |K| err.  Past tau >= 138 the tail is below 1e-100.
 
-        The series error estimate leaves out the rounding of the phase
-        mu log(u/2) - arg Gamma(1 + i mu) (ROADMAP item 8): at mu = 0.5 and
-        11.7, 1,574 and 1,936 of the 2,300 series cells exceed it, by up to
-        4.3x and 62x, and the table is off by 1.4e-14 and 5.7e-13 against
-        bars of 8.4e-15 and 1.6e-13; the grid with exact K values is within
-        2e-15.
-        At mu = 3 its cells exceed the estimate too (up to 15x), but their
-        errors cancel in the sum; the integral cells stay within theirs."""
+        The series cells' estimate covers the rounding of their phase
+        mu log(u/2) - arg Gamma(1 + i mu), which turns the whole sum: at
+        mu = 0.5 and 11.7 the table is off by 1.4e-14 and 5.7e-13, against
+        bars of 5.0e-13 and 1.0e-11 (the terms' rounding alone gave 8.4e-15
+        and 1.6e-13); the grid with exact K values is within 2e-15."""
         mp = pytest.importorskip("mpmath")
         _, us, wts = k_table_grid(1.5)
         value, err = sf._k_imag_scaled_table([mu], us)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heattrace import special_fns as sf
-from heattrace.errors import AccuracyLossError, DomainError, OverflowRangeError
+from heattrace.errors import AccuracyLossError, ConvergenceError, DomainError, OverflowRangeError
 
 # values frozen from extended-precision evaluation (mpmath, 30 digits)
 IVE_3_2 = 0.028791222639470898
@@ -262,21 +262,15 @@ def _k_route(mu, x):
     if not sf._series_preferred(mu, x):
         retry = mu >= 0.5 and floor > 1e-11 * abs(sf._k_imag_scaled_impl(mu, x)[0])
         return "retry" if retry else "integral"
-    value, err = (a[0, 0] for a in sf._k_series(*_one(mu, x), np.array([[True]])))
+    value, err, _ = (a[0, 0] for a in sf._k_series(*_one(mu, x), np.array([[True]])))
     return "swap" if err > 1e-11 * abs(value) and floor < err else "series"
 
 
-def _k_bound(mu, x, err, ref, series):
+def _k_bound(err, ref):
     """How far an e^{pi mu/2} K_{i mu}(x) value may be from ref: twice the
-    one-entry table's error estimate err, 1e-12 of ref and, where the series
-    may serve, the rounding of its phase mu log(x/2) - arg Gamma(1 + i mu),
-    which err leaves out: (1 + mu) 1e-13 of the series' largest term."""
-    bound = 2.0 * err + 1e-12 * abs(ref)
-    if series:
-        # the series estimate is 4e-16 of its (scaled) largest term
-        largest = sf._k_series(*_one(mu, x), np.array([[True]]))[1][0, 0] / 4e-16
-        bound += 1e-13 * (1.0 + mu) * largest
-    return bound
+    one-entry table's error estimate err, which covers the series' phase
+    rounding, and 1e-12 of ref."""
+    return 2.0 * err + 1e-12 * abs(ref)
 
 
 def _k_oracle(mp, mu, x):
@@ -294,8 +288,8 @@ class TestKImagTable:
     @settings(max_examples=12, deadline=None)
     def test_against_extended_precision_and_scalar_route(self, mus, xs):
         # the scalar route is the one-entry table: a whole table shares one
-        # series block and one cosine block, with the panel count and w grid
-        # of all its entries, and must agree with the tables of one entry
+        # cosine block, with the panel count and w grid of all its entries,
+        # and must agree with the tables of one entry
         mp = pytest.importorskip("mpmath")
         mus = np.array(mus + [0.25, 10.0, 88.0])
         xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0, 80.0}))
@@ -307,11 +301,9 @@ class TestKImagTable:
                 routes.add(route)
                 oracle = _k_oracle(mp, mu, x)
                 value, err = sf._k_imag_scaled_impl(float(mu), float(x))
-                assert abs(table[i, j] - oracle) <= _k_bound(
-                    mu, x, err, oracle, route in ("series", "retry")), (mu, x, route)
-                # the one-entry table may keep the series where the table swaps
-                assert abs(table[i, j] - value) <= _k_bound(
-                    mu, x, err, value, bool(sf._series_preferred(mu, x))), (mu, x, route)
+                assert abs(table[i, j] - oracle) <= _k_bound(err, oracle), (mu, x, route)
+                # an integral entry moves with the w grid of its block
+                assert abs(table[i, j] - value) <= _k_bound(err, value), (mu, x, route)
         assert routes == {"series", "integral", "swap", "retry"}
 
     @pytest.mark.parametrize("mu, x", [(10.0, 2.0), (10.0, 24.0), (10.0, 45.0), (0.0, 1.0),
@@ -352,7 +344,7 @@ class TestKImagTable:
         assert counts == [max(8, int(4.0 * w_max))]
         for mu, value in zip((0.3, 5.0, 80.0), table[:, 0]):
             ref, err = sf._k_imag_scaled_impl(mu, 2.0)
-            assert abs(value - ref) <= _k_bound(mu, 2.0, err, ref, mu >= 0.5)
+            assert abs(value - ref) <= _k_bound(err, ref)
 
     def test_each_column_block_sizes_its_own_grid(self, monkeypatch):
         """One w grid per block of 256 integral columns: w_max is
@@ -379,21 +371,57 @@ class TestKImagTable:
         for j in (0, 300, 599):
             for i, mu in enumerate(mus):
                 ref, err = sf._k_imag_scaled_impl(mu, us[j])
-                assert abs(table[i, j] - ref) <= _k_bound(mu, us[j], err, ref, mu >= 0.5)
+                assert abs(table[i, j] - ref) <= _k_bound(err, ref)
+
+
+class TestPowerSeries:
+    def test_k_series_entries_equal_one_entry_calls(self):
+        # each entry stops on its own test, so a table's series entries are
+        # the one-entry calls' bit for bit, value and error estimates alike
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            mus = rng.uniform(0.5, 40.0, 12)
+            us = np.sort(rng.uniform(1e-3, 30.0, 5))
+            mask = sf._series_preferred(mus[:, None], us[None, :])
+            table = sf._k_series(mus, us, mask)
+            for i, j in zip(*np.nonzero(mask)):
+                one = sf._k_series(*_one(mus[i], us[j]), np.array([[True]]))
+                assert [a[i, j] for a in table] == [a[0, 0] for a in one], (mus[i], us[j])
+
+    @pytest.mark.parametrize("size", [7, 600])  # cumulative runs, then one product per step
+    def test_imaginary_order_block_equals_one_entry_calls(self, size):
+        rng = np.random.default_rng(size)
+        mu, x = rng.uniform(0.5, 40.0, size), rng.uniform(1e-3, 30.0, size)
+        t0 = np.exp(1j * mu * np.log(0.5 * x) - sf._clgamma(1.0 + 1j * mu) - 0.5 * math.pi * mu)
+        q = 0.25 * x * x
+        sums, largest = sf._power_series(t0, q, 1j * mu)
+        for k in range(size):
+            one = sf._power_series(t0[k:k + 1], q[k:k + 1], 1j * mu[k:k + 1])
+            assert (sums[k], largest[k]) == (one[0][0], one[1][0])
+
+    def test_run_past_the_term_cap_raises(self, monkeypatch):
+        # at x = 200 the terms peak near k = 100 and fall below 1e-18 of the
+        # sum near k = 300: a cap of 128 stops the second run of 64 steps
+        monkeypatch.setattr(sf, "_MAX_TERMS", 128)
+        with pytest.raises(ConvergenceError):
+            sf._power_series(np.array([1.0 + 0.0j]), np.array([1e4]), np.array([1.0j]))
 
 
 class TestClgamma:
     def test_against_extended_precision(self):
-        """log Gamma(1 + i mu) for mu in [0, 200], both parts within 1e-13;
-        the imaginary part reaches 860 there, where 1e-13 is under one ulp."""
+        """log Gamma(1 + i mu) for mu in [0, 200], both parts within
+        1e-14 + 4.5e-16 mu (1e-13 at mu = 200), the bound the K series' error
+        estimate uses; the imaginary part reaches 860 there, where 1e-13 is
+        under one ulp."""
         mp = pytest.importorskip("mpmath")
         mus = np.concatenate([np.linspace(0.0, 200.0, 801), [1e-8, 0.5, 199.99]])
         got = sf._clgamma(1.0 + 1j * mus)
         with mp.workdps(30):
             for mu, value in zip(mus, got):
                 ref = mp.loggamma(mp.mpc(1.0, mu))
-                assert abs(mp.mpf(value.real) - ref.real) <= 1e-13, mu
-                assert abs(mp.mpf(value.imag) - ref.imag) <= 1e-13, mu
+                bound = 1e-14 + 4.5e-16 * mu
+                assert abs(mp.mpf(value.real) - ref.real) <= bound, mu
+                assert abs(mp.mpf(value.imag) - ref.imag) <= bound, mu
 
     def test_left_half_of_the_domain(self):
         # Re z >= 0.5: the shift by 8 keeps Stirling's series at |w| >= 8.5
@@ -712,6 +740,23 @@ class TestErfc:
         assert sf.erfcx(xs).shape == (2, 3)
         assert type(sf.erfcx(np.array(3.0))) is float
         assert sf.erfcx(np.array([])).shape == (0,)
+
+    def test_erfc_array_equals_math_erfc(self):
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 49), [-0.0, 30.0, -30.0, 1e300]])
+        values = sf.erfc(xs)
+        assert values.tobytes() == np.array([math.erfc(x) for x in xs]).tobytes()
+        assert type(sf.erfc(0.5)) is float
+
+    def test_erfc_keeps_the_shape(self):
+        xs = np.array([[0.5, -2.5, 7.0], [1e5, 0.0, 3.0]])
+        assert sf.erfc(xs).shape == (2, 3)
+        assert type(sf.erfc(np.array(3.0))) is float
+        assert sf.erfc(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_erfc_rejects_a_bad_entry(self, bad):
+        with pytest.raises(DomainError, match="argument"):
+            sf.erfc(np.array([0.5, -3.0, bad]))
 
     @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
     def test_erfcx_rejects_a_bad_entry(self, bad):
