@@ -7,6 +7,7 @@ separated, header row, newline endings) for grids and trace samples.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -384,6 +385,7 @@ def cmd_distinguish(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once; parse_args keeps no state between calls
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="heattrace",

@@ -24,10 +24,10 @@ from .errors import (
 from .special_fns import (
     _LOG_HUGE,
     _MAX_TERMS,
+    _ive_entries,
     _k_imag_scaled_impl,
     _k_imag_scaled_table,
     bessel_i_scaled,  # unused here; the benchmark tracer patches it (ROADMAP item 1)
-    bessel_i_scaled_many,
     erfc,
     erfcx,
 )
@@ -180,11 +180,14 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
 
     The five coordinates are numbers or arrays that broadcast together; the
     result has their broadcast shape, and is a float when all five are
-    numbers.  Each point keeps its own cutoff (see _mode_counts).  The
-    e^{-z} I_nu(z) come from bessel_i_scaled_many blocks of at most
-    _KERNEL_ROWS points, at any z: per entry the power series (z <= 20, or
-    1 <= nu < 5 and z < 10 nu^2), the large-argument expansion (other
-    nu < 5) or the uniform large-order expansion (nu >= 5, z > 20).
+    numbers.  Each point keeps its own cutoff (see _mode_counts), and only
+    the e^{-z} I_nu(z) of the modes it keeps are evaluated: one
+    special_fns._ive_entries call per block of at most _KERNEL_ROWS points,
+    at any z: per entry the power series (z <= 20, or 1 <= nu < 5 and
+    z < 10 nu^2), the large-argument expansion (other nu < 5) or the
+    uniform large-order expansion (nu >= 5, z > 20).  Raises DomainError
+    where z = r r0 / 2t overflows and the Gaussian factor e^{-(r - r0)^2/4t}
+    does not underflow; where it does, the kernel is 0.
     """
     check_coordinate("tol", tol, math.inf, False)
     t = check_coordinate("t", t, math.inf, False)
@@ -195,13 +198,16 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     points = np.broadcast_arrays(t, r, theta, r0, theta0)
     shape = points[0].shape
     t, r, theta, r0, theta0 = (a.ravel() for a in points)
-    z = r * r0 / (2.0 * t)
+    with np.errstate(over="ignore"):  # an infinite z is refused below where it matters
+        z = r * r0 / (2.0 * t)
     log_pref = -((r - r0) ** 2) / (4.0 * t)
     pref = np.where(log_pref > -745.0, np.exp(log_pref) / (2.0 * t), 0.0)
     out = np.zeros(z.size)
+    live = np.flatnonzero(pref > 0.0)
+    if np.isinf(z[live]).any():
+        raise DomainError("r r0 / 2t overflows where the Gaussian factor does not underflow")
     # by increasing z, so that a block's rows need similar mode counts and
     # leave its series in turn
-    live = np.flatnonzero(pref > 0.0)
     live = live[np.argsort(z[live], kind="stable")]
     counts = _mode_counts(spec, z[live], pref[live], tol)
     for start in range(0, live.size, _KERNEL_ROWS):
@@ -250,18 +256,21 @@ def _mode_counts(spec, z, pref, tol):
 
 def _mode_sums(spec, counts, z, theta, theta0):
     """sum_{j < counts} e^{-z} I_{mu_j}(z) phi_j(theta) phi_j(theta0) per
-    point, added mode by mode."""
+    point, added mode by mode; the I values and weights are evaluated at the
+    kept (point, mode) entries only."""
     m = int(counts.max())
     orders = mode_order(spec.pair, spec.gamma, np.arange(m))
+    rows, cols = np.nonzero(np.arange(m) < counts[:, None])
+    mu = orders[cols]
     # unit-norm eigenfunctions: sines from a Dirichlet edge at theta = 0,
     # cosines from a Neumann one; the N-N constant mode has norm 1/gamma
     trig = np.sin if spec.bc_at_0.kind == "D" else np.cos
-    weights = np.where(orders == 0.0, 1.0, 2.0) / spec.gamma \
-        * trig(theta[:, None] * orders) * trig(theta0[:, None] * orders)
-    i_vals = bessel_i_scaled_many(orders, z)
-    kept = np.arange(m) < counts[:, None]
-    # cumsum adds left to right, so the masked zeros leave each sum unchanged
-    return np.cumsum(np.where(kept, i_vals * weights, 0.0), axis=1)[:, -1]
+    weights = (np.where(orders == 0.0, 1.0, 2.0) / spec.gamma)[cols] \
+        * trig(theta[rows] * mu) * trig(theta0[rows] * mu)
+    terms = np.zeros((counts.size, m))
+    terms[rows, cols] = _ive_entries(orders, cols, z[rows]) * weights
+    # cumsum adds left to right, so the zeros past a row's count leave its sum unchanged
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +351,10 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     The integrand is assembled from exponentially scaled pieces and truncated
     using the per-term angular decay gaps.  Each quadrature step takes both
     K factors at all its mu nodes from one call of the batched table
-    special_fns._k_imag_scaled_table.
+    special_fns._k_imag_scaled_table.  Raises ToleranceError when the
+    error the K factors carry into the integrand, (e_a |K_b| + e_b |K_a| +
+    e_a e_b) |W| / pi^2 with e the table's abs_err, integrated over
+    [0, mu_max] on the quadrature's nodes, exceeds tol/2.
     """
     check_coordinate("tol", tol, math.inf, False)
     check_coordinate("s", s, math.inf, False)
@@ -364,13 +376,25 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
 
     # one K table per integrand call, one column when the radii coincide
     xs = [a] if a == b else sorted((a, b))
+    seen = []  # (nodes, the error the K factors carry into the integrand there)
 
     def integrand(mu):
         w = sum(term(mu) for term, _ in terms)
-        k = _k_imag_scaled_table(mu, xs)[0]
+        k, e = _k_imag_scaled_table(mu, xs)
+        spread = e[:, 0] * np.abs(k[:, -1]) + e[:, -1] * np.abs(k[:, 0]) + e[:, 0] * e[:, -1]
+        seen.append((mu, spread * np.abs(w) / math.pi**2))
         return k[:, 0] * k[:, -1] * w / math.pi**2
 
     result = quad_fp.integrate(integrand, 0.0, mu_max, tol=tol / 2.0)
+    mus, spread = (np.concatenate(part) for part in zip(*seen))
+    order = np.argsort(mus)
+    mus, spread = mus[order], spread[order]
+    # each node stands for the mu up to halfway to its neighbours
+    cuts = np.concatenate([[0.0], 0.5 * (mus[1:] + mus[:-1]), [mu_max]])
+    k_err = float(np.dot(spread, np.diff(cuts)))
+    if k_err > tol / 2.0:
+        raise ToleranceError("the K_{i mu} factors' error exceeds the Green's function tol",
+                             k_err)
     return result.value
 
 

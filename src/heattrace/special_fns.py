@@ -5,13 +5,14 @@ Everything is evaluated in double precision from series, asymptotic
 expansions, stable recurrences, and the cosine integral of K_{i mu}; no
 external special-function library is used.  Scaled variants are provided
 wherever the unscaled value over- or underflows.  e^{-x} I_nu(x) has one
-algorithm, the array function bessel_i_scaled_many: per entry the power
-series (x <= 20, or 1 <= nu < 5 and x < 10 nu^2), the large-argument
-expansion (other nu < 5) or the uniform large-order expansion (nu >= 5,
-x > 20), with no argument cap.  K_{i mu} has one too, the batched table
-_k_imag_scaled_table, and one power series serves I_nu and I_{i mu}.  The
-scalar functions are the one-entry case.  J_nu for x > 12 has one too, a
-recurrence normalized by Neumann's sum, Hankel's expansion for nu < 1, x >= 25.
+algorithm, the entrywise _ive_entries under bessel_i_scaled_many and the
+sector kernel: per entry the power series (x <= 20, or 1 <= nu < 5 and
+x < 10 nu^2), the large-argument expansion (other nu < 5) or the uniform
+large-order expansion (nu >= 5, x > 20), with no argument cap.  K_{i mu}
+has one too, the batched table _k_imag_scaled_table, and one power series
+serves I_nu and I_{i mu}.  The scalar functions are the one-entry case.
+J_nu for x > 12 has one too, a recurrence normalized by Neumann's sum,
+Hankel's expansion for nu < 1, x >= 25.
 """
 
 import functools
@@ -226,12 +227,11 @@ def _check_order_and_arg(nu, x):
         raise DomainError(f"argument must be finite and >= 0, got {x}")
 
 
-def bessel_i_scaled_many(nus, x):
-    """e^{-x} I_nu(x) for an array of orders 0 <= nu <= 1e305 at arguments
-    x >= 0, with no argument cap: the one I algorithm.
-
-    A scalar x gives one value per order; a 1-D array x gives a
-    (len(x), len(nus)) block.  Each entry takes one of three branches:
+def _ive_entries(orders, which, x):
+    """e^{-x} I_nu(x) at nu = orders[which] and the matched entries of the
+    1-d array x, the one I algorithm: orders holds finite values in
+    [0, 1e305] and x finite values >= 0 (the callers check them).  Each
+    entry takes one of three branches:
 
     - the power series (_ive_series) where x <= 20, or where 1 <= nu < 5
       and x < 10 nu^2;
@@ -241,8 +241,31 @@ def bessel_i_scaled_many(nus, x):
       x > 20.
 
     Every branch computes each entry from its own (nu, x) alone and stops
-    it on its own test, so every entry is, bit for bit, the one-entry call
-    bessel_i_scaled(nu, x).
+    it on its own test, so an entry's value does not depend on the others.
+    """
+    nu = orders[which]
+    low = (nu >= 1.0) & (nu < 5.0)
+    series = (x <= 20.0) | (low & (x < 10.0 * np.minimum(nu, 5.0) ** 2))
+    hankel = ~series & (nu < 5.0)
+    uniform = ~series & (nu >= 5.0)
+    out = np.empty(x.size)
+    if series.any():
+        lg = np.array([math.lgamma(v + 1.0) for v in orders.tolist()])
+        out[series] = _ive_series(nu[series], x[series], lg[which[series]])
+    if hankel.any():
+        out[hankel] = _ive_hankel(nu[hankel], x[hankel])
+    if uniform.any():
+        out[uniform] = _ive_uniform(nu[uniform], x[uniform])
+    return out
+
+
+def bessel_i_scaled_many(nus, x):
+    """e^{-x} I_nu(x) for an array of orders 0 <= nu <= 1e305 at arguments
+    x >= 0, with no argument cap.
+
+    A scalar x gives one value per order; a 1-D array x gives a
+    (len(x), len(nus)) block: _ive_entries on every (x, nu) pair, so every
+    entry is, bit for bit, the one-entry call bessel_i_scaled(nu, x).
     """
     nus = np.asarray(nus, dtype=float)
     if nus.size and (nus.min() < 0.0 or not np.isfinite(nus).all()):
@@ -257,19 +280,8 @@ def bessel_i_scaled_many(nus, x):
     if bad.any():
         raise DomainError(f"argument must be finite and >= 0, got {rows[bad][0]}")
     shape = (rows.size, nus.size)
-    nu, z = np.broadcast_to(nus, shape), np.broadcast_to(rows[:, None], shape)
-    low = (nus >= 1.0) & (nus < 5.0)
-    series = (z <= 20.0) | (low & (z < 10.0 * np.minimum(nus, 5.0) ** 2))
-    hankel = ~series & (nu < 5.0)
-    uniform = ~series & (nu >= 5.0)
-    out = np.empty(shape)
-    if series.any():
-        lg = np.broadcast_to([math.lgamma(v + 1.0) for v in nus.tolist()], shape)
-        out[series] = _ive_series(nu[series], z[series], lg[series])
-    if hankel.any():
-        out[hankel] = _ive_hankel(nu[hankel], z[hankel])
-    if uniform.any():
-        out[uniform] = _ive_uniform(nu[uniform], z[uniform])
+    which = np.tile(np.arange(nus.size), rows.size)
+    out = _ive_entries(nus.ravel(), which, np.repeat(rows, nus.size)).reshape(shape)
     return out if xs.ndim else out[0]
 
 

@@ -51,6 +51,31 @@ def disk_payload(bc="N"):
     }
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, capsys):
+        # the cached parser hands each call its own defaults, whatever ran before
+        greens = ["greens", "--model", "halfplane", "--bc0", "N"]
+        code, first, _ = run(greens, capsys)
+        assert code == 0
+        code, _, _ = run(["corner", "--pair", "DN", "--angle", "2.0", "--numeric", "--tol",
+                          "0.01", "--table"], capsys)
+        assert code == 0
+        code, _, err = run(["trace-fit", "--domain", "rectangle", "--a", "-1", "--samples",
+                            "5", "--window", "0.01,0.02"], capsys)
+        assert code == 2 and "validation error" in err
+        with pytest.raises(SystemExit):
+            cli.main(["trace-fit", "--domain", "disk", "--samples", "many"])
+        capsys.readouterr()
+        args = cli.build_parser().parse_args(greens)
+        assert vars(args) == vars(cli.build_parser.__wrapped__().parse_args(greens))
+        assert (args.tol, args.gamma, args.json) == (1e-5, PI, True)
+        code, again, _ = run(greens, capsys)
+        assert code == 0 and again == first
+
+
 class TestCoeffs:
     def test_square(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "square.json", square_payload())

@@ -246,17 +246,39 @@ class TestArrayKernel:
     def test_t_array_straddling_the_block_cap(self, monkeypatch):
         # z = r r0 / 2t = 1/2t runs from 833 down to 625, on both sides of
         # x ~ 709, where a scaled series' first term e^{-x} (x/2)^nu /
-        # Gamma(nu+1) stops being representable: every point still comes
-        # from the block, with no scalar Bessel call
+        # Gamma(nu+1) stops being representable: every I value still comes
+        # from one entrywise call for the block, one entry per kept mode
         spec = sm.SectorSpec(PI / 2.0, sm.DIRICHLET, sm.NEUMANN)
         t = np.linspace(0.6e-3, 0.8e-3, 7)
-        scalar_args = []
-        monkeypatch.setattr(sm, "bessel_i_scaled", lambda nu, x: scalar_args.append(x))
+        plain = sm.sector_heat_kernel(spec, t, 1.0, 0.4, 1.0, 1.1)
+        counts, sizes = [], []
+        real_counts, real_entries = sm._mode_counts, sm._ive_entries
+        monkeypatch.setattr(sm, "_mode_counts", lambda *a: counts.append(real_counts(*a))
+                            or counts[-1])
+        # doubled I values double the kernel exactly, so every one comes from here
+        monkeypatch.setattr(sm, "_ive_entries", lambda orders, which, x: sizes.append(x.size)
+                            or 2.0 * real_entries(orders, which, x))
         mine = sm.sector_heat_kernel(spec, t, 1.0, 0.4, 1.0, 1.1)
-        assert scalar_args == []
-        for tv, value in zip(t, mine):
+        assert len(counts) == 1 and counts[0].size == t.size
+        assert sizes == [int(counts[0].sum())]
+        assert np.array_equal(mine, 2.0 * plain)
+        for tv, value in zip(t, plain):
             ref = reference_kernel(spec, tv, 1.0, 0.4, 1.0, 1.1)
             assert abs(value - ref) <= 1e-12 / (4.0 * PI * tv)
+
+    def test_overflowing_z_is_refused(self, monkeypatch):
+        # z = r r0 / 2t is inf where the Gaussian factor is not negligible:
+        # no I value is taken there.  At r = r0 the factor is 1/2t for any t
+        monkeypatch.setattr(sm, "_ive_entries", lambda *a: pytest.fail("I evaluated"))
+        spec = sm.SectorSpec(PI / 2.0)
+        for t, r in [(1e-200, 1e200), (1e-300, 1e5)]:
+            with pytest.raises(DomainError, match="overflows"):
+                sm.sector_heat_kernel(spec, t, r, 0.4, r, 1.1)
+            with pytest.raises(DomainError, match="overflows"):
+                sm.sector_heat_kernel(spec, np.array([0.1, t]), np.array([1.0, r]), 0.4,
+                                      np.array([1.2, r]), 1.1)
+        # where the factor underflows the kernel is 0, however large z is
+        assert sm.sector_heat_kernel(spec, 1e-300, 1e5, 0.4, 1e5 + 1.0, 1.1) == 0.0
 
     def test_series_cutoff_still_raises(self):
         # z = 1e6 needs orders near z/2, far beyond _MAX_TERMS modes
@@ -264,9 +286,14 @@ class TestArrayKernel:
             sm.sector_heat_kernel(sm.SectorSpec(PI), 5e-7, 1.0, 1.0, 1.0, 2.0)
 
     def test_laplace_check_makes_no_scalar_bessel_call(self, monkeypatch):
-        # at tol = 1e-7 the smallest time node puts z near 180, below the cap
-        scalar_calls = []
-        monkeypatch.setattr(sm, "bessel_i_scaled", lambda *a: scalar_calls.append(a))
+        # at tol = 1e-7 the smallest time node puts z near 180, below the cap;
+        # the kernel's I values are the kept entries of its blocks, no more
+        kept, sizes = [], []
+        real_counts, real_entries = sm._mode_counts, sm._ive_entries
+        monkeypatch.setattr(sm, "_mode_counts", lambda *a: kept.append(real_counts(*a))
+                            or kept[-1])
+        monkeypatch.setattr(sm, "_ive_entries", lambda orders, which, x: sizes.append(x.size)
+                            or real_entries(orders, which, x))
         kernel_calls = []
         real = sm.sector_heat_kernel
         monkeypatch.setattr(sm, "sector_heat_kernel",
@@ -274,7 +301,7 @@ class TestArrayKernel:
         spec = sm.SectorSpec(PI / 2.0, sm.DIRICHLET, sm.NEUMANN)
         res = sm.laplace_consistency(spec, 2.0, [((0.8, 0.3), (1.3, 1.1))], tol=1e-7)
         assert res <= 1e-5
-        assert scalar_calls == []
+        assert sum(sizes) == sum(int(n.sum()) for n in kept) > 0
         # one call per quadrature step: the 8 seed panels (248 nodes) or the
         # two halves of a bisected panel (62 nodes); one for the envelope
         assert all(np.ndim(t) == 0 or np.size(t) in (248, 62) for t in kernel_calls)
@@ -393,6 +420,27 @@ class TestGreensKL:
         for case, value in zip(cases, batched):
             assert value == pytest.approx(greens(*case), rel=1e-13, abs=0.0)
         assert far_batched == pytest.approx(sm.greens_kl(*far, tol=1e-8), rel=1e-9, abs=0.0)
+
+    def test_k_table_errors_reach_the_tolerance(self, monkeypatch):
+        # the K factors' reported errors, integrated over mu, must stay below
+        # tol/2; they never move the value
+        spec = sm.SectorSpec(PI / 2.0, sm.DIRICHLET, sm.NEUMANN)
+        args = (spec, 2.0, 0.8, 0.3, 1.3, 1.1)
+        value = sm.greens_kl(*args, tol=1e-8)
+        real = sm._k_imag_scaled_table
+
+        def inflated(rel):
+            def table(mus, xs):
+                k, e = real(mus, xs)
+                return k, e + rel * np.abs(k)
+            return table
+
+        monkeypatch.setattr(sm, "_k_imag_scaled_table", inflated(1e-11))
+        assert sm.greens_kl(*args, tol=1e-8) == value
+        monkeypatch.setattr(sm, "_k_imag_scaled_table", inflated(1e-6))
+        with pytest.raises(ToleranceError) as info:
+            sm.greens_kl(*args, tol=1e-8)
+        assert 5e-9 < info.value.achieved < math.inf
 
     def test_far_from_the_vertex_matches_the_free_space_kernel(self):
         # at r sqrt s >= 80 the images in the quarter-plane walls are below

@@ -189,6 +189,66 @@ class TestBesselI:
             assert deriv == pytest.approx(sf.bessel_i_scaled(0.0, u), abs=1e-6)
 
 
+def _ive_regions(rng, n):
+    """n random (nu, x) entries in each branch's region of _ive_entries."""
+    low = rng.uniform(1.5, 5.0, n)  # 10 nu^2 > 20 from nu = sqrt(2) on
+    return {
+        "_ive_series": [(rng.uniform(0.0, 60.0, n), rng.uniform(0.0, 20.0, n)),
+                        (low, rng.uniform(20.0, 10.0 * low**2))],
+        "_ive_hankel": [(rng.uniform(0.0, 1.0, n), rng.uniform(20.0, 1e4, n)),
+                        (low, rng.uniform(10.0 * low**2, 1e4))],
+        "_ive_uniform": [(rng.uniform(5.0, 300.0, n), rng.uniform(20.0, 1e4, n))],
+    }
+
+
+def _edge_entries():
+    """Every pair of orders and arguments at the branch edges: x = 20,
+    nu = 1 and 5, and x = 10 nu^2 for 1 <= nu < 5, each with its neighbours."""
+    below, above = (lambda v: np.nextafter(v, 0.0)), (lambda v: np.nextafter(v, math.inf))
+    nus = [0.0, 0.5, below(1.0), 1.0, above(1.0), 1.5, 2.0, 3.3, 4.9, below(5.0), 5.0,
+           above(5.0), 7.5]
+    xs = [0.0, 1.0, below(20.0), 20.0, above(20.0), 400.0]
+    xs += [f(10.0 * nu**2) for nu in nus if 1.0 <= nu < 5.0 for f in (below, float, above)]
+    return tuple(np.array(a) for a in zip(*itertools.product(nus, xs)))
+
+
+class TestIveEntries:
+    """_ive_entries is the one I algorithm: the block is its call on every
+    (x, nu) pair, and any other set of entries gets the block's bits."""
+
+    @staticmethod
+    def _assert_block_bits(nus, xs):
+        orders, which = np.unique(nus, return_inverse=True)
+        got = sf._ive_entries(orders, which, xs)
+        block = sf.bessel_i_scaled_many(orders, xs)
+        assert np.array_equal(got, block[np.arange(xs.size), which])
+
+    @pytest.mark.parametrize("branch", ["_ive_series", "_ive_hankel", "_ive_uniform"])
+    def test_random_entries_in_each_branch(self, branch, monkeypatch):
+        rng = np.random.default_rng(24)
+        for nus, xs in _ive_regions(rng, 200)[branch]:
+            self._assert_block_bits(nus, xs)
+            # and the entries take that branch only
+            served = []
+            for name in ("_ive_series", "_ive_hankel", "_ive_uniform"):
+                real = getattr(sf, name)
+                monkeypatch.setattr(sf, name, lambda *a, f=real, n=name: served.append(n) or f(*a))
+            orders, which = np.unique(nus, return_inverse=True)
+            sf._ive_entries(orders, which, xs)
+            monkeypatch.undo()
+            assert served == [branch]
+
+    def test_branch_edges_and_mixed_entries(self):
+        nus, xs = _edge_entries()
+        self._assert_block_bits(nus, xs)
+        # all branches in one call, in random order
+        rng = np.random.default_rng(5)
+        parts = [pair for pairs in _ive_regions(rng, 50).values() for pair in pairs]
+        nus, xs = (np.concatenate([nus] + [p[i] for p in parts]) for i in (0, 1))
+        order = rng.permutation(xs.size)
+        self._assert_block_bits(nus[order], xs[order])
+
+
 class TestBesselKImag:
     def test_k0_against_quadrature_value(self):
         assert sf.bessel_k_imag(0.0, 1.0) == pytest.approx(K0_1, rel=1e-12)
