@@ -162,12 +162,13 @@ def corner_finite_part(pair, alpha, eps_schedule=CORNER_EPS_SCHEDULE):
     z = 1/(2 eps^2) in bessel_i_scaled_many blocks, which have no argument
     cap: per entry the power series (z <= 20, or 1 <= nu < 5 and
     z < 10 nu^2), the large-argument expansion (other nu < 5) or the
-    uniform large-order expansion (nu >= 5, z > 20).  So any schedule is
-    accepted; narrow corners need small eps (down to 0.0117 at alpha = 0.3)
-    before the expansion is asymptotic.
+    uniform large-order expansion (nu >= 5, z > 20).  So any schedule that
+    quad_fp.check_eps_schedule accepts is, before anything is integrated;
+    narrow corners need small eps (down to 0.0117 at alpha = 0.3) before the
+    expansion is asymptotic.
     """
     check_angle("alpha", alpha)
-    eps = np.asarray(tuple(eps_schedule), dtype=float)
+    eps = quad_fp.check_eps_schedule(eps_schedule, CORNER_BASIS, field="eps_schedule")
     cutoffs = 1.0 / eps  # increasing, since eps decreases
     z_max = 0.5 * cutoffs.max() ** 2
     orders = _corner_orders(pair, alpha, z_max)

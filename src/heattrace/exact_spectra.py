@@ -255,7 +255,11 @@ _TAIL_TOL = 1e-12  # trace tail bound at the smallest sample time
 
 def choose_cutoff(spectrum, t_min, tol=_TAIL_TOL):
     """The first cutoff 16/t_min * 1.5^k whose tail bound at t_min is at most
-    tol; a tol that is not positive raises DomainError with field "tol"."""
+    tol.  Raises DomainError with field "t_min" unless 0 < t_min < inf with
+    16/t_min finite, and with field "tol" unless tol > 0."""
+    if not 0.0 < t_min < math.inf or 16.0 / t_min == math.inf:
+        raise DomainError(f"t_min must be finite and > 0 with 16/t_min finite, got {t_min}",
+                          field="t_min")
     if not tol > 0.0:
         raise DomainError(f"tail tolerance must be positive, got {tol}", field="tol")
     cutoff = 16.0 / t_min

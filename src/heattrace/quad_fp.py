@@ -223,9 +223,26 @@ DEFAULT_BASIS = (-2, -1, 0, 1)
 _FP_COND_LIMIT = 1e8  # finite_part raises IllConditionedFitError above this
 
 
+def check_eps_schedule(eps, basis, field="eps"):
+    """The one check of a cutoff schedule: eps as a float array, after
+    checking that it holds finite, positive, strictly decreasing values, at
+    least two more than the terms of `basis`.  Raises DomainError with
+    `field` otherwise."""
+    eps = np.asarray(tuple(eps), dtype=float)
+    if eps.ndim != 1 or not (np.isfinite(eps).all() and (eps > 0.0).all()
+                             and (np.diff(eps) < 0.0).all()):
+        raise DomainError(f"{field} must be finite, positive and strictly decreasing",
+                          field=field)
+    if eps.size < len(basis) + 2:
+        raise DomainError(
+            f"need at least {len(basis) + 2} cutoffs for a {len(basis)}-term basis", field=field
+        )
+    return eps
+
+
 def finite_part(eps, values, basis=DEFAULT_BASIS, value_errs=None):
     """Finite part of a cutoff integral: the eps^0 coefficient of F(1/eps),
-    from its values F(1/eps_i) at the strictly decreasing positive eps_i.
+    from its values F(1/eps_i) at the eps_i that check_eps_schedule accepts.
 
     The values are fitted by weighted least squares against the model
     F(1/eps) = sum_q c_q eps^q  over the exponents in `basis` (which must
@@ -240,13 +257,7 @@ def finite_part(eps, values, basis=DEFAULT_BASIS, value_errs=None):
         raise DomainError("basis must contain the exponent 0")
     if len(set(basis)) != len(basis):
         raise DomainError("basis exponents must be distinct")
-    eps = np.asarray(tuple(eps), dtype=float)
-    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise DomainError("eps must be positive and strictly decreasing")
-    if eps.size < len(basis) + 2:
-        raise DomainError(
-            f"need at least {len(basis) + 2} cutoffs for a {len(basis)}-term basis"
-        )
+    eps = check_eps_schedule(eps, basis)
     values = np.asarray(values, dtype=float)
     errs = np.zeros(eps.size) if value_errs is None else np.asarray(value_errs, dtype=float)
     if values.shape != eps.shape or errs.shape != eps.shape:

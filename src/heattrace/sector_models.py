@@ -186,8 +186,9 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     at any z: per entry the power series (z <= 20, or 1 <= nu < 5 and
     z < 10 nu^2), the large-argument expansion (other nu < 5) or the
     uniform large-order expansion (nu >= 5, z > 20).  Raises DomainError
-    where z = r r0 / 2t overflows and the Gaussian factor e^{-(r - r0)^2/4t}
-    does not underflow; where it does, the kernel is 0.
+    (field t) where z = r r0 / 2t, the prefactor e^{-(r - r0)^2/4t} / 2t or
+    the value overflows and the Gaussian factor does not underflow; where
+    it does, the kernel is 0.
     """
     check_coordinate("tol", tol, math.inf, False)
     t = check_coordinate("t", t, math.inf, False)
@@ -198,14 +199,15 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     points = np.broadcast_arrays(t, r, theta, r0, theta0)
     shape = points[0].shape
     t, r, theta, r0, theta0 = (a.ravel() for a in points)
-    with np.errstate(over="ignore"):  # an infinite z is refused below where it matters
+    with np.errstate(over="ignore"):  # what overflows is refused below where it matters
         z = r * r0 / (2.0 * t)
-    log_pref = -((r - r0) ** 2) / (4.0 * t)
-    pref = np.where(log_pref > -745.0, np.exp(log_pref) / (2.0 * t), 0.0)
+        log_pref = -((r - r0) ** 2) / (4.0 * t)
+        pref = np.where(log_pref > -745.0, np.exp(log_pref) / (2.0 * t), 0.0)
     out = np.zeros(z.size)
     live = np.flatnonzero(pref > 0.0)
-    if np.isinf(z[live]).any():
-        raise DomainError("r r0 / 2t overflows where the Gaussian factor does not underflow")
+    if np.isinf(z[live]).any() or np.isinf(pref[live]).any():
+        raise DomainError("r r0 / 2t or 1/2t overflows where the Gaussian factor does not "
+                          "underflow", field="t")
     # by increasing z, so that a block's rows need similar mode counts and
     # leave its series in turn
     live = live[np.argsort(z[live], kind="stable")]
@@ -213,7 +215,10 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     for start in range(0, live.size, _KERNEL_ROWS):
         rows = live[start:start + _KERNEL_ROWS]
         n = counts[start:start + _KERNEL_ROWS]
-        out[rows] = pref[rows] * _mode_sums(spec, n, z[rows], theta[rows], theta0[rows])
+        with np.errstate(over="ignore"):
+            out[rows] = pref[rows] * _mode_sums(spec, n, z[rows], theta[rows], theta0[rows])
+    if np.isinf(out).any():
+        raise DomainError("the sector heat kernel overflows", field="t")
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -438,31 +443,37 @@ def half_plane_kernel(bc, t, x, y, x0, y0):
     which equals the textbook erfc form but never over- or underflows.  The
     coordinates are numbers or arrays that broadcast together; the result
     has their broadcast shape, and is a float when all five are numbers.
+    A Gaussian factor that underflows gives 0; raises DomainError (field t)
+    where the value overflows, which takes t below ~1e-309.
     """
     t = check_coordinate("t", t, math.inf, False)
     y = check_coordinate("y", y, math.inf, True)
     y0 = check_coordinate("y0", y0, math.inf, True)
+    for name, v in (("x", x), ("x0", x0)):
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name} must be finite", field=name)
     four_t = 4.0 * t
-    gx = np.exp(-np.subtract(x, x0) ** 2 / four_t)
-    direct = gx * np.exp(-((y - y0) ** 2) / four_t) / (math.pi * four_t)
-    image = gx * np.exp(-((y + y0) ** 2) / four_t) / (math.pi * four_t)
-    if bc.kind == "D":
-        value = direct - image
-    elif bc.kind == "N":
-        value = direct + image
-    else:
-        kappa = bc.robin_kappa
-        arg = (y + y0) / np.sqrt(four_t) + kappa * np.sqrt(t)
-        corr = (
-            -kappa
-            / np.sqrt(math.pi * four_t)
-            * gx
-            * np.exp(-((y + y0) ** 2) / four_t)
-            * erfcx(arg)
-        )
-        value = direct + image + corr
-        if not np.isfinite(value).all():
-            raise ToleranceError("half-plane kernel evaluation is not finite", math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below where it matters
+        gx = np.exp(-np.subtract(x, x0) ** 2 / four_t)
+        direct = gx * np.exp(-((y - y0) ** 2) / four_t) / (math.pi * four_t)
+        image = gx * np.exp(-((y + y0) ** 2) / four_t) / (math.pi * four_t)
+        if bc.kind == "D":
+            value = direct - image
+        elif bc.kind == "N":
+            value = direct + image
+        else:
+            kappa = bc.robin_kappa
+            arg = (y + y0) / np.sqrt(four_t) + kappa * np.sqrt(t)
+            corr = (
+                -kappa
+                / np.sqrt(math.pi * four_t)
+                * gx
+                * np.exp(-((y + y0) ** 2) / four_t)
+                * erfcx(arg)
+            )
+            value = direct + image + corr
+    if not np.isfinite(value).all():
+        raise DomainError("the half-plane heat kernel overflows", field="t")
     return value if np.ndim(value) else float(value)
 
 

@@ -10,9 +10,9 @@ sector kernel: per entry the power series (x <= 20, or 1 <= nu < 5 and
 x < 10 nu^2), the large-argument expansion (other nu < 5) or the uniform
 large-order expansion (nu >= 5, x > 20), with no argument cap.  K_{i mu}
 has one too, the batched table _k_imag_scaled_table, and one power series
-serves I_nu and I_{i mu}.  The scalar functions are the one-entry case.
-J_nu for x > 12 has one too, a recurrence normalized by Neumann's sum,
-Hankel's expansion for nu < 1, x >= 25.
+serves I_nu, I_{i mu} and J_nu.  The scalar functions are the one-entry
+case.  J_nu has one too, _bessel_j_pair for (J_nu, J'_nu): that power
+series for x <= 2, a recurrence normalized by Neumann's sum above.
 """
 
 import functools
@@ -108,7 +108,8 @@ _DEBYE = _debye_polynomials(15)  # U_0 ... U_14
 def _power_series(t0, q, nu):
     """(sum, largest |term|) of sum_k t_k, t_k = t_{k-1} q / (k (nu + k)), at
     the entries of the 1-d arrays t0, q, nu: the power series of I_nu(x),
-    q = (x/2)^2, for real nu >= 0 and for nu = i mu.
+    q = (x/2)^2, for real nu >= 0 and for nu = i mu, and that of J_nu(x),
+    q = -(x/2)^2.
 
     Each entry stops at its first k with |t_k| <= 1e-18 |s_k|, s_k the sum
     up to t_k.  Terms and sums are built in runs of steps, one product and
@@ -126,7 +127,7 @@ def _power_series(t0, q, nu):
     while live.size:
         if k >= _MAX_TERMS:
             raise ConvergenceError("power series did not converge",
-                                   {"nu": nu[0].item(), "x": 2.0 * math.sqrt(q[0])})
+                                   {"nu": nu[0].item(), "x": 2.0 * math.sqrt(abs(q[0]))})
         steps = max(1, min(64, 8192 // live.size))  # short runs while many entries are live
         ks = np.arange(k + 1.0, k + steps + 1.0)[:, None]
         factors = q / (ks * (nu + ks))
@@ -445,62 +446,36 @@ def bessel_k_imag(mu, x):
 # ---------------------------------------------------------------------------
 # Bessel J and its zeros
 
-def _jv_series(nu, x):
-    """Power series for J_nu(x); accurate for x <= 12 (alternating terms)."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    ln_pref = nu * (math.log(x) + math.log(0.5)) - math.lgamma(nu + 1.0)
-    if ln_pref < -700.0:
-        return 0.0
-    pref = math.exp(ln_pref)
-    q = -0.25 * x * x
-    s = 1.0
-    t = 1.0
-    for k in range(1, _MAX_TERMS):
-        t *= q / (k * (nu + k))
-        s += t
-        if abs(t) < 1e-18 * max(abs(s), 1e-30):
-            return pref * s
-    raise ConvergenceError("J series did not converge", {"nu": nu, "x": x})
-
-
-def _jv_base_hankel(nu, x):
-    """J_nu(x) for 0 <= nu < 2 and x >= 25 from the Hankel expansion; the
-    smallest term there is ~e^{-2x}, far below double precision."""
-    mu4 = 4.0 * nu * nu
-    p = 1.0
-    q = 0.0
-    c = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        c *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
-        if abs(c) >= prev:
-            break
-        prev = abs(c)
-        if k % 2 == 1:
-            q += c * (-1.0) ** ((k - 1) // 2)
-        else:
-            p += c * (-1.0) ** (k // 2)
-        if abs(c) < 1e-18:
-            break
-    omega = x - 0.5 * nu * math.pi - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
-
-
 def _bessel_j_pair(nu, x):
-    """(J_nu(x), J_{nu+1}(x)) for x > 12.
+    """(J_nu(x), J'_nu(x)) for x > 0, the one J algorithm;
+    J'_nu = (nu/x) J_nu - J_{nu+1}.
 
-    For nu < 1 at x >= 25 both come from the Hankel expansion.  Otherwise
-    one downward (Miller) recurrence over the orders b + k, b = nu - floor(nu),
-    runs from an even index 15 + 8 x^{1/3} above max(x, nu + 1) and is
-    normalized by Neumann's sum, accumulated as it runs:
+    x <= 2: the series of J_nu and J_{nu+1}, one two-entry _power_series
+    call at q = -(x/2)^2 with unit first terms, where no term exceeds the
+    first (x^2/4 <= 1 <= nu + 1).  The prefactors, (nu/x) J_nu's its own,
+    are applied after, so no value comes from a J_nu that underflowed.
+    x > 2: one downward (Miller) recurrence over the orders b + k,
+    b = nu - floor(nu), from an even index 15 + 8 x^{1/3} above
+    max(x, nu + 1), normalized by Neumann's sum, accumulated as it runs:
 
         (x/2)^b / Gamma(b + 1) = sum_m c_m J_{b+2m}(x),
         c_0 = 1,  c_m = (b + 2m) Gamma(b + m) / (m! Gamma(b + 1)).
+
+    Its 1e-100 rescale cannot keep up with a step 2(b + k)/x past ~1e208,
+    so tiny x needs the series.
     """
+    if x <= 2.0:
+        s_nu, s_next = _power_series(np.ones(2), np.full(2, -0.25 * x * x),
+                                     np.array([nu, nu + 1.0]))[0].tolist()
+        log_half = math.log(x) + math.log(0.5)  # log x first: 0.5 * 5e-324 rounds to 0
+        lg = math.lgamma(nu + 1.0)
+        # the logs of (x/2)^nu / Gamma(nu + 1), (x/2)^{nu+1} / Gamma(nu + 2), nu/x times the first
+        logs = [nu * log_half - lg, (nu + 1.0) * log_half - math.lgamma(nu + 2.0),
+                (nu - 1.0) * log_half - lg + math.log(nu) + math.log(0.5) if nu else -math.inf]
+        with np.errstate(over="ignore", under="ignore"):  # J' beyond the range is inf
+            pref, pref_next, lead = np.exp(logs).tolist()
+        return pref * s_nu, lead * s_nu - pref_next * s_next
     b = nu - math.floor(nu)
-    if nu < 1.0 and x >= 25.0:
-        return _jv_base_hankel(nu, x), _jv_base_hankel(nu + 1.0, x)
     want = round(nu - b)  # ladder index of order nu; nu + 1 is at want + 1
     top = 2 * math.ceil(0.5 * (max(x, nu + 1.0) - b + 15.0 + 8.0 * x ** (1.0 / 3.0)))
     f_hi, f = 0.0, 1.0  # the values at ladder indices k + 1 and k
@@ -522,26 +497,25 @@ def _bessel_j_pair(nu, x):
         if abs(f) > 1e100:  # rescale the sum with the values
             f, f_hi, total, j_nu, j_next = (v * 1e-100 for v in (f, f_hi, total, j_nu, j_next))
     scale = (0.5 * x) ** b / math.gamma(b + 1.0) * c / total
-    return j_nu * scale, j_next * scale
+    j_nu, j_next = j_nu * scale, j_next * scale
+    return j_nu, (nu / x) * j_nu - j_next
 
 
 def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x) for nu >= 0, x >= 0."""
     _check_order_and_arg(nu, x)
-    if x <= 12.0:
-        return _jv_series(nu, x)
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
     return _bessel_j_pair(nu, x)[0]
 
 
 def bessel_j_prime(nu, x):
-    """Derivative J'_nu(x) = (nu/x) J_nu - J_{nu+1}, with J_nu and J_{nu+1}
-    from one evaluation; J'_nu(0) is +inf for 0 < nu < 1 (J'_nu ~ x^{nu-1})."""
+    """Derivative J'_nu(x) = (nu/x) J_nu - J_{nu+1}, from one evaluation of
+    _bessel_j_pair; J'_nu(0) is +inf for 0 < nu < 1 (J'_nu ~ x^{nu-1})."""
     _check_order_and_arg(nu, x)
     if x == 0.0:
         return math.inf if 0.0 < nu < 1.0 else (0.5 if nu == 1.0 else 0.0)
-    j_nu, j_next = ((_jv_series(nu, x), _jv_series(nu + 1.0, x)) if x <= 12.0
-                    else _bessel_j_pair(nu, x))
-    return (nu / x) * j_nu - j_next
+    return _bessel_j_pair(nu, x)[1]
 
 
 class BesselZeroCache:
@@ -635,12 +609,8 @@ def bessel_j_zero(nu, k, cache=None):
 
 
 def bessel_j_prime_zero(nu, k, cache=None):
-    """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted).
-
-    With a BesselZeroCache, asking for k = 1, 2, ..., K in turn costs O(K)
-    evaluations of J in all, not O(K^2); the result is the same float with
-    or without the cache.
-    """
+    """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted),
+    with a cache as in bessel_j_zero."""
     _check_zero_args(nu, k)
     if nu == 0.0:
         # J0' = -J1, so the positive zeros of J0' are those of J1

@@ -256,6 +256,19 @@ class TestFinitePartRoute:
             result = cl.corner_finite_part(pair, 0.3, eps_schedule=eps)
             assert abs(result.finite_part - cl.corner_coeff(cl.CornerKind(pair, 0.3))) <= 1e-9
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_bad_schedule_fails_before_the_integral(self, bad, monkeypatch):
+        monkeypatch.setattr(cl, "_cumulative_mode_integral",
+                            lambda *a: pytest.fail("the mode-sum integral ran"))
+        eps = list(cl.CORNER_EPS_SCHEDULE)
+        eps[0 if bad == math.inf else -1] = bad
+        with pytest.raises(DomainError, match="strictly decreasing") as info:
+            cl.corner_finite_part("DD", 1.6, eps_schedule=eps)
+        assert info.value.field == "eps_schedule"
+        with pytest.raises(DomainError, match="cutoffs") as info:
+            cl.corner_finite_part("DD", 1.6, eps_schedule=cl.CORNER_EPS_SCHEDULE[:3])
+        assert info.value.field == "eps_schedule"
+
     def test_eps_just_above_the_i_argument_limit_is_accepted(self):
         ratio = (0.0268 / 0.25) ** (1.0 / 13.0)
         eps = quad_fp.default_eps_schedule(eps_max=0.25, ratio=ratio, count=14)

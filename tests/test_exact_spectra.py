@@ -284,6 +284,13 @@ class TestPartialTrace:
         assert spec.tail_bound(0.01, suggested) <= 1e-12
         assert suggested == es.choose_cutoff(spec, 0.01, 1e-12)
 
+    @pytest.mark.parametrize("t_min", [0.0, -0.01, math.nan, math.inf, 1e-310])
+    def test_cutoff_needs_a_positive_finite_time(self, t_min):
+        spec = es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D"))
+        with pytest.raises(DomainError, match="t_min") as info:
+            es.choose_cutoff(spec, t_min)
+        assert info.value.field == "t_min"
+
 
 class TestFit:
     def test_recovers_its_own_model(self):

@@ -263,6 +263,15 @@ class TestFinitePart:
         with pytest.raises(DomainError, match="one value and one error per cutoff"):
             quad_fp.finite_part(EPS, samples(lambda lam: lam), value_errs=[0.0])
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -0.1])
+    def test_schedule_entries_must_be_finite_and_positive(self, bad):
+        # one bad entry fails at the check, before the fit
+        eps = list(EPS)
+        eps[0 if bad == math.inf else -1] = bad
+        with pytest.raises(DomainError, match="finite, positive and strictly decreasing") as info:
+            quad_fp.finite_part(eps, samples(lambda lam: lam))
+        assert info.value.field == "eps"
+
     def test_accepts_quadresults(self):
         # integrate's values and error estimates feed values and value_errs
         results = [quad_fp.integrate(lambda x: np.ones_like(x), 0.0, 1.0 / e, tol=1e-12)

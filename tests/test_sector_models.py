@@ -277,8 +277,35 @@ class TestArrayKernel:
             with pytest.raises(DomainError, match="overflows"):
                 sm.sector_heat_kernel(spec, np.array([0.1, t]), np.array([1.0, r]), 0.4,
                                       np.array([1.2, r]), 1.1)
-        # where the factor underflows the kernel is 0, however large z is
+        # where the factor underflows the kernel is 0, however large z is,
+        # also where (r - r0)^2 / 4t overflows
         assert sm.sector_heat_kernel(spec, 1e-300, 1e5, 0.4, 1e5 + 1.0, 1.1) == 0.0
+        assert sm.sector_heat_kernel(spec, 1e-300, 1e5, 0.4, 2e5, 1.1) == 0.0
+        # 1/2t overflows below t ~ 2.8e-309, for D-D and N-N alike
+        nn = sm.SectorSpec(PI / 2.0, sm.NEUMANN, sm.NEUMANN)
+        for sector in (spec, nn):
+            with pytest.raises(DomainError, match="overflows") as info:
+                sm.sector_heat_kernel(sector, 1e-310, 0.0, 0.4, 0.0, 1.1)
+            assert info.value.field == "t"
+        # at t = 3e-309 only the value can: the N-N constant mode weighs 1/gamma
+        monkeypatch.undo()
+        assert sm.sector_heat_kernel(nn, 3e-309, 0.0, 0.4, 0.0, 1.1) == pytest.approx(
+            1.0 / (3e-309 * PI), rel=1e-15)
+        with pytest.raises(DomainError, match="overflows") as info:
+            sm.sector_heat_kernel(sm.SectorSpec(0.1, sm.NEUMANN, sm.NEUMANN), 3e-309,
+                                  0.0, 0.04, 0.0, 0.05)
+        assert info.value.field == "t"
+
+    def test_overflowing_half_plane_kernel_is_refused(self):
+        # a Gaussian factor that underflows gives 0, even where its exponent
+        # overflows; where the value overflows, t is refused
+        for bc in (sm.DIRICHLET, sm.NEUMANN, sm.BoundaryCondition.robin(1.5)):
+            assert sm.half_plane_kernel(bc, 1e-300, 0.0, 1e5, 0.0, 2e5) == 0.0
+            grid = sm.half_plane_kernel(bc, np.array([1e-300, 0.2]), 0.0, 1e5, 0.0, 2e5)
+            assert grid[0] == 0.0 and grid[1] == sm.half_plane_kernel(bc, 0.2, 0.0, 1e5, 0.0, 2e5)
+            with pytest.raises(DomainError, match="overflows") as info:
+                sm.half_plane_kernel(bc, 1e-310, 0.0, 1.0, 0.0, 1.0)
+            assert info.value.field == "t"
 
     def test_series_cutoff_still_raises(self):
         # z = 1e6 needs orders near z/2, far beyond _MAX_TERMS modes
@@ -340,6 +367,10 @@ class TestArrayKernel:
                 assert grid[i, j] == one
         with pytest.raises(DomainError, match="y must be >= 0"):
             sm.half_plane_kernel(sm.NEUMANN, t, 0.0, np.array([0.1, -0.1, 0.2]), 0.0, 0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="x0 must be finite") as info:
+                sm.half_plane_kernel(sm.DIRICHLET, t, 0.0, 0.3, np.array([0.1, bad]), 0.5)
+            assert info.value.field == "x0"
 
 
 class TestGreensKL:

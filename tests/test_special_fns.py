@@ -558,10 +558,11 @@ class TestBesselJ:
         # J'_nu(x) ~ (nu/2)(x/2)^{nu-1}/Gamma(nu+1) as x -> 0
         assert sf.bessel_j_prime(nu, 0.0) == value
 
-    @pytest.mark.parametrize("nu, x", [(7.5, 30.0), (3.0, 18.0), (40.2, 40.7), (0.3, 50.0)])
+    @pytest.mark.parametrize("nu, x", [(7.5, 30.0), (3.0, 18.0), (40.2, 40.7), (0.3, 50.0),
+                                       (0.3, 1.5), (4.0, 7.0)])
     def test_prime_is_one_pair_evaluation(self, monkeypatch, nu, x):
-        # J_nu and J_{nu+1} come from one normalized recurrence (or, for
-        # nu < 1 at x >= 25, one pair of Hankel expansions)
+        # J_nu and J'_nu come from one two-entry power series (x <= 2) or
+        # one normalized recurrence (x > 2)
         calls = []
         pair = sf._bessel_j_pair
         monkeypatch.setattr(sf, "_bessel_j_pair", lambda n, v: calls.append(n) or pair(n, v))
@@ -569,9 +570,8 @@ class TestBesselJ:
         assert calls == [nu]
 
     def test_handoff_band_against_extended_precision(self):
-        # 12 < x < 25 runs the recurrence for every order; at x = 25 orders
-        # nu < 1 switch to the Hankel expansion.  The worst error seen here
-        # is 1.4e-14 relative, 2.7e-16 absolute
+        # 12 < x <= 25, through the recurrence for orders below and above 1.
+        # The worst error seen here is 1.4e-14 relative, 2.7e-16 absolute
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         for nu in (0.0, 0.25, 0.5, 0.9, 1.3, 7.0):
@@ -579,20 +579,18 @@ class TestBesselJ:
                 ref = float(mp.besselj(nu, x))
                 assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("xs, j", [(np.linspace(12.01, 24.99, 12), sf.bessel_j),
-                                       (np.linspace(25.0, 200.0, 12), sf._jv_base_hankel)],
-                             ids=["recurrence", "hankel"])
-    def test_base_orders_against_extended_precision(self, xs, j):
-        # the orders 0 <= nu < 2 below x = 25 through the recurrence, and
-        # from x = 25 through the Hankel expansion, which serves nu < 1 and
-        # nu + 1; errors relative to the amplitude sqrt(2/(pi x)), worst
-        # seen 1.5e-15 below x = 25 and 1.1e-14 from it
+    @pytest.mark.parametrize("xs", [np.linspace(12.01, 24.99, 12), np.linspace(25.0, 200.0, 12)],
+                             ids=["x-below-25", "x-from-25"])
+    def test_base_orders_against_extended_precision(self, xs):
+        # the orders 0 <= nu < 2 through the recurrence; errors relative to
+        # the amplitude sqrt(2/(pi x)), worst seen 1.5e-15 below x = 25 and
+        # 8.8e-15 from it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         for nu in (0.0, 0.3, 0.9, 1.0, 1.25, 1.5, 1.99):
             for x in xs.tolist():
                 amp = math.sqrt(2.0 / (math.pi * x))
-                assert abs(j(nu, x) - float(mp.besselj(nu, x))) <= 5e-14 * amp
+                assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 5e-14 * amp
 
     def test_low_orders_below_the_hankel_band_against_extended_precision(self):
         # J_nu for 1 <= nu < 2 at 12 < x < 25; worst seen 1.8e-15 of the
@@ -613,10 +611,49 @@ class TestBesselJ:
         amp = math.sqrt(2.0 / (math.pi * x))
         with mp.workdps(25):
             for nu in (1.0, 7.5, 30.0, 61.7):
-                j_nu, j_next = sf._bessel_j_pair(nu, x)
+                j_nu, j_prime = sf._bessel_j_pair(nu, x)
                 assert abs(j_nu - float(mp.besselj(nu, x))) <= 5e-13 * amp, nu
-                assert abs(j_next - float(mp.besselj(nu + 1.0, x))) <= 5e-13 * amp, nu
+                assert abs(j_prime - float(mp.besselj(nu, x, derivative=1))) <= 5e-13 * amp, nu
                 assert sf.bessel_j(nu, x) == j_nu
+                assert sf.bessel_j_prime(nu, x) == j_prime
+
+    def test_small_arguments_against_extended_precision(self):
+        # x <= 2 through the power series, 2 < x <= 12 through the
+        # recurrence; errors relative to the amplitude min(1, sqrt(2/(pi x))),
+        # worst seen 7.9e-16 (J) and 3.7e-16 of max(1, |J'|) (J')
+        mp = pytest.importorskip("mpmath")
+        xs = np.concatenate([np.linspace(0.05, 12.0, 24), [1e-3, 1.999, 2.0, 2.001]]).tolist()
+        with mp.workdps(30):
+            for nu in (0.0, 0.25, 0.5, 0.9, 1.0, 4.0 / 3.0, 2.5, 7.5, 13.3, 30.0, 60.0):
+                for x in xs:
+                    amp = min(1.0, math.sqrt(2.0 / (math.pi * x)))
+                    assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 5e-15 * amp
+                    ref = float(mp.besselj(nu, x, derivative=1))
+                    assert abs(sf.bessel_j_prime(nu, x) - ref) <= 5e-15 * max(1.0, abs(ref))
+
+    def test_zeros_below_12_against_extended_precision(self):
+        # worst seen 2.7e-15 (j) and 1.1e-14 (j')
+        mp = pytest.importorskip("mpmath")
+        for nu in (0.0, 0.25, 0.5, 1.0, 4.0 / 3.0, 2.5, 3.5, 5.5, 7.5):
+            cache = sf.BesselZeroCache()
+            for zero, derivative in ((sf.bessel_j_zero, 0), (sf.bessel_j_prime_zero, 1)):
+                k = 1
+                while (z := zero(nu, k, cache=cache)) < 12.0:
+                    # mpmath counts x = 0 as the first zero of J0'
+                    m = k + 1 if nu == 0.0 and derivative else k
+                    with mp.workdps(30):
+                        ref = float(mp.besseljzero(nu, m, derivative=derivative))
+                    assert abs(z - ref) <= 3e-14, (nu, k, derivative)
+                    k += 1
+
+    def test_tiny_arguments_against_extended_precision(self):
+        # the power series serves these: a recurrence step 2(b + k)/x would
+        # outgrow its 1e-100 rescale
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for nu, x in ((0.0, 1e-300), (0.5, 1e-310), (1.0, 1e-160), (0.0, 5e-324),
+                          (60.0, 1e-3)):
+                assert sf.bessel_j(nu, x) == pytest.approx(float(mp.besselj(nu, x)), rel=1e-13)
 
     def test_rescaled_recurrence(self):
         # from order 184 down to 0 the values at x = 13 grow by ~1e188, so
@@ -635,7 +672,7 @@ class TestBesselJ:
         monkeypatch.setattr(sf, "panel_nodes", refuse)
         cache = sf.BesselZeroCache()
         for nu in (0.0, 0.5, 1.0, 1.5, 7.0):
-            for x in (12.5, 18.0, 24.5):
+            for x in (1.5, 7.0, 12.5, 18.0, 24.5):
                 sf.bessel_j(nu, x)
                 sf.bessel_j_prime(nu, x)
             zeros = [sf.bessel_j_zero(nu, k, cache=cache) for k in range(1, 9)]
@@ -645,19 +682,18 @@ class TestBesselJ:
 
 @st.composite
 def _j_points(draw):
-    """(nu, x) with 12 < x <= 120, the recurrence's range: anywhere, in the
-    band nu < x < nu + 1 where the recurrence starts at J_{nu+1}'s turning
-    point rather than J_nu's, or across the x = 25 hand-off to the Hankel
-    expansion for nu < 1."""
-    band = draw(st.sampled_from(["any", "turning", "handoff"]))
+    """(nu, x) with 0 < x <= 120: anywhere, in the band nu < x < nu + 1
+    where the recurrence starts at J_{nu+1}'s turning point rather than
+    J_nu's, or in 0 < x <= 12, across the x = 2 edge between the power
+    series and the recurrence."""
+    band = draw(st.sampled_from(["any", "turning", "small"]))
     if band == "turning":
         nu = draw(st.floats(min_value=12.0, max_value=60.0))
         return nu, nu + draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                                        exclude_max=True))
     nu = draw(st.floats(min_value=0.0, max_value=60.0))
-    if band == "handoff":
-        return nu, draw(st.floats(min_value=24.0, max_value=26.0))
-    return nu, draw(st.floats(min_value=12.0, max_value=120.0, exclude_min=True))
+    top = 12.0 if band == "small" else 120.0
+    return nu, draw(st.floats(min_value=0.0, max_value=top, exclude_min=True))
 
 
 class TestBesselJProperties:
@@ -668,9 +704,13 @@ class TestBesselJProperties:
         nu, x = point
         with mp.workdps(25):
             ref = float(mp.besselj(nu, x))
-            ref_prime = float(mp.besselj(nu, x, derivative=1))
+            # mpmath's derivative takes J_{nu-1}, whose order rounds to -1 at tiny nu
+            ref_prime = float(nu / mp.mpf(x) * mp.besselj(nu, x) - mp.besselj(nu + 1.0, x))
         assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=2e-9, abs=1e-13)
-        assert sf.bessel_j_prime(nu, x) == pytest.approx(ref_prime, rel=0.0, abs=1e-11)
+        # |J'_nu| <= 1 except at small x for nu < 1, where J'_nu ~ x^{nu-1}
+        # may pass the double range
+        prime = sf.bessel_j_prime(nu, x)
+        assert prime == ref_prime or abs(prime - ref_prime) <= 1e-11 * max(1.0, abs(ref_prime))
 
     @given(nu=st.floats(min_value=0.0, max_value=40.0), k=st.integers(min_value=1, max_value=15))
     @settings(max_examples=6, deadline=None)
