@@ -380,7 +380,7 @@ def greens_kl(spec, s, r, phi, r0, phi0, tol=1e-10):
     b = r0 * math.sqrt(s)
 
     # one K table per integrand call, one column when the radii coincide
-    xs = [a] if a == b else sorted((a, b))
+    xs = [a] if a == b else [a, b]
     seen = []  # (nodes, the error the K factors carry into the integrand there)
 
     def integrand(mu):

@@ -1,18 +1,15 @@
 """Special functions: modified Bessel I (real order), Bessel K of imaginary
-order, Bessel J with its zeros, and complementary error functions.
-
-Everything is evaluated in double precision from series, asymptotic
-expansions, stable recurrences, and the cosine integral of K_{i mu}; no
-external special-function library is used.  Scaled variants are provided
-wherever the unscaled value over- or underflows.  e^{-x} I_nu(x) has one
-algorithm, the entrywise _ive_entries under bessel_i_scaled_many and the
-sector kernel: per entry the power series (x <= 20, or 1 <= nu < 5 and
-x < 10 nu^2), the large-argument expansion (other nu < 5) or the uniform
-large-order expansion (nu >= 5, x > 20), with no argument cap.  K_{i mu}
-has one too, the batched table _k_imag_scaled_table, and one power series
-serves I_nu, I_{i mu} and J_nu.  The scalar functions are the one-entry
-case.  J_nu has one too, _bessel_j_pair for (J_nu, J'_nu): that power
-series for x <= 2, a recurrence normalized by Neumann's sum above.
+order, Bessel J with its zeros, and complementary error functions, in double
+precision from series, asymptotic expansions, recurrences and one contour
+integral, with no external special-function library; scaled variants where
+the unscaled value over- or underflows.  Each is computed one way, entry by
+entry, the scalar API being the one-entry case: e^{-x} I_nu(x) by
+_ive_entries (power series, large-argument or uniform large-order expansion,
+by (nu, x); no argument cap); e^{pi mu/2} K_{i mu}(x) by
+_k_imag_scaled_table (the power series for mu >= 0.5, x <= 4, a
+saddle-point contour elsewhere); (J_nu, J'_nu) by _bessel_j_pair (the power
+series for x <= 2, a recurrence normalized by Neumann's sum above).  One
+power series serves I_nu, I_{i mu} and J_nu.
 """
 
 import functools
@@ -27,11 +24,13 @@ from .errors import (
     DomainError,
     OverflowRangeError,
 )
-from .quad_fp import panel_nodes
+from .quad_fp import gauss_rule
 
 _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _TWO_PI = 2.0 * math.pi
 _MAX_TERMS = 20000  # term cap of every series and continued fraction
+_K_CUT = 37.0  # the K contour's legs end at e^{-37} of the saddle's size
+_K_NODES = 24  # Gauss nodes per K contour panel; its error bar adds 23
 _K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
 # largest I order: below it nu log(x/2) - log Gamma(nu + 1) stays finite at
 # every x >= 5e-324, and so does nu asinh(nu/x) at every x > 20
@@ -316,96 +315,131 @@ def bessel_i(nu, x):
 # ---------------------------------------------------------------------------
 # Bessel K of imaginary order K_{i mu}(x)
 
-def _series_preferred(mu, x):
-    """Whether the complex series is the first route for (mu, x); for
-    scalars a bool, for arrays the elementwise mask."""
-    # the complex series loses ~x^2/(4 mu) nats for x < mu and about two
-    # nats per unit of x beyond pi mu/2 (27 nats at mu = 11.73, x = 29.04),
-    # so near the edge its error estimate decides; the integral loses ~pi mu/2
-    return (mu >= 0.5) & (x * x <= 72.0 * mu)
-
-
-def _k_series(mus, us, mask):
-    """(value, abs_err, phase_err) arrays of e^{pi mu/2} K_{i mu}(u) on the
-    grid mus x us at the entries where mask holds (each with mu > 0), 0
-    elsewhere: K_{i mu} = -pi Im I_{i mu} / sinh(pi mu), I_{i mu} by
-    _power_series.  abs_err, 4e-16 2 pi (largest term) / (1 - e^{-2 pi mu}),
-    is the terms' rounding; phase_err is that of t_0 = exp(i mu log(u/2) -
-    log Gamma(1 + i mu) - pi mu/2), which every term carries.  Its exponent
-    rounds to 5e-16 of its parts, and _clgamma's parts are within
-    1e-14 + 4.5e-16 mu.  An error d in the phase moves Im s by up to d |s|,
-    far above |Im s| where the sum cancels; one in the real part scales s.
+def _k_series(mu, u):
+    """(value, abs_err) of e^{pi mu/2} K_{i mu}(u) at the entries of the 1-d
+    arrays mu > 0, u > 0: K_{i mu} = -pi Im I_{i mu} / sinh(pi mu), I_{i mu}
+    by _power_series.  abs_err adds the terms' rounding,
+    4e-16 2 pi (largest term) / (1 - e^{-2 pi mu}), and that of the phase of
+    t_0 = exp(i mu log(u/2) - log Gamma(1 + i mu) - pi mu/2), which every
+    term carries: its exponent rounds to 5e-16 of its parts, and _clgamma's
+    parts are within 1e-14 + 4.5e-16 mu.  An error d in the phase moves
+    Im s by up to d |s|, far above |Im s| where the sum cancels.
     """
-    value, err, phase_err = (np.zeros(mask.shape) for _ in range(3))
-    rows, cols = np.nonzero(mask)
-    mu, u, lg = mus[rows], us[cols], _clgamma(1.0 + 1j * mus)[rows]
+    lg = _clgamma(1.0 + 1j * mu)
     phase = mu * np.log(0.5 * u)
     t0 = np.exp(1j * phase - lg - 0.5 * math.pi * mu)
     s, largest = _power_series(t0, 0.25 * u * u, 1j * mu)
     denom = -np.expm1(-_TWO_PI * mu)
-    value[rows, cols] = v = -_TWO_PI * s.imag / denom
+    value = -_TWO_PI * s.imag / denom
     d = 5e-16 * (np.abs(phase) + np.abs(lg) + mu + 1.0) + 1e-14 + 4.5e-16 * mu
-    err[rows, cols] = 4e-16 * _TWO_PI * largest / denom
-    phase_err[rows, cols] = d * (_TWO_PI * np.abs(s) / denom + np.abs(v))
-    return value, err, phase_err
+    rounding = 4e-16 * _TWO_PI * largest / denom
+    return value, rounding + d * (_TWO_PI * np.abs(s) / denom + np.abs(value))
+
+
+def _k_contour(mu, x):
+    """(value, gap, rounding) of e^{pi mu/2} K_{i mu}(x) = Re int e^{g(t)} dt,
+    g(t) = -x cosh t + i mu t + pi mu/2, at the entries of the 1-d arrays
+    mu >= 0, x > 0, from the imaginary axis (where e^{g} dt is imaginary) to
+    +inf on two straight legs through the saddle t* = i asin(mu/x) (mu <= x)
+    or acosh(mu/x) + i pi/2 (mu > x): leg 0 from t*, level when
+    mu <= x / sqrt 2 and down at 30 degrees to the real axis nearer the
+    turning point, where g''(t*) vanishes; for mu > x the 45-degree line
+    (g''(t*) = -i sqrt(mu^2 - x^2) descends along it) from the imaginary to
+    the real axis, from its imaginary-axis end when mu < 1 (from t* the
+    parts of g would cancel on that long leg); leg 1 the real axis onward.
+    Legs end at e^{-37} of the saddle's size e^{Re g(t*)}.  Equal panels, at
+    most 2, sqrt(32 / |g''(t*)|) and cbrt(32 / |g'''(t*)|) long (3.5 / mu on
+    the real axis), carry 24 Gauss nodes and 23 more for gap, the distance
+    to the 23-node rule.  rounding, 5e-16 (1 + x + 2 mu) sum |w e^{g} dt|,
+    covers the exponents' rounding (the error less the gap reached
+    2.8e-16 (1 + x + 2 mu) sum |w e^{g} dt| on 1,200 random entries with
+    mu <= 150, x <= 700), plus mu acosh(mu/x) times the same where leg 0
+    starts at the imaginary axis, from where the exponent reaches the saddle.
+    Each entry sums its own panels in order, so its value does not depend on
+    the other entries.
+    """
+    below = mu <= x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = np.sqrt(np.abs(x - mu)) * np.sqrt(x + mu)  # |g''(t*)|; |g'''(t*)| = mu
+        tau = np.where(below, np.arctan2(mu, rho), 0.5 * math.pi)
+        s0 = np.where(below, 0.0, np.arcsinh(rho / x))
+        re_star = np.where(below, mu * np.arctan2(rho, mu) - rho, 0.0)
+        level, far = below & (rho >= mu), ~below & (mu < 1.0)
+        # Im g(t*) = mu s0 - rho, up to 2e3: mu s0 kept exactly, s0 Newton-refined
+        p_hi, p_lo = _two_product(mu, np.where(far, 0.0, s0))
+        rest = np.where(below | far, 0.0, p_lo + mu * (rho / x - np.sinh(s0)) / np.cosh(s0) - rho)
+        # on the 45-degree line Re g - Re g(t*) is -mu (sin u cosh u - u) -
+        # rho sin u sinh u <= -0.23 mu u^3 - 0.9 rho u^2 at u = Re t - s0 in
+        # [0, pi/2], and -mu v + x sin v cosh(s0 - v) <= -mu (v - 1) and
+        # <= -mu (v - sin v) <= -0.15 mu v^3 (v <= 1.4) at v = s0 - Re t >= 0
+        u0 = np.minimum(0.5 * math.pi, np.minimum(np.sqrt(_K_CUT / (0.9 * rho)),
+                                                  np.cbrt(_K_CUT / (0.23 * mu))))
+        cubic = np.cbrt(_K_CUT / (0.15 * mu))
+        v1 = np.minimum(s0, np.minimum(1.0 + _K_CUT / mu, np.where(cubic <= 1.4, cubic, np.inf)))
+        a3 = np.where(below, math.sqrt(3.0) * tau, s0 + 0.5 * math.pi)
+        s_cut = np.arccosh(np.maximum((_K_CUT + 0.5 * math.pi * mu - re_star) / x, 1.0))
+        shift, root2 = np.where(far, s0, 0.0), math.sqrt(2.0)
+        # per leg (leg 0 from t* - shift (1 - i)): Re g(origin) - Re g(t*),
+        # e^{i Im g(origin)}, x cosh and x sinh of the origin, the direction,
+        # the ends r_a, r_b of origin + r direction and the panel length
+        legs = np.array([
+            [np.where(far, x * np.sin(s0) - mu * s0, 0.0),
+             0.5 * math.pi * mu - x * np.cosh(a3) - re_star],
+            [np.exp(1j * p_hi) * np.exp(1j * rest), np.exp(1j * mu * a3)],
+            [np.where(below, rho, np.where(far, -x * np.sin(s0), 1j * rho)), x * np.cosh(a3)],
+            [1j * np.where(far, x * np.cos(s0), mu), x * np.sinh(a3)],
+            [np.where(level, 1.0, np.exp(np.where(below, -1j / 6.0, -0.25j) * math.pi)),
+             np.ones_like(mu)],
+            [np.where(below, 0.0, root2 * (shift - v1)), np.zeros_like(mu)],
+            [np.where(level, 2.0 * np.arcsinh(np.sqrt(0.5 * _K_CUT / rho)),
+                      np.where(below, 2.0 * tau, root2 * (shift + u0))),
+             np.where(level, 0.0, np.maximum(s_cut - a3, 0.0))],
+            [np.minimum(np.minimum(2.0, np.sqrt(32.0 / rho)), np.cbrt(32.0 / mu)),
+             np.minimum(2.0, 3.5 / mu)],
+        ])
+    span = (legs[6] - legs[5]).real
+    if not np.isfinite(span).all():
+        bad = x[~np.isfinite(span).all(axis=0)][0]
+        raise DomainError(f"K_imu(u) has no contour below u ~ 2e-307, got {bad}", field="u")
+    counts = np.ceil(span / legs[7].real).astype(int).T.ravel()  # entry by entry, legs in order
+    leg = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(leg.size) - (np.cumsum(counts) - counts)[leg]
+    half = 0.5 * (span.T.ravel() / np.maximum(counts, 1))[leg, None]
+    base, phase, a, b, d, r_a = legs[:6].transpose(0, 2, 1).reshape(6, -1)[:, leg, None]
+    (gx_hi, gw_hi), (gx_lo, gw_lo) = gauss_rule(_K_NODES), gauss_rule(_K_NODES - 1)
+    delta = (r_a.real + half * (2.0 * k[:, None] + 1.0 + np.concatenate([gx_hi, gx_lo]))) * d
+    sh = np.sinh(0.5 * delta)  # cosh delta - 1 = 2 sh^2: nothing cancels near the origin
+    with np.errstate(under="ignore"):
+        e = np.exp(base.real - 2.0 * a * sh * sh - b * np.sinh(delta)
+                   + 1j * mu[leg // 2, None] * delta)
+    w = half * np.concatenate([gw_hi, gw_lo])
+    terms, weighted = w * (e * phase * d).real, w * np.abs(e)  # Re(w e^{g} dt), |w e^{g} dt|
+    per_entry = counts[0::2] + counts[1::2]
+    starts = np.cumsum(per_entry) - per_entry
+    hi, lo, mass = (np.add.reduceat(part.sum(axis=1), starts) for part in (
+        terms[:, :_K_NODES], terms[:, _K_NODES:], weighted[:, :_K_NODES]))
+    scale = np.exp(re_star)
+    rounding = 5e-16 * (1.0 + x + 2.0 * mu + mu * shift) * mass
+    return hi * scale, np.abs(hi - lo) * scale, rounding * scale
 
 
 def _k_imag_scaled_table(mus, us):
     """(value, abs_err) arrays of e^{pi mu/2} K_{i mu}(u) on the grid
-    mus x us (us ascending): the one K_{i mu} algorithm.
-
-    The complex series (_k_series) serves the entries where
-    _series_preferred picks it, unless its error estimate exceeds 1e-11 of
-    the value and the cosine integral's rounding floor is lower.  Every
-    other entry comes from K_{i mu}(u) = int_0^inf e^{-u cosh w} cos(mu w) dw:
-    one matrix product per block of at most 256 such columns, over the rows
-    with such an entry in the block, on a w grid that ends at acosh(1 + 50/u)
-    for the block's smallest u (at least every column's own) with as many
-    panels as the largest of those mu needs.  Its rounding floor is
-    1e-16 (1 + u) acosh(1 + 50/u) e^{pi mu/2 - u}: each term's exponent
-    u cosh w is rounded to about 1e-16 of itself.  Where the floor exceeds
-    1e-11 of the value and mu >= 0.5 (large mu past the series' edge), the
-    series is tried too, and the entry keeps it if its error estimate is
-    below the floor.  The reported error of an integral entry adds to the
-    floor 1e-16 sqrt(n) |value|, the rounding of its sum over the block's n
-    w nodes, and that of a series entry its phase_err; the choice reads neither.
+    mus x us, the one K_{i mu} algorithm: each entry takes the power series
+    (_k_series) where mu >= 0.5 and u <= 4, the saddle-point contour
+    (_k_contour, abs_err its gap plus rounding) elsewhere.  Both compute an
+    entry from its own (mu, u), so every entry is, bit for bit, the
+    one-entry table _k_imag_scaled_impl(mu, u).
     """
-    mus = np.asarray(mus, dtype=float)
-    us = np.asarray(us, dtype=float)
-    series_ok = _series_preferred(mus[:, None], us[None, :])
-    out, err, phase_err = _k_series(mus, us, series_ok)
-    with np.errstate(over="ignore"):  # 50/u is inf for u < 3e-307: the floor too
-        floor = 1e-16 * ((1.0 + us) * np.arccosh(1.0 + 50.0 / us))[None, :] * np.exp(
-            np.minimum(0.5 * math.pi * mus, 700.0)[:, None] - us[None, :])
-    lossy = err > 1e-11 * np.maximum(np.abs(out), 1e-300)
-    need_int = ~series_ok | (lossy & (floor < err))
-    err += phase_err  # the integral below replaces it where need_int holds
-
-    cols = np.nonzero(need_int.any(axis=0))[0]
-    if cols.size:
-        if math.acosh(1.0 + 50.0 / float(us[cols].min())) == math.inf:  # u < 2.8e-307
-            raise DomainError(f"K_imu(u) needs u >= 2.8e-307, got {us[cols].min()}", field="u")
-        for start in range(0, cols.size, 256):
-            block = cols[start:start + 256]
-            rows = np.nonzero(need_int[:, block].any(axis=1))[0]
-            mu_rows = mus[rows]
-            w_max = math.acosh(1.0 + 50.0 / float(us[block].min()))
-            n_pan = max(8, int(4.0 * w_max), int(2.0 * mu_rows.max() * w_max / math.pi))
-            w_nodes, w_wts = panel_nodes(0.0, w_max, n_pan)
-            osc = np.cos(mu_rows[:, None] * w_nodes[None, :]) * w_wts[None, :]
-            decay = np.exp(-us[block, None] * np.cosh(w_nodes)[None, :])
-            vals = (osc @ decay.T) * np.exp(np.minimum(0.5 * math.pi * mu_rows, 700.0))[:, None]
-            cell = np.ix_(rows, block)
-            out[cell] = np.where(need_int[cell], vals, out[cell])
-            summed = floor[cell] + 1e-16 * math.sqrt(w_nodes.size) * np.abs(vals)
-            err[cell] = np.where(need_int[cell], summed, err[cell])
-    retry = ~series_ok & (mus[:, None] >= 0.5) & (
-        floor > 1e-11 * np.maximum(np.abs(out), 1e-300))
-    if retry.any():
-        v2, e2, p2 = _k_series(mus, us, retry)
-        better = retry & (e2 < floor)
-        np.copyto(out, v2, where=better)
-        np.copyto(err, e2 + p2, where=better)
+    mus, us = np.asarray(mus, dtype=float), np.asarray(us, dtype=float)
+    series = (mus[:, None] >= 0.5) & (us[None, :] <= 4.0)
+    out, err = np.empty(series.shape), np.empty(series.shape)
+    for route, mask in ((_k_series, series), (_k_contour, ~series)):
+        rows, cols = np.nonzero(mask)
+        for start in range(0, rows.size, 1024):  # bounds the contour's node arrays
+            cell = rows[start:start + 1024], cols[start:start + 1024]
+            out[cell], *parts = route(mus[cell[0]], us[cell[1]])
+            err[cell] = sum(parts)
     return out, err
 
 
@@ -417,11 +451,13 @@ def _k_imag_scaled_impl(mu, x):
 
 
 def bessel_k_imag_scaled(mu, x):
-    """e^{pi mu / 2} K_{i mu}(x), a real number of moderate size.
+    """e^{pi mu / 2} K_{i mu}(x), a real number of moderate size: the
+    one-entry case of _k_imag_scaled_table (the power series for mu >= 0.5
+    and x <= 4, the saddle-point contour elsewhere).
 
     Raises AccuracyLossError when the table's error estimate exceeds 1e-9
-    of the value (large mu at argument comparable to mu, where both the
-    series and the integral cancel).
+    of the value: in practice only next to a zero of K_{i mu} (x < mu),
+    where the value is small against the size of its parts.
     """
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise DomainError(f"mu must be finite and >= 0, got {mu}")
@@ -462,7 +498,10 @@ def _bessel_j_pair(nu, x):
         c_0 = 1,  c_m = (b + 2m) Gamma(b + m) / (m! Gamma(b + 1)).
 
     Its 1e-100 rescale cannot keep up with a step 2(b + k)/x past ~1e208,
-    so tiny x needs the series.
+    so tiny x needs the series.  Where |J_nu| <= (x/2)^nu / Gamma(nu + 1)
+    (DLMF 10.14.4) and |J'_nu| <= (nu/x + 1) (x/2)^nu / Gamma(nu + 1) lie
+    below e^{-745}, under the smallest double, the pair is (0, 0) without
+    the O(nu) recurrence.
     """
     if x <= 2.0:
         s_nu, s_next = _power_series(np.ones(2), np.full(2, -0.25 * x * x),
@@ -475,6 +514,9 @@ def _bessel_j_pair(nu, x):
         with np.errstate(over="ignore", under="ignore"):  # J' beyond the range is inf
             pref, pref_next, lead = np.exp(logs).tolist()
         return pref * s_nu, lead * s_nu - pref_next * s_next
+    # J_{nu+1}'s bound is below J_nu's wherever this one underflows (x/2 < nu + 1)
+    if nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + math.log1p(nu / x) < -745.0:
+        return 0.0, 0.0
     b = nu - math.floor(nu)
     want = round(nu - b)  # ladder index of order nu; nu + 1 is at want + 1
     top = 2 * math.ceil(0.5 * (max(x, nu + 1.0) - b + 15.0 + 8.0 * x ** (1.0 / 3.0)))

@@ -508,15 +508,15 @@ class TestKTable:
         the scalar route) on a subsample of the grid the C term's K-table
         route tabulated at gamma: to 1e-9 relative where the one-entry
         estimate is below 1e-12 relative, elsewhere within twice that
-        estimate.  The batched table sizes one w grid per block of 256
-        columns, the one-entry table one for its single entry.  On the
-        gamma = 1.5 grid a table that trusts the series up to u = pi mu/2 + 16
-        is 1-3 % low at mu ~ 11, u ~ 29."""
+        estimate.  Every entry is computed from its own (mu, u), so the
+        table is built on the subsample's rows and columns: the full
+        gamma = 0.5 grid holds 1.6 million contour entries."""
         mus, us, _ = k_table_grid(gamma)
+        mus, us = mus[::row_step], us[::col_step]
         out = sf._k_imag_scaled_table(mus, us)[0]
         tight = 0
-        for i in range(0, mus.size, row_step):
-            for j in range(0, us.size, col_step):
+        for i in range(mus.size):
+            for j in range(us.size):
                 value, err = sf._k_imag_scaled_impl(float(mus[i]), float(us[j]))
                 if err < 1e-12 * abs(value):
                     tight += 1
@@ -526,38 +526,41 @@ class TestKTable:
         assert tight > 5000
 
     def test_one_cell_per_column_block_against_extended_precision(self):
-        """In each 256-column block of the gamma = 1.5 C grid, the integral
-        cell at the block's largest such mu and smallest u, where the block's
-        panel count and w grid are sized, is within twice the table's error
-        estimate of mpmath, plus 2e-15 of the value."""
+        """In each block of 256 columns of the gamma = 1.5 C grid, the
+        contour cell at the largest mu and, in its row, the smallest u of
+        the block is within twice the table's error estimate of mpmath, plus
+        2e-15 of the value.  The series serves mu >= 0.5 at u <= 4, so the
+        first seven blocks' cells have mu = 0.41 and the last two 12.5."""
         mp = pytest.importorskip("mpmath")
         mus, us, _ = k_table_grid(1.5)
-        value, err = sf._k_imag_scaled_table(mus, us)
         assert us.size == 2300
-        integral = ~sf._series_preferred(mus[:, None], us[None, :])
+        contour = ~((mus[:, None] >= 0.5) & (us[None, :] <= 4.0))
         with mp.workdps(30):
             for start in range(0, us.size, 256):
-                block = integral[:, start:start + 256]
+                block = contour[:, start:start + 256]
                 i = int(np.flatnonzero(block.any(axis=1))[-1])
                 j = start + int(np.argmax(block[i]))
+                value, err = sf._k_imag_scaled_impl(float(mus[i]), float(us[j]))
                 ref = float((mp.besselk(1j * mp.mpf(mus[i]), mp.mpf(us[j]))
                              * mp.exp(mp.pi * mus[i] / 2)).real)
-                assert abs(value[i, j] - ref) <= 2.0 * err[i, j] + 2e-15 * abs(ref), (mus[i], us[j])
+                assert abs(value - ref) <= 2.0 * err + 2e-15 * abs(ref), (mus[i], us[j])
 
     @pytest.mark.parametrize("u", [2.6e-6, 7.1e-5])
     def test_integral_error_bar_covers_the_sum_rounding(self, u):
-        """At mu = 0.0126 and small u the rounding of the cosine integral's
-        sum over about 700 w nodes exceeds the exponents' rounding floor:
-        the floor alone was 4x and 3.7x too small at these cells of the
-        gamma = 1.5 C grid.  The reported error adds 1e-16 sqrt(nodes) of the
-        value; it still says something (below 1e3 times the error)."""
+        """At mu = 0.0126 and small u the value, about -log(u/2), is a long
+        sum of terms of size one, whose rounding an error estimate must
+        cover (a cosine-integral route once left it out and was 4x and 3.7x
+        too small at these cells of the gamma = 1.5 C grid).  The contour's
+        estimate covers it and still says something (below 1e3 times the
+        error)."""
         mp = pytest.importorskip("mpmath")
         mus, us, _ = k_table_grid(1.5)
         j = int(np.argmin(np.abs(np.log(us / u))))
-        value, err = sf._k_imag_scaled_table(mus, us)
         assert mus[0] == pytest.approx(0.0126, abs=1e-4)
-        assert not sf._series_preferred(mus[0], us[j])
+        value, err = sf._k_imag_scaled_impl(float(mus[0]), float(us[j]))
         with mp.workdps(30):
-            ref = float((mp.besselk(1j * mp.mpf(mus[0]), mp.mpf(us[j]))
-                         * mp.exp(mp.pi * mus[0] / 2)).real)
-        assert abs(value[0, j] - ref) <= err[0, j] <= 1e3 * abs(value[0, j] - ref)
+            # the error against the extended-precision value itself: at
+            # u = 7.1e-5 the contour returns that value correctly rounded
+            off = float(abs(mp.mpf(value) - (mp.besselk(1j * mp.mpf(mus[0]), mp.mpf(us[j]))
+                                              * mp.exp(mp.pi * mus[0] / 2)).real))
+        assert off <= err <= 1e3 * off

@@ -430,7 +430,7 @@ class TestGreensKL:
         # the nine sector greens jobs of the benchmark's kernels workload
         # (greens --check-laplace --tol 1e-5 calls greens_kl at tol 1e-8),
         # against K_{i mu} taken node by node from one-entry tables (the
-        # scalar route), each with its own panel count and w grid
+        # scalar route)
         def scalar_table(mus, xs):
             pairs = np.array([[sf._k_imag_scaled_impl(float(m), x) for x in xs] for m in mus])
             return pairs[..., 0], pairs[..., 1]
@@ -441,10 +441,8 @@ class TestGreensKL:
         greens = lambda spec, s, gamma: sm.greens_kl(
             spec, s, 0.9, 0.4 * gamma, 1.4, 0.7 * gamma, tol=1e-8)
         batched = [greens(*case) for case in cases]
-        # far from the vertex (r sqrt s = 80, 81) the K factors at mu just
-        # above 80 must leave the cosine integral, whose rounding floor there
-        # is e^{pi mu/2 - 80} 1e-16; the series that serves them loses about
-        # x^2/(4 mu) nats, so the two routes agree to its phase rounding only
+        # far from the vertex (r sqrt s = 80, 81) every K factor takes the
+        # saddle-point contour, through the turning point mu = x
         far = (sm.SectorSpec(PI / 2.0), 4.0, 40.0, 0.7, 40.5, 0.75)
         far_batched = sm.greens_kl(*far, tol=1e-8)
         monkeypatch.setattr(sm, "_k_imag_scaled_table", scalar_table)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heattrace import special_fns as sf
-from heattrace.errors import AccuracyLossError, ConvergenceError, DomainError, OverflowRangeError
+from heattrace.errors import ConvergenceError, DomainError, OverflowRangeError
 
 # values frozen from extended-precision evaluation (mpmath, 30 digits)
 IVE_3_2 = 0.028791222639470898
@@ -256,19 +256,20 @@ class TestBesselKImag:
     def test_order_one_extended_precision(self):
         assert sf.bessel_k_imag(1.0, 2.0) == pytest.approx(K_I1_2, rel=1e-11)
 
-    def test_series_and_integral_routes_agree(self):
-        # pairs of points on either side of _series_preferred: the series
-        # serves the first of each pair, the integral the second, and both
-        # must meet the extended-precision value
+    def test_series_and_contour_routes_agree(self):
+        # pairs of points on either side of the series' corner mu >= 0.5,
+        # x <= 4: the series serves the first of each pair, the contour the
+        # second, and both must meet the extended-precision value
         mp = pytest.importorskip("mpmath")
-        pairs = [((2.0, 3.0), (0.49, 3.0)),      # mu = 0.5
-                 ((0.5, 1.0), (0.49, 1.0)),
-                 ((2.0, 11.9), (2.0, 12.1)),     # x^2 = 72 mu
-                 ((20.0, 37.8), (20.0, 38.0))]
+        pairs = [((0.5, 3.0), (0.49, 3.0)),
+                 ((0.5, 0.01), (0.4999, 0.01)),
+                 ((2.0, 4.0), (2.0, 4.001)),
+                 ((0.5, 4.0), (0.49, 4.0)),
+                 ((6.0, 4.0), (6.0, 4.0001))]
         with mp.workdps(30):
-            for series, integral in pairs:
-                assert sf._series_preferred(*series) and not sf._series_preferred(*integral)
-                for mu, x in (series, integral):
+            for series, contour in pairs:
+                assert _k_route(*series) == "series" and _k_route(*contour) == "contour"
+                for mu, x in (series, contour):
                     assert sf.bessel_k_imag_scaled(mu, x) == pytest.approx(
                         _k_oracle(mp, mu, x), rel=1e-11)
 
@@ -283,12 +284,14 @@ class TestBesselKImag:
                 mine = sf.bessel_k_imag_scaled(mu, x)
                 assert mine == pytest.approx(ref, rel=1e-8)
 
-    def test_accuracy_loss_reported(self):
-        # large order at comparable argument: both routes cancel; the error
-        # channel must fire rather than return garbage
-        with pytest.raises(AccuracyLossError) as err:
-            sf.bessel_k_imag(60.0, 70.0)
-        assert err.value.achieved_tol > 1e-9
+    @pytest.mark.parametrize("mu, x", [(60.0, 70.0), (88.0, 80.0), (88.0, 100.0), (150.0, 120.0)])
+    def test_turning_point_region_against_extended_precision(self, mu, x):
+        # near x ~ mu a power series or a cosine integral cancels (to 5e-10
+        # and 1e-7 at (60, 70) and (88, 100)); the contour does not, and the
+        # scalar API serves these cells
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            assert abs(sf.bessel_k_imag_scaled(mu, x) - _k_oracle(mp, mu, x)) <= 5e-14
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -296,10 +299,11 @@ class TestBesselKImag:
         with pytest.raises(DomainError):
             sf.bessel_k_imag(-1.0, 1.0)
 
-    def test_argument_below_the_cosine_grid_is_refused(self):
-        # the integral's w grid ends at acosh(1 + 50/u), which overflows for
-        # u < 2.8e-307: the table names u instead of letting a bare
-        # OverflowError out, and serves u = 2.8e-307 itself
+    def test_argument_below_the_contour_is_refused(self):
+        # the contour's real-axis leg ends where x cosh t reaches 37 + pi mu/2
+        # (at mu = 0.3, 37.5), which overflows for x below about 2.1e-307:
+        # the table names u instead of building an infinite leg, and serves
+        # u = 2.8e-307 itself
         with pytest.raises(DomainError) as err:
             sf.bessel_k_imag_scaled(0.3, 1e-308)
         assert err.value.field == "u"
@@ -312,18 +316,9 @@ def _one(mu, x):
 
 
 def _k_route(mu, x):
-    """The branch _k_imag_scaled_table takes at (mu, x): "series",
-    "integral", "swap" (the series is preferred, but its error estimate
-    fails the 1e-11 test and the integral's rounding floor is lower) or
-    "retry" (the integral is preferred, but its rounding floor fails the
-    1e-11 test, so the series is tried too)."""
-    floor = 1e-16 * (1.0 + x) * math.acosh(1.0 + 50.0 / x) * math.exp(
-        min(0.5 * math.pi * mu, 700.0) - x)
-    if not sf._series_preferred(mu, x):
-        retry = mu >= 0.5 and floor > 1e-11 * abs(sf._k_imag_scaled_impl(mu, x)[0])
-        return "retry" if retry else "integral"
-    value, err, _ = (a[0, 0] for a in sf._k_series(*_one(mu, x), np.array([[True]])))
-    return "swap" if err > 1e-11 * abs(value) and floor < err else "series"
+    """The route _k_imag_scaled_table takes at (mu, x): "series" where
+    mu >= 0.5 and x <= 4, "contour" elsewhere."""
+    return "series" if mu >= 0.5 and x <= 4.0 else "contour"
 
 
 def _k_bound(err, ref):
@@ -337,23 +332,30 @@ def _k_oracle(mp, mu, x):
     return float((mp.besselk(1j * mp.mpf(mu), mp.mpf(x)) * mp.exp(mp.pi * mu / 2)).real)
 
 
+def _saddle_size(mu, x):
+    """e^{Re g(t*)}, g(t) = -x cosh t + i mu t + pi mu/2 at its saddle t*:
+    e^{mu acos(mu/x) - sqrt(x^2 - mu^2)} for mu <= x, else 1."""
+    if mu > x:
+        return 1.0
+    rho = math.sqrt((x - mu) * (x + mu))
+    return math.exp(mu * math.atan2(rho, mu) - rho)
+
+
 class TestKImagTable:
-    # anchors: (10, 2) takes the series, (10, 24) the lossy-series swap,
-    # (10, 45) with x^2 > 72 mu and every mu = 0.25 entry the integral, and
-    # (88, 80), where the integral's rounding floor is 1.6e11, the retry
+    # anchors: (10, 2) and (88, 2) take the series, every other anchor the
+    # contour, (88, 80) and (88, 100) near the turning point
     @given(
         mus=st.lists(st.floats(min_value=0.0, max_value=150.0), min_size=1, max_size=3),
         xs=st.lists(st.floats(min_value=1e-3, max_value=120.0), min_size=1, max_size=3),
     )
     @settings(max_examples=12, deadline=None)
     def test_against_extended_precision_and_scalar_route(self, mus, xs):
-        # the scalar route is the one-entry table: a whole table shares one
-        # cosine block, with the panel count and w grid of all its entries,
-        # and must agree with the tables of one entry
+        # the scalar route is the one-entry table; a whole table must agree
+        # with the tables of one entry, and both with mpmath
         mp = pytest.importorskip("mpmath")
         mus = np.array(mus + [0.25, 10.0, 88.0])
-        xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0, 80.0}))
-        table, _ = sf._k_imag_scaled_table(mus, xs)
+        xs = np.array(sorted(set(xs) | {2.0, 24.0, 45.0, 80.0, 100.0}))
+        table, table_err = sf._k_imag_scaled_table(mus, xs)
         routes = set()
         with mp.workdps(20):
             for (i, mu), (j, x) in itertools.product(enumerate(mus), enumerate(xs)):
@@ -362,9 +364,9 @@ class TestKImagTable:
                 oracle = _k_oracle(mp, mu, x)
                 value, err = sf._k_imag_scaled_impl(float(mu), float(x))
                 assert abs(table[i, j] - oracle) <= _k_bound(err, oracle), (mu, x, route)
-                # an integral entry moves with the w grid of its block
                 assert abs(table[i, j] - value) <= _k_bound(err, value), (mu, x, route)
-        assert routes == {"series", "integral", "swap", "retry"}
+                assert (table[i, j], table_err[i, j]) == (value, err), (mu, x, route)
+        assert routes == {"series", "contour"}
 
     @pytest.mark.parametrize("mu, x", [(10.0, 2.0), (10.0, 24.0), (10.0, 45.0), (0.0, 1.0),
                                        (0.25, 80.0), (88.0, 80.0), (88.0, 100.0)])
@@ -372,81 +374,87 @@ class TestKImagTable:
         value, err = sf._k_imag_scaled_table([mu], [x])
         assert sf._k_imag_scaled_impl(mu, x) == (value[0, 0], err[0, 0])
 
-    def test_retry_entry_error_estimate_holds(self):
-        # far from the vertex (mu > x > 72) the integral's rounding floor is
-        # about 400 and the series loses about x^2/(4 mu) = 28 nats: the entry
-        # keeps the series, whose estimate covers its error, and the scalar
-        # API refuses it
-        mp = pytest.importorskip("mpmath")
-        assert _k_route(88.0, 100.0) == "retry"
-        value, err = sf._k_imag_scaled_table([88.0], [100.0])
-        with mp.workdps(30):
-            oracle = _k_oracle(mp, 88.0, 100.0)
-        assert abs(value[0, 0] - oracle) <= err[0, 0]
-        with pytest.raises(AccuracyLossError):
-            sf.bessel_k_imag_scaled(88.0, 100.0)
-
     def test_one_table_shared_by_corner_and_sector_code(self):
         from heattrace import corner_lab, sector_models
 
         assert corner_lab._k_imag_scaled_table is sf._k_imag_scaled_table
         assert sector_models._k_imag_scaled_table is sf._k_imag_scaled_table
 
-    def test_cosine_block_sized_by_the_rows_that_use_it(self, monkeypatch):
-        # only mu = 0.3 needs the integral at x = 2; the mu = 80 row must not
-        # size its panels (2 * 80 * w_max / pi of them)
-        counts = []
-        real = sf.panel_nodes
-        monkeypatch.setattr(sf, "panel_nodes",
-                            lambda a, b, n: counts.append(n) or real(a, b, n))
-        table, _ = sf._k_imag_scaled_table([0.3, 5.0, 80.0], [2.0])
-        w_max = math.acosh(1.0 + 50.0 / 2.0)
-        assert counts == [max(8, int(4.0 * w_max))]
-        for mu, value in zip((0.3, 5.0, 80.0), table[:, 0]):
-            ref, err = sf._k_imag_scaled_impl(mu, 2.0)
-            assert abs(value - ref) <= _k_bound(err, ref)
+    def test_contour_entries_equal_one_entry_calls(self):
+        # about 1,470 contour entries with 2 to 8 panels each, taken in
+        # chunks of 1,024: each entry sums its own panels, so a table's
+        # values and error estimates are the one-entry calls' bit for bit
+        rng = np.random.default_rng(3)
+        mus = np.concatenate([[0.0, 0.3, 0.99, 1.0, 60.0, 150.0], rng.uniform(0.0, 150.0, 24)])
+        us = np.concatenate([[1e-3, 4.5, 60.0, 150.0, 700.0], np.geomspace(4.01, 600.0, 45)])
+        value, err = sf._k_imag_scaled_table(mus, us)
+        assert (~((mus[:, None] >= 0.5) & (us[None, :] <= 4.0))).sum() > 1024
+        for i, j in zip(rng.integers(0, mus.size, 60), rng.integers(0, us.size, 60)):
+            one = sf._k_imag_scaled_impl(mus[i], us[j])
+            assert one == (value[i, j], err[i, j]), (mus[i], us[j])
 
-    def test_each_column_block_sizes_its_own_grid(self, monkeypatch):
-        """One w grid per block of 256 integral columns: w_max is
-        acosh(1 + 50/u) at the block's smallest u, and the panel count comes
-        from the largest mu among the rows that hold an integral cell in the
-        block.  Below u = 24 only mu = 0.3 needs the integral (the series
-        serves mu >= 0.5 while u^2 <= 72 mu), so the first two blocks take
-        4 w_max panels; the third also holds mu = 8 cells past u = 24, and
-        its count is 2 * 8 * w_max / pi.  mu = 80 sizes nothing."""
-        grids = []
-        real = sf.panel_nodes
-        monkeypatch.setattr(sf, "panel_nodes",
-                            lambda a, b, n: grids.append((a, b, n)) or real(a, b, n))
-        mus = np.array([0.3, 8.0, 80.0])
-        us = np.geomspace(1e-6, 40.0, 600)
-        table, _ = sf._k_imag_scaled_table(mus, us)
-        expect = []
-        for start, mu_max in ((0, 0.3), (256, 0.3), (512, 8.0)):
-            w_max = math.acosh(1.0 + 50.0 / us[start])
-            n_pan = max(8, int(4.0 * w_max), int(2.0 * mu_max * w_max / math.pi))
-            expect.append((0.0, w_max, n_pan))
-        assert grids == expect
-        assert expect[2][2] > int(4.0 * expect[2][1])  # mu = 8 sized the third block
-        for j in (0, 300, 599):
-            for i, mu in enumerate(mus):
-                ref, err = sf._k_imag_scaled_impl(mu, us[j])
-                assert abs(table[i, j] - ref) <= _k_bound(err, ref)
+
+def _turning_points(mu):
+    """x = mu {0.9, 0.97, 1, 1.03, 1.1}, those in the sample's [1e-3, 700]."""
+    return [mu * f for f in (0.9, 0.97, 1.0, 1.03, 1.1) if 1e-3 <= mu * f <= 700.0]
+
+
+class TestKContour:
+    @given(mu=st.floats(min_value=0.0, max_value=150.0),
+           x=st.floats(min_value=1e-3, max_value=700.0))
+    @settings(max_examples=25, deadline=None)
+    def test_error_bar_against_extended_precision(self, mu, x):
+        """The contour at (mu, x) and at x = mu {0.9, 0.97, 1, 1.03, 1.1},
+        against mpmath: within 5e-14 of the saddle's size e^{Re g(t*)}, and
+        within its error bar, the gap to the 23-node rule plus the rounding
+        5e-16 (1 + x + 2 mu (+ mu acosh(mu/x) when x < mu < 1)) sum |w e^{g} dt|.
+
+        The gap must say something: it stays below 1e3 times the error plus
+        1e-15 of the saddle's size.  The rounding part is above that floor
+        wherever x + 2 mu is large: the saddle's phase mu acosh(mu/x) -
+        sqrt(mu^2 - x^2) and its exponent round to some 1e-15 there, and an
+        entry whose value falls within 1e-3 of that by chance would fail the
+        same test (50 of 1,200 random entries did); its spread is checked
+        in test_error_bars_are_informative."""
+        mp = pytest.importorskip("mpmath")
+        xs = np.array([x] + _turning_points(mu))
+        value, gap, rounding = sf._k_contour(np.full(xs.size, mu), xs)
+        with mp.workdps(40):
+            for k, xk in enumerate(xs):
+                truth = mp.besselk(1j * mp.mpf(mu), mp.mpf(xk)).real * mp.exp(mp.pi * mu / 2)
+                err = float(abs(mp.mpf(value[k]) - truth))
+                size = _saddle_size(mu, xk)
+                assert err <= 5e-14 * size, (mu, xk, err / size)
+                assert err <= gap[k] + rounding[k], (mu, xk)
+                assert gap[k] <= 1e3 * err + 1e-15 * size, (mu, xk)
+
+    def test_error_bars_are_informative(self):
+        # the bar, gap plus rounding, is within a median 100x of the error
+        # (33x on 1,200 random entries)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        mus = rng.uniform(0.0, 150.0, 40)
+        xs = np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 40))
+        value, gap, rounding = sf._k_contour(mus, xs)
+        ratios = []
+        with mp.workdps(40):
+            for mu, x, v, bar in zip(mus, xs, value, gap + rounding):
+                truth = mp.besselk(1j * mp.mpf(mu), mp.mpf(x)).real * mp.exp(mp.pi * mu / 2)
+                ratios.append(bar / max(float(abs(mp.mpf(v) - truth)), 1e-300))
+        assert np.median(ratios) <= 100.0
 
 
 class TestPowerSeries:
     def test_k_series_entries_equal_one_entry_calls(self):
-        # each entry stops on its own test, so a table's series entries are
-        # the one-entry calls' bit for bit, value and error estimates alike
+        # each entry stops on its own test, so the series' entries are the
+        # one-entry calls' bit for bit, value and error estimates alike
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            mus = rng.uniform(0.5, 40.0, 12)
-            us = np.sort(rng.uniform(1e-3, 30.0, 5))
-            mask = sf._series_preferred(mus[:, None], us[None, :])
-            table = sf._k_series(mus, us, mask)
-            for i, j in zip(*np.nonzero(mask)):
-                one = sf._k_series(*_one(mus[i], us[j]), np.array([[True]]))
-                assert [a[i, j] for a in table] == [a[0, 0] for a in one], (mus[i], us[j])
+        for size in (60, 600):  # cumulative runs, then one product per step
+            mus, us = rng.uniform(0.5, 40.0, size), rng.uniform(1e-3, 4.0, size)
+            block = sf._k_series(mus, us)
+            for k in range(0, size, 7):
+                one = sf._k_series(*_one(mus[k], us[k]))
+                assert [a[k] for a in block] == [a[0] for a in one], (mus[k], us[k])
 
     @pytest.mark.parametrize("size", [7, 600])  # cumulative runs, then one product per step
     def test_imaginary_order_block_equals_one_entry_calls(self, size):
@@ -489,6 +497,27 @@ class TestClgamma:
         zs = np.array([0.5, 0.5 + 3.0j, 0.7 - 20.0j, 2.5 + 0.1j])
         for z, value in zip(zs, sf._clgamma(zs)):
             assert abs(complex(mp.loggamma(complex(z))) - value) <= 1e-14, z
+
+
+class TestBesselJHugeOrder:
+    @pytest.mark.parametrize("nu", [1e5, 1e6])
+    def test_underflowing_bound_returns_zero(self, nu):
+        # (x/2)^nu / Gamma(nu + 1) is far below the smallest double: the pair
+        # is 0 without the downward recurrence from order ~nu
+        assert sf.bessel_j(nu, 5.0) == 0.0
+        assert sf.bessel_j_prime(nu, 5.0) == 0.0
+        assert sf.bessel_j(nu, 60.0) == 0.0
+
+    @pytest.mark.parametrize("nu, x, j, jp", [
+        (0.3, 50.0, 0.005310039107848066, 0.11266160619091346),
+        (7.5, 30.0, 0.13142029812318967, 0.06363832821871257),
+        (100.0, 80.0, 4.606553064823477e-06, 3.5036060582489175e-06),
+        (212.6, 5.0, 3.291e-320, 1.398937e-318),  # bound e^{-732}
+        (344.2, 30.0, 1.49e-321, 1.7055e-320),  # bound e^{-736}
+    ])
+    def test_bits_unchanged_where_the_bound_does_not_underflow(self, nu, x, j, jp):
+        # values of the recurrence before the bound was checked
+        assert (sf.bessel_j(nu, x), sf.bessel_j_prime(nu, x)) == (j, jp)
 
 
 class TestBesselJ:
@@ -669,7 +698,7 @@ class TestBesselJ:
         def refuse(*args, **kwargs):
             raise AssertionError("a J evaluation built a Gauss grid")
 
-        monkeypatch.setattr(sf, "panel_nodes", refuse)
+        monkeypatch.setattr(sf, "gauss_rule", refuse)  # the Gauss rules of the K contour
         cache = sf.BesselZeroCache()
         for nu in (0.0, 0.5, 1.0, 1.5, 7.0):
             for x in (1.5, 7.0, 12.5, 18.0, 24.5):
