@@ -160,12 +160,10 @@ def corner_finite_part(pair, alpha, eps_schedule=CORNER_EPS_SCHEDULE):
     coefficient; corner_coeff(CornerKind(pair, alpha)) is the closed form it
     must reproduce.  The mode sum evaluates e^{-z} I_nu(z) up to
     z = 1/(2 eps^2) in bessel_i_scaled_many blocks, which have no argument
-    cap: per entry the power series (z <= 20, or 1 <= nu < 5 and
-    z < 10 nu^2), the large-argument expansion (other nu < 5) or the
-    uniform large-order expansion (nu >= 5, z > 20).  So any schedule that
-    quad_fp.check_eps_schedule accepts is, before anything is integrated;
-    narrow corners need small eps (down to 0.0117 at alpha = 0.3) before the
-    expansion is asymptotic.
+    cap (special_fns._ive_entries states their branches).  So any schedule
+    that quad_fp.check_eps_schedule accepts is, before anything is
+    integrated; narrow corners need small eps (down to 0.0117 at
+    alpha = 0.3) before the expansion is asymptotic.
     """
     check_angle("alpha", alpha)
     eps = quad_fp.check_eps_schedule(eps_schedule, CORNER_BASIS, field="eps_schedule")

@@ -10,6 +10,7 @@ the trace coefficients (a_{-1}, a_{-1/2}, a_0) from trace samples.
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,13 +273,13 @@ def sample_times(window=(0.002, 0.05), n=12):
     """n log-spaced times from t_min to t_max, window = (t_min, t_max).
 
     Raises DomainError with field "window" unless 0 < t_min < t_max <= 0.2,
-    and with field "n" unless n >= 8.
+    and with field "n" unless n is an integer >= 8.
     """
     t_min, t_max = window
     if not 0.0 < t_min < t_max <= 0.2:
         raise DomainError("window must satisfy 0 < t_min < t_max <= 0.2", field="window")
-    if n < 8:
-        raise DomainError("need at least 8 samples", field="n")
+    if not (isinstance(n, numbers.Integral) and n >= 8):
+        raise DomainError(f"need an integer number of at least 8 samples, got {n!r}", field="n")
     return np.exp(np.linspace(math.log(t_min), math.log(t_max), n))
 
 

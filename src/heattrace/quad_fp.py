@@ -10,6 +10,7 @@ coefficient.
 import functools
 import heapq
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -194,9 +195,15 @@ def _ordered_sum(heap):
 
 
 def default_eps_schedule(eps_max=0.5, ratio=0.8, count=12):
-    """Geometric cutoff-parameter ladder eps_k = eps_max * ratio^k."""
-    if not (0.0 < ratio < 1.0 and eps_max > 0.0 and count >= 3):
-        raise DomainError("need 0 < ratio < 1, eps_max > 0, count >= 3")
+    """Geometric cutoff-parameter ladder eps_k = eps_max * ratio^k.  Raises
+    DomainError naming the field unless eps_max > 0, 0 < ratio < 1 and
+    count is an integer >= 3."""
+    if not eps_max > 0.0:
+        raise DomainError(f"eps_max must be > 0, got {eps_max!r}", field="eps_max")
+    if not 0.0 < ratio < 1.0:
+        raise DomainError(f"ratio must lie in (0, 1), got {ratio!r}", field="ratio")
+    if not (isinstance(count, numbers.Integral) and count >= 3):
+        raise DomainError(f"count must be an integer >= 3, got {count!r}", field="count")
     return tuple(eps_max * ratio**k for k in range(count))
 
 

@@ -183,9 +183,7 @@ def sector_heat_kernel(spec, t, r, theta, r0, theta0, tol=1e-12):
     numbers.  Each point keeps its own cutoff (see _mode_counts), and only
     the e^{-z} I_nu(z) of the modes it keeps are evaluated: one
     special_fns._ive_entries call per block of at most _KERNEL_ROWS points,
-    at any z: per entry the power series (z <= 20, or 1 <= nu < 5 and
-    z < 10 nu^2), the large-argument expansion (other nu < 5) or the
-    uniform large-order expansion (nu >= 5, z > 20).  Raises DomainError
+    at any z (its docstring states the branches).  Raises DomainError
     (field t) where z = r r0 / 2t, the prefactor e^{-(r - r0)^2/4t} / 2t or
     the value overflows and the Gaussian factor does not underflow; where
     it does, the kernel is 0.

@@ -4,12 +4,11 @@ precision from series, asymptotic expansions, recurrences and one contour
 integral, with no external special-function library; scaled variants where
 the unscaled value over- or underflows.  Each is computed one way, entry by
 entry, the scalar API being the one-entry case: e^{-x} I_nu(x) by
-_ive_entries (power series, large-argument or uniform large-order expansion,
-by (nu, x); no argument cap); e^{pi mu/2} K_{i mu}(x) by
-_k_imag_scaled_table (the power series for mu >= 0.5, x <= 4, a
-saddle-point contour elsewhere); (J_nu, J'_nu) by _bessel_j_pair (the power
-series for x <= 2, a recurrence normalized by Neumann's sum above).  One
-power series serves I_nu, I_{i mu} and J_nu.
+_ive_entries (no argument cap; its docstring states the branch rule);
+e^{pi mu/2} K_{i mu}(x) by _k_imag_scaled_table (the power series for
+mu >= 0.5, x <= 4, a saddle-point contour elsewhere); (J_nu, J'_nu) by
+_bessel_j_pair (the power series for x <= 2, a recurrence normalized by
+Neumann's sum above).  One power series serves I_nu, I_{i mu} and J_nu.
 """
 
 import functools
@@ -33,7 +32,7 @@ _K_CUT = 37.0  # the K contour's legs end at e^{-37} of the saddle's size
 _K_NODES = 24  # Gauss nodes per K contour panel; its error bar adds 23
 _K_ACCURACY = 1e-9  # relative error above which bessel_k_imag_scaled raises
 # largest I order: below it nu log(x/2) - log Gamma(nu + 1) stays finite at
-# every x >= 5e-324, and so does nu asinh(nu/x) at every x > 20
+# every x >= 5e-324, and so does nu asinh(nu/x) at every x > 25
 _MAX_I_ORDER = 1e305
 
 
@@ -154,7 +153,7 @@ def _power_series(t0, q, nu):
 def _ive_series(nu, x, lg):
     """e^{-x} I_nu(x) at the entries of the 1-d arrays nu, x >= 0 by
     _power_series, lg holding log Gamma(nu + 1); t_0 = e^{-x} (x/2)^nu /
-    Gamma(nu + 1) is representable where the series serves (x <= 250)."""
+    Gamma(nu + 1) is representable where the series serves (x <= 25)."""
     out = np.where(nu == 0.0, 1.0, 0.0)  # the values at x = 0
     live = x > 0.0
     nu, x = nu[live], x[live]
@@ -164,46 +163,25 @@ def _ive_series(nu, x, lg):
     return out
 
 
-def _ive_hankel(nu, x):
-    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu, x > 0 from the
-    fixed-order large-argument expansion (DLMF 10.40.1),
-
-        sqrt(2 pi x) e^{-x} I_nu(x) ~ 1 + sum_k c_k,
-        c_k = -c_{k-1} (4 nu^2 - (2k - 1)^2) / (8 x k),  c_0 = 1,
-
-    cut before the first term that does not decrease, or after the first
-    term below 1e-18 of the sum, and at k = 59.  Accurate to ~1e-13 for
-    x >= 20 when nu < 1, and more generally once x >= 10 nu^2 (the terms
-    then decay well past double precision before turning)."""
-    ks = np.arange(1.0, 60.0)[:, None]
-    terms = np.cumprod(((2.0 * ks - 1.0) ** 2 - 4.0 * nu * nu) / (8.0 * ks) / x, axis=0)
-    sums = np.cumsum(np.vstack([np.ones(x.size), terms]), axis=0)  # row k: 1 + c_1 + ... + c_k
-    size = np.abs(terms)
-    turn = np.vstack([np.zeros((1, x.size), dtype=bool), size[1:] >= size[:-1]])
-    stop = turn | (size < 1e-18 * np.abs(sums[1:]))
-    cols = np.arange(x.size)
-    first = stop.argmax(axis=0)
-    # the number of terms kept: up to the first small one, before a turn
-    kept = np.where(stop.any(axis=0), first + 1 - turn[first, cols], 59)
-    return sums[kept, cols] / np.sqrt(x) / math.sqrt(_TWO_PI)
-
-
 def _ive_uniform(nu, x):
-    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu > 0, x > 0 from
-    the uniform large-order expansion (DLMF 10.41.3; Olver 1954):
+    """e^{-x} I_nu(x) at the entries of the 1-d arrays nu >= 0, x > 0 from
+    the uniform large-order expansion (DLMF 10.41.3; Olver 1954), written in
+    h = sqrt(nu^2 + x^2), w = 1/h and p = nu w, so that nothing divides by nu:
 
-        e^{-x} I_nu(x) ~ e^{nu eta - x} sqrt(p / (2 pi nu)) sum_k U_k(p) / nu^k,
+        e^{-x} I_nu(x) ~ sqrt(w / (2 pi)) e^{nu (nu/(h + x)) - nu asinh(nu/x)}
+                         sum_k w^k P_k(p^2),
 
-    with z = x/nu, s = sqrt(1 + z^2), p = 1/s and U_0 ... U_14.  The exponent
-    nu eta - x is taken as nu/(s + z) - nu asinh(1/z), which does not cancel
-    (written as nu eta - x it loses 1e-12 at x ~ 8000).  Within 4e-14 of the
-    value for 5 <= nu <= 300, 20 < x <= 1e4; at nu = 5 it is off by 6e-11
-    at x = 10 and 2e-8 at x = 3, so it serves no x <= 20."""
-    z = x / nu
-    s = np.hypot(1.0, z)
-    p = 1.0 / s
+    U_k(p) = p^k P_k(p^2), k = 0 ... 14 (U_k(p) / nu^k = w^k P_k(p^2)).  The
+    exponent, nu eta - x, does not cancel in this form, and nu^2 is never
+    formed, so it stays finite up to _MAX_I_ORDER.  At nu = 0 the sum is
+    the large-argument expansion of DLMF 10.40.1.  Within 1.6e-13 of the
+    value for 0 <= nu <= 300, 25 < x <= 1e4, where the rounding of an
+    exponent up to ~700 in size dominates; at nu = 5 it is off by 2e-8 at
+    x = 3, so it serves no x <= 25."""
+    h = np.hypot(nu, x)
+    w = 1.0 / h
+    p = nu * w
     r = p * p
-    w = p / nu
     total = np.empty(x.size)  # sum_k w^k P_k(r), by Horner's rule in r, then in w
     for part in range(0, x.size, 1 << 14):  # bounds the memory of the P_k rows
         cut = slice(part, part + (1 << 14))
@@ -215,47 +193,46 @@ def _ive_uniform(nu, x):
         for row in polys[-2::-1]:
             acc = acc * w[cut] + row
         total[cut] = acc
-    with np.errstate(under="ignore"):
-        scale = np.exp(nu / (s + z) - nu * np.arcsinh(1.0 / z))
-    return scale * np.sqrt(p / (_TWO_PI * nu)) * total
+    with np.errstate(under="ignore"):  # halved: h + x overflows near the largest x
+        scale = np.exp(nu * (0.5 * nu / (0.5 * h + 0.5 * x)) - nu * np.arcsinh(nu / x))
+    return scale * np.sqrt(w) / math.sqrt(_TWO_PI) * total
 
 
 def _check_order_and_arg(nu, x):
     if not (nu >= 0.0 and math.isfinite(nu)):
-        raise DomainError(f"order must be finite and >= 0, got {nu}")
+        raise DomainError(f"order must be finite and >= 0, got {nu}", field="nu")
     if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"argument must be finite and >= 0, got {x}")
+        raise DomainError(f"argument must be finite and >= 0, got {x}", field="x")
+
+
+def _check_orders(nus, field):
+    """Raise DomainError with `field` unless every order in the array nus
+    is finite and in [0, _MAX_I_ORDER]."""
+    if not (np.isfinite(nus) & (nus >= 0.0)).all():
+        raise DomainError("orders must be finite and >= 0", field=field)
+    if (nus > _MAX_I_ORDER).any():
+        raise DomainError(f"order must be <= {_MAX_I_ORDER:g}, got {float(nus.max())!r}",
+                          field=field)
 
 
 def _ive_entries(orders, which, x):
     """e^{-x} I_nu(x) at nu = orders[which] and the matched entries of the
     1-d array x, the one I algorithm: orders holds finite values in
     [0, 1e305] and x finite values >= 0 (the callers check them).  Each
-    entry takes one of three branches:
-
-    - the power series (_ive_series) where x <= 20, or where 1 <= nu < 5
-      and x < 10 nu^2;
-    - the large-argument expansion (_ive_hankel) where x > 20, nu < 5, and
-      nu < 1 or x >= 10 nu^2;
-    - the uniform large-order expansion (_ive_uniform) where nu >= 5 and
-      x > 20.
-
-    Every branch computes each entry from its own (nu, x) alone and stops
-    it on its own test, so an entry's value does not depend on the others.
+    entry takes one of two branches: the power series (_ive_series) where
+    x <= 25, the uniform expansion (_ive_uniform) where x > 25, at every
+    order (past x = 25 the first term it leaves out at nu = 0 is below
+    9e-16; at x = 20 it is 2.5e-14).  Both compute each entry from its own
+    (nu, x) alone, so an entry's value does not depend on the others.
     """
     nu = orders[which]
-    low = (nu >= 1.0) & (nu < 5.0)
-    series = (x <= 20.0) | (low & (x < 10.0 * np.minimum(nu, 5.0) ** 2))
-    hankel = ~series & (nu < 5.0)
-    uniform = ~series & (nu >= 5.0)
+    series = x <= 25.0
     out = np.empty(x.size)
     if series.any():
         lg = np.array([math.lgamma(v + 1.0) for v in orders.tolist()])
         out[series] = _ive_series(nu[series], x[series], lg[which[series]])
-    if hankel.any():
-        out[hankel] = _ive_hankel(nu[hankel], x[hankel])
-    if uniform.any():
-        out[uniform] = _ive_uniform(nu[uniform], x[uniform])
+    if not series.all():
+        out[~series] = _ive_uniform(nu[~series], x[~series])
     return out
 
 
@@ -268,17 +245,15 @@ def bessel_i_scaled_many(nus, x):
     entry is, bit for bit, the one-entry call bessel_i_scaled(nu, x).
     """
     nus = np.asarray(nus, dtype=float)
-    if nus.size and (nus.min() < 0.0 or not np.isfinite(nus).all()):
-        raise DomainError("orders must be finite and >= 0")
-    if nus.size and nus.max() > _MAX_I_ORDER:
-        raise DomainError(f"order must be <= {_MAX_I_ORDER:g}, got {float(nus.max())!r}")
+    _check_orders(nus, "nus")
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
-        raise DomainError(f"argument must be a scalar or a 1-D array, got shape {xs.shape}")
+        raise DomainError(f"argument must be a scalar or a 1-D array, got shape {xs.shape}",
+                          field="x")
     rows = np.atleast_1d(xs)
     bad = ~(np.isfinite(rows) & (rows >= 0.0))
     if bad.any():
-        raise DomainError(f"argument must be finite and >= 0, got {rows[bad][0]}")
+        raise DomainError(f"argument must be finite and >= 0, got {rows[bad][0]}", field="x")
     shape = (rows.size, nus.size)
     which = np.tile(np.arange(nus.size), rows.size)
     out = _ive_entries(nus.ravel(), which, np.repeat(rows, nus.size)).reshape(shape)
@@ -287,11 +262,10 @@ def bessel_i_scaled_many(nus, x):
 
 def bessel_i_scaled(nu, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x) for
-    nu >= 0, x >= 0: the one-entry case of bessel_i_scaled_many (power
-    series for x <= 20 and for 1 <= nu < 5, x < 10 nu^2; the large-argument
-    expansion for other nu < 5; the uniform large-order expansion for
-    nu >= 5, x > 20).  No argument is too large.
+    nu >= 0, x >= 0: the one-entry case of bessel_i_scaled_many (see
+    _ive_entries for its branches).  No argument is too large.
     """
+    _check_orders(np.array([nu], dtype=float), "nu")
     return float(bessel_i_scaled_many([nu], x)[0])
 
 
@@ -460,9 +434,9 @@ def bessel_k_imag_scaled(mu, x):
     where the value is small against the size of its parts.
     """
     if not (mu >= 0.0 and math.isfinite(mu)):
-        raise DomainError(f"mu must be finite and >= 0, got {mu}")
+        raise DomainError(f"mu must be finite and >= 0, got {mu}", field="mu")
     if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"argument must be finite and > 0, got {x}")
+        raise DomainError(f"argument must be finite and > 0, got {x}", field="x")
     value, err = _k_imag_scaled_impl(mu, x)
     achieved = err / max(abs(value), 1e-300)
     if achieved > _K_ACCURACY:
@@ -631,10 +605,10 @@ def _cached_zero(kind, nu, k, f, x0, cache):
 
 
 def _check_zero_args(nu, k):
-    if k < 1 or k != int(k):
-        raise DomainError(f"zero index must be a positive integer, got {k}")
+    if not (k >= 1 and float(k).is_integer()):  # nan and inf fail here, before int(k)
+        raise DomainError(f"zero index must be a positive integer, got {k}", field="k")
     if not (nu >= 0.0 and math.isfinite(nu)):
-        raise DomainError(f"order must be finite and >= 0, got {nu}")
+        raise DomainError(f"order must be finite and >= 0, got {nu}", field="nu")
 
 
 def bessel_j_zero(nu, k, cache=None):
@@ -673,7 +647,7 @@ def erfc(x):
     arr = np.asarray(x, dtype=float)
     bad = ~np.isfinite(arr)
     if bad.any():
-        raise DomainError(f"argument must be finite, got {arr[bad].flat[0]}")
+        raise DomainError(f"argument must be finite, got {arr[bad].flat[0]}", field="x")
     out = np.array([math.erfc(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
     return out if arr.ndim else float(out)
 
@@ -688,7 +662,8 @@ def erfcx(x):
     arr = np.asarray(x, dtype=float)
     bad = ~(np.isfinite(arr) & (arr >= 0.0))
     if bad.any():
-        raise DomainError(f"argument must be finite and >= 0, got {arr[bad].flat[0]}")
+        raise DomainError(f"argument must be finite and >= 0, got {arr[bad].flat[0]}",
+                          field="x")
     flat = arr.ravel()
     out = np.empty(flat.shape)
     small = flat < 2.0

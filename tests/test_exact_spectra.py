@@ -411,3 +411,15 @@ def test_errors_name_the_field(build, field):
     with pytest.raises((DomainError, UnsupportedBCError)) as info:
         build()
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("n", [8.5, 12.0, math.nan, math.inf])
+def test_sample_count_must_be_an_integer(n):
+    # np.linspace would refuse such a count with a bare TypeError
+    square = es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D"))
+    for build in (lambda: es.sample_times((0.002, 0.05), n),
+                  lambda: es.trace_samples(square, n=n), lambda: es.fit_spectrum(square, n=n)):
+        with pytest.raises(DomainError, match="integer") as info:
+            build()
+        assert info.value.field == "n"
+    assert es.sample_times((0.002, 0.05), np.int64(8)).size == 8

@@ -250,6 +250,18 @@ class TestFinitePart:
                 value_errs=[1e-14] * len(EPS),
             )
 
+    @pytest.mark.parametrize("args, field", [
+        ((0.5, 0.8, 2), "count"), ((0.5, 0.8, 3.5), "count"), ((0.5, 0.8, 12.0), "count"),
+        ((0.5, 0.8, math.nan), "count"), ((0.5, 1.0, 12), "ratio"), ((0.5, math.nan, 12), "ratio"),
+        ((0.0, 0.8, 12), "eps_max"), ((math.nan, 0.8, 12), "eps_max"),
+    ])
+    def test_default_schedule_errors_name_the_field(self, args, field):
+        # range() would refuse a count that is not an integer with a bare TypeError
+        with pytest.raises(DomainError, match=field) as info:
+            quad_fp.default_eps_schedule(*args)
+        assert info.value.field == field
+        assert len(quad_fp.default_eps_schedule(0.5, 0.8, np.int64(3))) == 3
+
     def test_schedule_validation(self):
         values = [1.0] * 5
         with pytest.raises(DomainError):

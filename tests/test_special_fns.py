@@ -65,15 +65,16 @@ class TestBesselI:
                 assert v == pytest.approx(sf.bessel_i_scaled(float(nu), x), rel=1e-11, abs=1e-280)
 
     def test_block_rows_equal_scalar_calls(self):
-        # entries stop at different steps (x = 0 at once) and in different
-        # branches, on both sides of each branch edge: x = 20, nu = 1, nu = 5
-        # and x = 10 nu^2 (22.5 at nu = 1.5, 240.1 at nu = 4.9); the series
-        # runs over more than 512 entries, as kernel blocks do.  Each entry
-        # is the one-entry call's float, bit for bit
+        # entries stop at different steps (x = 0 at once) and in both
+        # branches, on both sides of the branch edge x = 25, with more
+        # points near x = 20, nu = 1 and 5 and x = 10 nu^2; the series runs
+        # over more than 512 entries, as kernel blocks do.  Each entry is the
+        # one-entry call's float, bit for bit
         nus = np.array([0.0, 0.25, 0.999, 1.0, 1.001, 1.5, 4.9, 4.999, 5.0, 5.001, 12.5, 60.0,
                         150.25, 449.5])
         xs = np.concatenate([[0.3, 0.0, 700.0, 12.5, 1e-8, 399.0, 0.0, 85.0, 699.9, 19.999, 20.0,
-                              20.001, 22.4, 22.6, 240.0, 240.2, 1e4], np.linspace(0.5, 20.0, 40)])
+                              20.001, 22.4, 22.6, 240.0, 240.2, 1e4, 24.999, 25.0, 25.001],
+                             np.linspace(0.5, 25.0, 40)])
         block = sf.bessel_i_scaled_many(nus, xs)
         assert block.shape == (xs.size, nus.size)
         for x, row in zip(xs, block):
@@ -97,7 +98,8 @@ class TestBesselI:
         with pytest.raises(DomainError, match="order"):
             sf.bessel_i_scaled_many([1.0, 1e306], np.array([x]))
 
-    @pytest.mark.parametrize("x", [0.0, 5e-324, 5.0, 20.0, 20.000001, 50.0, 1e300])
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 5.0, 20.0, 20.000001, 25.0, 25.000001, 50.0,
+                                   1e300])
     def test_largest_order_stays_finite(self, x):
         # every branch keeps its exponent finite up to the cap, at any x
         assert sf.bessel_i_scaled(sf._MAX_I_ORDER, x) == 0.0
@@ -122,6 +124,7 @@ class TestBesselI:
 
     @pytest.mark.parametrize("nu, x", [
         *((nu, x) for nu in (0.0, 0.5, 3.0, 5.0, 30.0) for x in (19.999, 20.0, 20.001)),
+        *((nu, x) for nu in (0.0, 0.5, 3.0, 5.0, 30.0) for x in (24.999, 25.0, 25.001)),
         *((nu, x) for nu in (0.999, 1.0, 1.001) for x in (21.0, 100.0)),
         *((nu, x) for nu in (4.999, 5.0, 5.001) for x in (21.0, 100.0, 300.0, 1e4)),
         (1.5, 22.49), (1.5, 22.5), (1.5, 22.51),
@@ -135,7 +138,7 @@ class TestBesselI:
 
     def test_uniform_expansion_serves_no_small_argument(self):
         # at nu = 5, x = 3 the uniform expansion alone is off by 2e-8, so the
-        # series serves every x <= 20
+        # series serves every x <= 25
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             ref = float(mp.besseli(5, 3) * mp.exp(-3))
@@ -170,6 +173,19 @@ class TestBesselI:
                 assert v == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     @given(
+        nu=st.one_of(st.just(0.0), st.just(5e-324), st.floats(min_value=0.0, max_value=5.0)),
+        x=st.floats(min_value=25.0, max_value=1e4, exclude_min=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_low_orders_above_the_series_against_extended_precision(self, nu, x):
+        # the uniform expansion at low orders, nu = 0 and a subnormal nu
+        # included, where it stands in for the large-argument series
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp.besseli(nu, x) * mp.exp(-x))
+        assert sf.bessel_i_scaled(nu, x) == pytest.approx(ref, rel=1e-12)
+
+    @given(
         nu=st.floats(min_value=0.0, max_value=50.0),
         x=st.floats(min_value=0.0, max_value=500.0),
     )
@@ -190,25 +206,23 @@ class TestBesselI:
 
 
 def _ive_regions(rng, n):
-    """n random (nu, x) entries in each branch's region of _ive_entries."""
-    low = rng.uniform(1.5, 5.0, n)  # 10 nu^2 > 20 from nu = sqrt(2) on
+    """n random (nu, x) entries in each branch's region of _ive_entries,
+    low orders (nu < 5) apart in each."""
+    above = np.nextafter(25.0, math.inf)
     return {
-        "_ive_series": [(rng.uniform(0.0, 60.0, n), rng.uniform(0.0, 20.0, n)),
-                        (low, rng.uniform(20.0, 10.0 * low**2))],
-        "_ive_hankel": [(rng.uniform(0.0, 1.0, n), rng.uniform(20.0, 1e4, n)),
-                        (low, rng.uniform(10.0 * low**2, 1e4))],
-        "_ive_uniform": [(rng.uniform(5.0, 300.0, n), rng.uniform(20.0, 1e4, n))],
+        "_ive_series": [(rng.uniform(0.0, 60.0, n), rng.uniform(0.0, 25.0, n)),
+                        (rng.uniform(0.0, 5.0, n), rng.uniform(20.0, 25.0, n))],
+        "_ive_uniform": [(rng.uniform(0.0, 300.0, n), rng.uniform(above, 1e4, n)),
+                         (rng.uniform(0.0, 5.0, n), rng.uniform(above, 300.0, n))],
     }
 
 
 def _edge_entries():
-    """Every pair of orders and arguments at the branch edges: x = 20,
-    nu = 1 and 5, and x = 10 nu^2 for 1 <= nu < 5, each with its neighbours."""
+    """Every pair of orders and arguments at the branch edge x = 25 and its
+    neighbours, with orders from 0 and a subnormal up to 449.5."""
     below, above = (lambda v: np.nextafter(v, 0.0)), (lambda v: np.nextafter(v, math.inf))
-    nus = [0.0, 0.5, below(1.0), 1.0, above(1.0), 1.5, 2.0, 3.3, 4.9, below(5.0), 5.0,
-           above(5.0), 7.5]
-    xs = [0.0, 1.0, below(20.0), 20.0, above(20.0), 400.0]
-    xs += [f(10.0 * nu**2) for nu in nus if 1.0 <= nu < 5.0 for f in (below, float, above)]
+    nus = [0.0, 5e-324, 0.5, 1.0, 1.5, 3.3, 4.9, 5.0, 7.5, 60.0, 449.5]
+    xs = [0.0, 1.0, 20.0, below(25.0), 25.0, above(25.0), 400.0]
     return tuple(np.array(a) for a in zip(*itertools.product(nus, xs)))
 
 
@@ -223,14 +237,14 @@ class TestIveEntries:
         block = sf.bessel_i_scaled_many(orders, xs)
         assert np.array_equal(got, block[np.arange(xs.size), which])
 
-    @pytest.mark.parametrize("branch", ["_ive_series", "_ive_hankel", "_ive_uniform"])
+    @pytest.mark.parametrize("branch", ["_ive_series", "_ive_uniform"])
     def test_random_entries_in_each_branch(self, branch, monkeypatch):
         rng = np.random.default_rng(24)
         for nus, xs in _ive_regions(rng, 200)[branch]:
             self._assert_block_bits(nus, xs)
             # and the entries take that branch only
             served = []
-            for name in ("_ive_series", "_ive_hankel", "_ive_uniform"):
+            for name in ("_ive_series", "_ive_uniform"):
                 real = getattr(sf, name)
                 monkeypatch.setattr(sf, name, lambda *a, f=real, n=name: served.append(n) or f(*a))
             orders, which = np.unique(nus, return_inverse=True)
@@ -891,3 +905,34 @@ class TestErfc:
     def test_erfcx_rejects_a_bad_entry(self, bad):
         with pytest.raises(DomainError, match="argument"):
             sf.erfcx(np.array([0.5, 3.0, bad]))
+
+
+@pytest.mark.parametrize("name, args, field", [
+    ("bessel_i_scaled_many", ([-1.0], 1.0), "nus"),
+    ("bessel_i_scaled_many", ([1e306], 1.0), "nus"),
+    ("bessel_i_scaled_many", ([1.0], np.array([1.0, -1.0])), "x"),
+    ("bessel_i_scaled_many", ([1.0], np.ones((2, 2))), "x"),
+    ("bessel_i_scaled", (-1.0, 1.0), "nu"),
+    ("bessel_i_scaled", (1e306, 1.0), "nu"),
+    ("bessel_i_scaled", (1.0, math.nan), "x"),
+    ("bessel_i", (math.inf, 1.0), "nu"),
+    ("bessel_j", (-1.0, 1.0), "nu"),
+    ("bessel_j", (1.0, -1.0), "x"),
+    ("bessel_j_prime", (math.nan, 1.0), "nu"),
+    ("bessel_j_prime", (1.0, math.inf), "x"),
+    ("bessel_j_zero", (1.0, 0), "k"),
+    ("bessel_j_zero", (-1.0, 1), "nu"),
+    ("bessel_j_prime_zero", (1.0, 1.5), "k"),
+    ("bessel_j_zero", (1.0, math.nan), "k"),
+    ("bessel_j_prime_zero", (1.0, math.inf), "k"),
+    ("bessel_j_prime_zero", (math.inf, 1), "nu"),
+    ("bessel_k_imag_scaled", (-1.0, 1.0), "mu"),
+    ("bessel_k_imag_scaled", (1.0, 0.0), "x"),
+    ("bessel_k_imag", (1.0, math.nan), "x"),
+    ("erfc", (np.array([0.5, math.inf]),), "x"),
+    ("erfcx", (-1.0,), "x"),
+])
+def test_argument_errors_name_the_field(name, args, field):
+    with pytest.raises(DomainError) as info:
+        getattr(sf, name)(*args)
+    assert info.value.field == field
