@@ -1,17 +1,18 @@
 """Exactly solvable Laplace spectra and heat-trace fitting.
 
-Rectangles with any mix of Dirichlet/Neumann/Robin sides (1D factors via
-transcendental root bracketing), circular sectors and disks through Bessel
-zeros, eigenvalue families scanned up to a cutoff with rigorous Weyl-type
-tail bounds, partial heat traces, and weighted least-squares extraction of
-the trace coefficients (a_{-1}, a_{-1/2}, a_0) from trace samples.
+A spectrum is the sorted array of its eigenvalues up to a cutoff, with
+rigorous Weyl-type tail bounds for what lies above.  Rectangles with any mix
+of Dirichlet/Neumann/Robin sides take the outer sum of two 1D arrays;
+circular sectors and disks take every Bessel zero below the cutoff from one
+bessel_j_zeros_below pass.  Weighted least squares extracts the trace
+coefficients (a_{-1}, a_{-1/2}, a_0) from partial heat traces.
 """
 
 import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .errors import DomainError, TailBoundError, UnsupportedBCError
 from .quad_fp import weighted_lstsq
 from .sector_models import BoundaryCondition, check_angle, check_coordinate, mode_order
 from .special_fns import (
-    BesselZeroCache,
-    bessel_j_prime_zero,
-    bessel_j_zero,
+    bessel_j_prime_zero,  # unused here; the benchmark tracer patches it (ROADMAP item 1)
+    bessel_j_zero,  # unused here; the benchmark tracer patches it (ROADMAP item 1)
+    bessel_j_zeros_below,
 )
 
 
@@ -30,17 +31,16 @@ from .special_fns import (
 # 1D interval eigenvalues
 
 class _Interval1D:
-    """Eigenvalues of -u'' on [0, L] with D/N/Robin ends, as a growing
-    memoized array.  Each Robin wavenumber is bracketed between consecutive
-    multiples of pi/L (shifted by pi/2 for a Dirichlet partner), so no root
-    can be missed.  A bad length raises DomainError with field `name`."""
+    """Eigenvalues of -u'' on [0, L] with D/N/Robin ends.  Each Robin
+    wavenumber is bracketed between consecutive multiples of pi/L (shifted
+    by pi/2 for a Dirichlet partner), so no root can be missed.  A bad
+    length raises DomainError with field `name`."""
 
     def __init__(self, length, bc0, bc1, name="length"):
         check_coordinate(name, length, math.inf, False)
         self.length = length
         self.bc0 = BoundaryCondition.parse(bc0)
         self.bc1 = BoundaryCondition.parse(bc1)
-        self._vals = []
 
     def _wavenumber(self, m):
         """m-th wavenumber (m >= 1)."""
@@ -80,60 +80,47 @@ class _Interval1D:
             )
         return brent(f, lo, hi, f_lo, f_hi, xtol=1e-15, rtol=1e-15)
 
-    def value(self, idx):
-        """idx-th eigenvalue, 0-based: lambda_{idx+1} = k_{idx+1}^2."""
-        while len(self._vals) <= idx:
-            k = self._wavenumber(len(self._vals) + 1)
-            self._vals.append(k * k)
-        return self._vals[idx]
+    def up_to(self, bound):
+        """Every eigenvalue k_m^2 <= bound, as an ascending array."""
+        values = (k * k for k in map(self._wavenumber, itertools.count(1)))
+        return np.fromiter(itertools.takewhile(lambda lam: lam <= bound, values), dtype=float)
 
 
 def interval_eigenvalues(length, bc0, bc1, count):
     """First `count` eigenvalues of the 1D problem, ascending."""
-    iv = _Interval1D(length, bc0, bc1)
-    return np.array([iv.value(i) for i in range(count)])
+    wavenumber = _Interval1D(length, bc0, bc1)._wavenumber
+    return np.array([k * k for k in map(wavenumber, range(1, count + 1))])
 
 
 # ---------------------------------------------------------------------------
-# spectra as families of eigenvalues
+# spectra as sorted eigenvalue arrays
 
 @dataclass
 class Spectrum:
-    """Eigenvalues as families, with Weyl-type counting metadata.
+    """Eigenvalues up to a cutoff, with Weyl-type counting metadata.
 
-    family(j) is a function k -> the k-th value of family j, ascending in k,
-    and the first values family(j)(0) ascend in j; each eigenvalue is one
-    family(j)(k), repeated by its multiplicity.
+    eigenvalues(cutoff) returns every eigenvalue <= cutoff, repeated by its
+    multiplicity, as one ascending float array; up_to keeps it at the
+    largest cutoff so far and answers smaller ones with a slice of it.
 
     counting_constants = (C1, C2, C3) bound the counting function
     N(lam) <= C1 lam + C2 sqrt(lam) + C3 for every lam >= 0, which yields a
     rigorous bound on the trace tail sum_{lambda > cutoff} e^{-lambda t}.
     """
 
-    family: object  # j -> (k -> value)
+    eigenvalues: object  # cutoff -> ascending array of every eigenvalue <= cutoff
     weyl_area: float
     counting_constants: tuple
+    _memo: tuple = field(default=(-math.inf, None), init=False, repr=False, compare=False)
 
     def up_to(self, cutoff):
-        """Every eigenvalue <= cutoff, as an ascending float array.
-
-        The scan stops at the first family whose first value exceeds the
-        cutoff, which is sound only while first values ascend: a family
-        starting below the previous one raises DomainError.
-        """
-        out = []
-        prev = -math.inf
-        for j in itertools.count():
-            values = self.family(j)
-            first = values(0)
-            if first < prev:
-                raise DomainError(f"family {j} starts at {first}, below family {j - 1} at {prev}")
-            if first > cutoff:
-                return np.sort(np.array(out, dtype=float))
-            out.append(first)
-            out.extend(itertools.takewhile(lambda lam: lam <= cutoff,
-                                           map(values, itertools.count(1))))
-            prev = first
+        """Every eigenvalue <= cutoff, as an ascending read-only float array."""
+        largest, values = self._memo
+        if cutoff > largest:
+            values = self.eigenvalues(cutoff)
+            values.flags.writeable = False
+            self._memo = (cutoff, values)
+        return values[:np.searchsorted(values, cutoff, side="right")]
 
     def counting_bound(self, lam):
         c1, c2, c3 = self.counting_constants
@@ -143,7 +130,7 @@ class Spectrum:
         """Upper bound on sum_{lambda > cutoff} e^{-lambda t}, from
         integrating the counting bound against e^{-lambda t}."""
         if t <= 0.0:
-            raise DomainError(f"time must be positive, got {t}")
+            raise DomainError(f"time must be positive, got {t}", field="t")
         c1, c2, c3 = self.counting_constants
         lam = cutoff
         root = math.sqrt(max(lam, 1e-300))
@@ -162,54 +149,31 @@ def rectangle_spectrum(a, b, bc_x, bc_y):
     fx = _Interval1D(a, *bc_x, name="a")
     fy = _Interval1D(b, *bc_y, name="b")
 
-    def family(j):
-        # lambda_{k,j} = mu_x[k] + mu_y[j], ascending in k and, at k = 0, in j
-        mu_y = fy.value(j)
-        return lambda k: fx.value(k) + mu_y
+    def eigenvalues(cutoff):
+        # lambda_{k,j} = mu_x[k] + mu_y[j]; both are >= 0, so neither exceeds the cutoff
+        sums = (fx.up_to(cutoff)[None, :] + fy.up_to(cutoff)[:, None]).ravel()
+        return np.sort(sums[sums <= cutoff])
 
     # 1D counting: N_1D(mu) <= L sqrt(mu)/pi + 1 since k_m >= (m-1) pi / L
-    c1 = a * b / (4.0 * math.pi)
-    c2 = (a + b) / math.pi + 1.0
-    c3 = 3.0
-    return Spectrum(
-        family=family,
-        weyl_area=a * b,
-        counting_constants=(c1, c2, c3),
-    )
+    return Spectrum(eigenvalues, a * b, (a * b / (4.0 * math.pi), (a + b) / math.pi + 1.0, 3.0))
 
 
-def _bessel_family(nu, radius, arc, cache):
-    """k -> the k-th (0-based) zero of J_nu (arc "D") or of J'_nu (arc "N")
-    divided by the radius, squared, after the eigenvalue 0 that a Neumann
-    arc adds at nu = 0."""
-    extra = int(arc == "N" and nu == 0.0)
-
-    def value(k):
-        if k < extra:
-            return 0.0
-        zero = bessel_j_zero if arc == "D" else bessel_j_prime_zero
-        return (zero(nu, k + 1 - extra, cache=cache) / radius) ** 2
-
-    return value
-
-
-def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
+def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D"):
     """Spectrum of a circular sector (or full disk when gamma is None).
 
     For the sector, the angular orders are sector_models.mode_order(edge_pair,
-    gamma, j) for the pair DD, NN, DN or ND, and the radial condition picks
-    zeros of J_nu (Dirichlet arc) or of J'_nu (Neumann arc).  The disk is the
-    half disk's NN ladder merged with its DD ladder: every integer order, m >= 1
-    twice.  arc_bc takes any form BoundaryCondition.parse reads; a Robin arc
-    raises UnsupportedBCError.  Errors name the bad field: radius, arc_bc,
-    gamma, in that order.
+    gamma, j) for the pair DD, NN, DN or ND; each gives the eigenvalues
+    (zero / radius)^2 over the zeros of J_nu (Dirichlet arc) or of J'_nu
+    (Neumann arc, which adds 0 at nu = 0), all from one bessel_j_zeros_below
+    call.  The disk is the half disk's NN ladder merged with its DD ladder:
+    every integer order, m >= 1 twice.  arc_bc takes any form
+    BoundaryCondition.parse reads; a Robin arc raises UnsupportedBCError.
+    Errors name the bad field: radius, arc_bc, gamma, in that order.
     """
     check_coordinate("radius", radius, math.inf, False)
     arc = BoundaryCondition.parse(arc_bc).kind
     if arc == "R":
         raise UnsupportedBCError("arc condition must be Dirichlet or Neumann", field="arc_bc")
-    if cache is None:
-        cache = BesselZeroCache()
     if gamma is None:
         # total angle 2 pi; orders 0, 1, 1, 2, 2, ... are the half disk's NN
         # orders j pi/pi merged with its DD orders (j + 1) pi/pi
@@ -219,16 +183,26 @@ def sector_disk_spectrum(gamma, radius, edge_pair=None, arc_bc="D", cache=None):
         mode_order(edge_pair, gamma, 0)  # raises for a pair with no ladder
         beta, orders = gamma, functools.partial(mode_order, edge_pair, gamma)
 
-    # crude rigorous counting with x = radius sqrt(lam): families with
-    # nu > x have no zero <= x (j_{nu,1} > nu), so at most x/h + 1 families
-    # (orders spaced by h = pi/beta) count, and zeros within a family are
-    # spaced by more than 3; expanding (x/h + 1)(x/3 + 1) gives the constants
+    def eigenvalues(cutoff):
+        # orders above x_max have no zero below it; the margin keeps a zero
+        # whose eigenvalue rounds to the cutoff
+        x_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
+        ladder = itertools.takewhile(lambda nu: nu <= x_max,
+                                     map(float, map(orders, itertools.count())))
+        nus, counts = np.unique(np.fromiter(ladder, dtype=float), return_counts=True)
+        which, zeros = bessel_j_zeros_below(nus, x_max, arc == "N")
+        lam = np.repeat((zeros / radius) ** 2, counts[which])
+        if arc == "N":  # the constant mode: eigenvalue 0 at order 0
+            lam = np.concatenate([np.zeros(counts[nus == 0.0].sum()), lam])
+        return np.sort(lam[lam <= cutoff])
+
+    # crude rigorous counting with x = radius sqrt(lam): orders nu > x have
+    # no zero <= x (j_{nu,1} > nu), so at most x/h + 1 orders (spaced by
+    # h = pi/beta) count, and the zeros of one order are spaced by more
+    # than 3; expanding (x/h + 1)(x/3 + 1) gives the constants
     h = math.pi / beta
-    return Spectrum(
-        family=lambda j: _bessel_family(float(orders(j)), radius, arc, cache),
-        weyl_area=0.5 * beta * radius * radius,
-        counting_constants=(radius * radius / (3.0 * h), radius * (1.0 / h + 1.0 / 3.0), 1.0),
-    )
+    return Spectrum(eigenvalues, 0.5 * beta * radius * radius,
+                    (radius * radius / (3.0 * h), radius * (1.0 / h + 1.0 / 3.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +282,9 @@ class FitReport:
 
     def __post_init__(self):
         if not math.isfinite(self.residual_norm):
-            raise DomainError("fit residual must be finite")
+            raise DomainError("fit residual must be finite", field="residual_norm")
         if not 0.0 < self.window[0] < self.window[1] <= 0.2:
-            raise DomainError("fit window must lie inside (0, 0.2]")
+            raise DomainError("fit window must lie inside (0, 0.2]", field="window")
 
     def as_tuple(self):
         return (self.a_minus1, self.a_minus_half, self.a_0)
@@ -330,17 +304,17 @@ def fit_asymptotics(samples):
     """
     samples = list(samples)
     if len(samples) < 8:
-        raise DomainError("need at least 8 trace samples")
+        raise DomainError("need at least 8 trace samples", field="samples")
     ts = np.array([s[0] for s in samples])
     vals = np.array([s[1] for s in samples])
     tails = np.array([s[2] for s in samples])
     if ts[0] <= 0.0 or ts[-1] > 0.2:
-        raise DomainError("sample times must lie in (0, 0.2]")
+        raise DomainError("sample times must lie in (0, 0.2]", field="samples")
     design = np.stack([ts**p for p in _FIT_POWERS], axis=1)
     coef, cond, resid_norm = weighted_lstsq(design, vals, 1.0 / (tails + 1e-12))
     if cond > _FIT_COND_LIMIT:
         raise DomainError(
-            f"fit basis is too collinear on this window (cond {cond:.2e})"
+            f"fit basis is too collinear on this window (cond {cond:.2e})", field="samples"
         )
     return FitReport(
         a_minus1=float(coef[0]),

@@ -490,7 +490,7 @@ def laplace_consistency(model, s, points, tol=1e-7):
     check_coordinate("s", s, math.inf, False)
     pairs = list(points)
     if not pairs:
-        raise DomainError("need at least one point pair")
+        raise DomainError("need at least one point pair", field="points")
     worst = 0.0
     for (r, phi), (r0, phi0) in pairs:
         if isinstance(model, SectorSpec):
@@ -572,13 +572,14 @@ def model_residual(model, grid, kappa=1.0):
     xi-derivatives are replaced by Y-derivatives.
     """
     if model not in _MODELS:
-        raise DomainError(f"unknown model {model!r}; choose from {sorted(_MODELS)}")
+        raise DomainError(f"unknown model {model!r}; choose from {sorted(_MODELS)}", field="model")
     model_fn, factor, second_deriv = _MODELS[model]
     fn = lambda *coords: model_fn(*coords, kappa)
 
     pts = [np.asarray(g, dtype=float) for g in grid]
     if len(pts) != len(second_deriv):
-        raise DomainError(f"model {model} expects a {len(second_deriv)}-coordinate grid")
+        raise DomainError(f"model {model} expects a {len(second_deriv)}-coordinate grid",
+                          field="grid")
 
     def residual_at(step):
         mesh = np.meshgrid(*pts, indexing="ij")

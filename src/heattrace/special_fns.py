@@ -9,6 +9,7 @@ e^{pi mu/2} K_{i mu}(x) by _k_imag_scaled_table (the power series for
 mu >= 0.5, x <= 4, a saddle-point contour elsewhere); (J_nu, J'_nu) by
 _bessel_j_pair (the power series for x <= 2, a recurrence normalized by
 Neumann's sum above).  One power series serves I_nu, I_{i mu} and J_nu.
+Bessel zeros come from bessel_j_zeros_below, for whole arrays of orders.
 """
 
 import functools
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._rootfind import brent
+from ._rootfind import brent  # unused here; the benchmark tracer patches it (ROADMAP item 1)
 from .errors import (
     AccuracyLossError,
     ConvergenceError,
@@ -457,14 +458,16 @@ def bessel_k_imag(mu, x):
 # Bessel J and its zeros
 
 def _bessel_j_pair(nu, x):
-    """(J_nu(x), J'_nu(x)) for x > 0, the one J algorithm;
-    J'_nu = (nu/x) J_nu - J_{nu+1}.
+    """(J_nu(x), J'_nu(x)) at the entries of the matched 1-d arrays nu >= 0
+    and x > 0, the one J algorithm; J'_nu = (nu/x) J_nu - J_{nu+1}.  Each
+    entry is computed from its own (nu, x) alone, so it equals its one-entry
+    call bit for bit.
 
-    x <= 2: the series of J_nu and J_{nu+1}, one two-entry _power_series
-    call at q = -(x/2)^2 with unit first terms, where no term exceeds the
-    first (x^2/4 <= 1 <= nu + 1).  The prefactors, (nu/x) J_nu's its own,
-    are applied after, so no value comes from a J_nu that underflowed.
-    x > 2: one downward (Miller) recurrence over the orders b + k,
+    x <= 2: the series of J_nu and J_{nu+1}, one _power_series call at
+    q = -(x/2)^2 with unit first terms, where no term exceeds the first
+    (x^2/4 <= 1 <= nu + 1).  The prefactors, (nu/x) J_nu's its own, are
+    applied after, so no value comes from a J_nu that underflowed.
+    x > 2: a downward (Miller) recurrence over the orders b + k,
     b = nu - floor(nu), from an even index 15 + 8 x^{1/3} above
     max(x, nu + 1), normalized by Neumann's sum, accumulated as it runs:
 
@@ -473,48 +476,83 @@ def _bessel_j_pair(nu, x):
 
     Its 1e-100 rescale cannot keep up with a step 2(b + k)/x past ~1e208,
     so tiny x needs the series.  Where |J_nu| <= (x/2)^nu / Gamma(nu + 1)
-    (DLMF 10.14.4) and |J'_nu| <= (nu/x + 1) (x/2)^nu / Gamma(nu + 1) lie
-    below e^{-745}, under the smallest double, the pair is (0, 0) without
-    the O(nu) recurrence.
+    (DLMF 10.14.4) and |J'_nu| <= (nu/x + 1) (x/2)^nu / Gamma(nu + 1) are
+    below e^{-745} (only where nu > x), the pair is (0, 0) without the O(nu)
+    recurrence.  Logs, powers and Gamma values go through math, whose
+    rounding numpy's vector loops do not always share.
     """
-    if x <= 2.0:
-        s_nu, s_next = _power_series(np.ones(2), np.full(2, -0.25 * x * x),
-                                     np.array([nu, nu + 1.0]))[0].tolist()
-        log_half = math.log(x) + math.log(0.5)  # log x first: 0.5 * 5e-324 rounds to 0
-        lg = math.lgamma(nu + 1.0)
-        # the logs of (x/2)^nu / Gamma(nu + 1), (x/2)^{nu+1} / Gamma(nu + 2), nu/x times the first
-        logs = [nu * log_half - lg, (nu + 1.0) * log_half - math.lgamma(nu + 2.0),
-                (nu - 1.0) * log_half - lg + math.log(nu) + math.log(0.5) if nu else -math.inf]
+    out = np.zeros((2, x.size))
+    series = x <= 2.0
+    if series.any():
+        nus, xs = nu[series], x[series]
+        sums = _power_series(np.ones(2 * xs.size), np.tile(-0.25 * xs * xs, 2),
+                             np.concatenate([nus, nus + 1.0]))[0].reshape(2, -1)
+        logs = []
+        for v, y in zip(nus.tolist(), xs.tolist()):
+            log_half = math.log(y) + math.log(0.5)  # log x first: 0.5 * 5e-324 rounds to 0
+            lg = math.lgamma(v + 1.0)
+            # logs of (x/2)^nu / Gamma(nu + 1), (x/2)^{nu+1} / Gamma(nu + 2), nu/x times the first
+            logs.append((v * log_half - lg, (v + 1.0) * log_half - math.lgamma(v + 2.0),
+                         (v - 1.0) * log_half - lg + math.log(v) + math.log(0.5)
+                         if v else -math.inf))
         with np.errstate(over="ignore", under="ignore"):  # J' beyond the range is inf
-            pref, pref_next, lead = np.exp(logs).tolist()
-        return pref * s_nu, lead * s_nu - pref_next * s_next
+            pref, pref_next, lead = np.exp(np.array(logs)).T
+        out[:, series] = pref * sums[0], lead * sums[0] - pref_next * sums[1]
+    recur = ~series
+    high = np.flatnonzero(recur & (nu > x))
     # J_{nu+1}'s bound is below J_nu's wherever this one underflows (x/2 < nu + 1)
-    if nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + math.log1p(nu / x) < -745.0:
-        return 0.0, 0.0
-    b = nu - math.floor(nu)
-    want = round(nu - b)  # ladder index of order nu; nu + 1 is at want + 1
-    top = 2 * math.ceil(0.5 * (max(x, nu + 1.0) - b + 15.0 + 8.0 * x ** (1.0 / 3.0)))
-    f_hi, f = 0.0, 1.0  # the values at ladder indices k + 1 and k
-    total, c = 0.0, 1.0  # Neumann's sum so far and c_{k/2}, both over c_{top/2}
-    j_nu = j_next = 0.0
-    for k in range(top, -1, -1):
-        if k == want:
-            j_nu = f
-        elif k == want + 1:
-            j_next = f
+    recur[[i for i, v, y in zip(high.tolist(), nu[high].tolist(), x[high].tolist())
+           if v * math.log(0.5 * y) - math.lgamma(v + 1.0) + math.log1p(v / y) < -745.0]] = False
+    if recur.any():
+        out[:, recur] = _j_pair_miller(nu[recur], x[recur])
+    return out[0], out[1]
+
+
+def _j_pair_miller(nu, x):
+    """_bessel_j_pair's x > 2 branch: the entries walk down together, each
+    joining at its own top index (f = 0 above it), as its one-entry call."""
+    b = nu - np.floor(nu)
+    want = nu - b  # ladder index of order nu; nu + 1 is at want + 1
+    cbrt = np.array([y ** (1.0 / 3.0) for y in x.tolist()])
+    top = 2 * np.ceil(0.5 * (np.maximum(x, nu + 1.0) - b + 15.0 + 8.0 * cbrt)).astype(np.int64)
+    order = np.argsort(-top, kind="stable")
+    nu, x, b, want, top = (a[order] for a in (nu, x, b, want, top))
+    ks = np.arange(top[0], -1, -1)
+    started = np.searchsorted(-top, -ks, side="right").tolist()  # entries with top >= k
+    f_hi, f, total, j_nu, j_next = np.zeros((5, x.size))  # j_*: the values at want, want + 1
+    c = np.ones(x.size)
+    n = 0
+    for k, live in zip(ks.tolist(), started):
+        f[n:live] = 1.0  # the entries whose top index is k
+        n = live
+        fn, bk = f[:n], b[:n] + k
+        np.copyto(j_nu[:n], fn, where=want[:n] == k)
+        np.copyto(j_next[:n], fn, where=want[:n] == k - 1)
         if k % 2 == 0:
-            total += c * f
+            total[:n] += c[:n] * fn
             m = k // 2
             if m > 1:
-                c *= m * (b + k - 2.0) / ((b + k) * (b + m - 1.0))
+                c[:n] *= m * (bk - 2.0) / (bk * (b[:n] + m - 1.0))
             elif m == 1:
-                c /= b + 2.0
-        f_hi, f = f, (2.0 * (b + k) / x) * f - f_hi
-        if abs(f) > 1e100:  # rescale the sum with the values
-            f, f_hi, total, j_nu, j_next = (v * 1e-100 for v in (f, f_hi, total, j_nu, j_next))
-    scale = (0.5 * x) ** b / math.gamma(b + 1.0) * c / total
-    j_nu, j_next = j_nu * scale, j_next * scale
-    return j_nu, (nu / x) * j_nu - j_next
+                c[:n] /= b[:n] + 2.0
+        step = (2.0 * bk / x[:n]) * fn - f_hi[:n]
+        f_hi[:n] = fn
+        f[:n] = step
+        size = np.abs(step)
+        if size.max() > 1e100:  # rescale the sums with the values
+            for v in (f, f_hi, total, j_nu, j_next):
+                v[:n][size > 1e100] *= 1e-100
+    scale = np.array([(0.5 * y) ** v / math.gamma(v + 1.0)
+                      for v, y in zip(b.tolist(), x.tolist())])
+    j_nu, j_next = (v * (scale * c / total) for v in (j_nu, j_next))
+    out = np.empty((2, x.size))
+    out[:, order] = j_nu, (nu / x) * j_nu - j_next
+    return out
+
+
+def _j_pair_at(nu, x):
+    """The one-entry case of _bessel_j_pair, as floats."""
+    return [float(v[0]) for v in _bessel_j_pair(np.array([nu], float), np.array([x], float))]
 
 
 def bessel_j(nu, x):
@@ -522,7 +560,7 @@ def bessel_j(nu, x):
     _check_order_and_arg(nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    return _bessel_j_pair(nu, x)[0]
+    return _j_pair_at(nu, x)[0]
 
 
 def bessel_j_prime(nu, x):
@@ -531,111 +569,97 @@ def bessel_j_prime(nu, x):
     _check_order_and_arg(nu, x)
     if x == 0.0:
         return math.inf if 0.0 < nu < 1.0 else (0.5 if nu == 1.0 else 0.0)
-    return _bessel_j_pair(nu, x)[1]
+    return _j_pair_at(nu, x)[1]
 
 
-class BesselZeroCache:
-    """Memoizes Bessel zeros, and the grid point where each zero's march
-    stopped."""
+class BesselZeroCache(dict):  # unused here; the benchmark tracer patches it (ROADMAP item 1)
+    """A dict of Bessel zeros; nothing in the package stores into it."""
 
-    def __init__(self):
-        self._data = {}
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value):
-        self._data[key] = value
+    put = dict.__setitem__
 
 
 _ZERO_STEP = math.pi / 4.0  # well below the spacing of consecutive zeros
 
 
-def _march_for_zero(f, xa, fa, step, k, max_steps=100000):
-    """k-th sign change of f marching right from xa, where f is fa, in
-    increments of step.
+def _j_or_prime(nu, x, prime):
+    """(f, f') at the entries: (J'_nu, J''_nu) where prime, else (J_nu, J'_nu)."""
+    j, jp = _bessel_j_pair(nu, x)
+    jpp = -jp / x - (1.0 - (nu / x) ** 2) * j  # Bessel's equation
+    return np.where(prime, jp, j), np.where(prime, jpp, jp)
 
-    Returns ((a, b, f(a), f(b)), (x_next, f(x_next))): the bracket, with
-    a == b when f vanishes exactly on a grid point, and the next grid point,
-    where a march for the following sign change continues.
+
+def bessel_j_zeros_below(orders, x_max, derivative):
+    """Every positive zero <= x_max of J_nu, or of J'_nu when derivative is
+    true, for each nu in the 1-d array orders >= 0: (which, zeros), zeros[i]
+    a zero of order orders[which[i]], by order, each order's ascending.
+
+    A pi/4 grid per order starts below its first zero: for J at
+    nu + nu^{1/3}/2 from nu = 1, else 0.05; for J' at nu + nu^{1/3}/10 while
+    r = sqrt(nu (nu + 2)) >= 0.1, else r/2 (j'_{nu,1} > r, DLMF 10.21); J'_0
+    = -J_1 takes J_1's.  Sign changes bracket the zeros, and safeguarded
+    Newton runs in all brackets at once, one _bessel_j_pair call a step: a
+    step out of its closed bracket bisects it, and an entry stops at a step
+    below 1e-12 x, at f = 0 or when no double lies inside its bracket.
     """
-    x0 = xa
-    found = 0
-    for _ in range(max_steps):
-        xb = xa + step
-        fb = f(xb)
-        if fa == 0.0 or fa * fb < 0.0:
-            found += 1
-            if found == k:
-                bracket = (xa, xa, fa, fa) if fa == 0.0 else (xa, xb, fa, fb)
-                return bracket, (xb, fb)
-        xa, fa = xb, fb
-    raise ConvergenceError(
-        "zero marching did not find enough sign changes",
-        {"x0": x0, "step": step, "wanted": k, "found": found},
-    )
+    nu = np.asarray(orders, dtype=float)
+    _check_orders(nu, "orders")
+    if not 0.0 <= x_max < math.inf:
+        raise DomainError(f"x_max must be finite and >= 0, got {x_max}", field="x_max")
+    prime = derivative & (nu > 0.0)
+    nu = np.where(derivative & (nu == 0.0), 1.0, nu)
+    cbrt, root = np.cbrt(nu), np.sqrt(nu * (nu + 2.0))
+    x0 = np.where(prime, np.where(root >= 0.1, np.maximum(nu + 0.1 * cbrt, 0.05), 0.5 * root),
+                  np.where(nu >= 1.0, np.maximum(nu + 0.5 * cbrt, 0.1), 0.05))
+    # grid points x0 + i pi/4, the last one above x_max
+    count = np.maximum(np.floor((x_max - x0) / _ZERO_STEP) + 2.0, 0.0).astype(np.int64)
+    owner = np.repeat(np.arange(nu.size), count)
+    step = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    grid = x0[owner] + step * _ZERO_STEP
+    f = _j_or_prime(nu[owner], grid, prime[owner])[0]
+    # one zero per cell: at its left end where f is 0, else inside where f changes sign
+    cell = np.flatnonzero((owner[1:] == owner[:-1]) & ((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)))
+    lo, hi, f_lo = grid[cell], grid[cell + 1], f[cell]
+    x = lo - f_lo * (hi - lo) / (f[cell + 1] - f_lo)  # the secant point
+    live, zeros = np.arange(cell.size), np.empty(cell.size)
+    for _ in range(100):
+        if not live.size:
+            break
+        fx, slope = _j_or_prime(nu[owner[cell[live]]], x, prime[owner[cell[live]]])
+        left = np.signbit(fx) == np.signbit(f_lo)  # the zero lies right of x
+        lo, f_lo, hi = np.where(left, x, lo), np.where(left, fx, f_lo), np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - fx / slope
+        done = (fx == 0.0) | (np.abs(newton - x) <= 1e-12 * x) | (np.nextafter(lo, hi) >= hi)
+        zeros[live[done]] = np.where(fx == 0.0, x, newton)[done]
+        x = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))[~done]
+        live, lo, hi, f_lo = (a[~done] for a in (live, lo, hi, f_lo))
+    if live.size:
+        raise ConvergenceError("Newton did not converge in its Bessel-zero brackets",
+                               {"orders": nu[owner[cell[live]]].tolist()})
+    keep = zeros <= x_max  # the cells, and so the zeros, run by order and then by x
+    return owner[cell][keep], zeros[keep]
 
 
-def _cached_zero(kind, nu, k, f, x0, cache):
-    """k-th positive zero of f, memoized under (kind, nu, k).
-
-    Marches from x0 in steps of _ZERO_STEP.  When the cache holds where the
-    march for zero k-1 stopped, the march resumes there: it visits the same
-    accumulated grid points as a march from x0, so the bracket and the root
-    are the same to the bit, for 1 sign change of work instead of k.
-    """
-    key = (kind, nu, k)
-    resume = None
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if k > 1:
-            resume = cache.get((kind + "-next", nu, k - 1))
-    if resume is None:
-        bracket, after = _march_for_zero(f, x0, f(x0), _ZERO_STEP, k)
-    else:
-        bracket, after = _march_for_zero(f, *resume, _ZERO_STEP, 1)
-    a, b, fa, fb = bracket
-    root = a if a == b else brent(f, a, b, fa, fb, xtol=1e-14, rtol=1e-15)
-    if cache is not None:
-        cache.put(key, root)
-        cache.put((kind + "-next", nu, k), after)
-    return root
-
-
-def _check_zero_args(nu, k):
+def _kth_zero(nu, k, derivative):
+    """bessel_j_zeros_below's k-th zero of nu, over a span doubled until it holds k."""
     if not (k >= 1 and float(k).is_integer()):  # nan and inf fail here, before int(k)
         raise DomainError(f"zero index must be a positive integer, got {k}", field="k")
-    if not (nu >= 0.0 and math.isfinite(nu)):
-        raise DomainError(f"order must be finite and >= 0, got {nu}", field="nu")
+    _check_orders(np.array([nu], dtype=float), "nu")
+    nu, k = float(nu), int(k)
+    span = math.pi * (k + 1) + 2.0 * nu ** (1.0 / 3.0)  # j_{nu,k} ~ nu + 1.86 nu^{1/3} + k pi
+    while (zeros := bessel_j_zeros_below(np.array([nu]), nu + span, derivative)[1]).size < k:
+        span *= 2.0
+    return float(zeros[k - 1])
 
 
-def bessel_j_zero(nu, k, cache=None):
-    """k-th positive zero j_{nu,k} of J_nu (k is 1-based).
-
-    With a BesselZeroCache, asking for k = 1, 2, ..., K in turn costs O(K)
-    evaluations of J in all, not O(K^2); the result is the same float with
-    or without the cache.
-    """
-    _check_zero_args(nu, k)
-    f = lambda x: bessel_j(nu, x)
-    x0 = max(nu + 0.5 * nu ** (1.0 / 3.0), 0.1) if nu >= 1.0 else 0.05
-    return _cached_zero("j", nu, int(k), f, x0, cache)
+def bessel_j_zero(nu, k):
+    """k-th positive zero j_{nu,k} of J_nu (k is 1-based)."""
+    return _kth_zero(nu, k, False)
 
 
-def bessel_j_prime_zero(nu, k, cache=None):
-    """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted),
-    with a cache as in bessel_j_zero."""
-    _check_zero_args(nu, k)
-    if nu == 0.0:
-        # J0' = -J1, so the positive zeros of J0' are those of J1
-        return bessel_j_zero(1.0, k, cache=cache)
-    f = lambda x: bessel_j_prime(nu, x)
-    # j'_{nu,1} > sqrt(nu (nu + 2)) (DLMF 10.21), which tends to 0 with nu
-    bound = math.sqrt(nu * (nu + 2.0))
-    x0 = max(nu + 0.1 * nu ** (1.0 / 3.0), 0.05) if bound >= 0.1 else 0.5 * bound
-    return _cached_zero("jp", nu, int(k), f, x0, cache)
+def bessel_j_prime_zero(nu, k):
+    """k-th positive zero of J'_nu (k is 1-based; x = 0 is never counted)."""
+    return _kth_zero(nu, k, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,14 +173,6 @@ class TestSectorDiskSpectrum:
         assert spec.counting_constants == (
             2.0 * radius * radius / 3.0, radius * (2.0 + 1.0 / 3.0), 1.0)
 
-    def test_descending_family_starts_are_refused(self):
-        # up_to stops at the first family that starts above the cutoff,
-        # which would miss a later family starting below it
-        spec = es.Spectrum(family=lambda j: (lambda k: (5.0 - j) + k), weyl_area=1.0,
-                           counting_constants=(1.0, 1.0, 1.0))
-        with pytest.raises(DomainError):
-            spec.up_to(10.0)
-
     def test_robin_arc_rejected(self):
         with pytest.raises(UnsupportedBCError):
             es.sector_disk_spectrum(PI / 2.0, 1.0, "DD", "R:1")
@@ -201,48 +195,49 @@ class TestSectorDiskSpectrum:
             assert count <= spec.counting_bound(lam)
         assert count > 20000.0 * spec.weyl_area / (4.0 * PI) * 0.9
 
-    @pytest.mark.parametrize("arc, per_zero", [("D", 16), ("N", 16)])
-    def test_zero_march_work_is_linear(self, monkeypatch, arc, per_zero):
-        # a march resumed from the previous zero costs O(1) evaluations of J
-        # or J' per zero (about 10 here); a march restarted at x0 for every k
-        # costs O(k) (45 here).  J' takes J_nu and J_{nu+1} from one
-        # evaluation, so an N arc costs what a D arc does
-        j_calls = 0
+    @pytest.mark.parametrize("arc", ["D", "N"])
+    def test_enumeration_makes_few_array_j_calls(self, monkeypatch, arc):
+        # one call on the pi/4 grid of every order, then one per Newton step
+        # in all the brackets at once (4 or 5 calls here)
+        calls = []
+        pair = sf._bessel_j_pair
+        monkeypatch.setattr(sf, "_bessel_j_pair",
+                            lambda nu, x: calls.append(x.size) or pair(nu, x))
+        spec = es.sector_disk_spectrum(None, 1.0, None, arc)
+        assert len(spec.up_to(6000.0)) > 1400
+        assert len(calls) <= 8
+        assert calls[0] > 3000  # the grid
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                nonlocal j_calls
-                j_calls += 1
-                return fn(*args, **kwargs)
-            return wrapper
+    def test_up_to_slices_the_largest_cutoff_so_far(self, monkeypatch):
+        calls = []
+        spec = es.sector_disk_spectrum(PI / 4.0, 1.6, "DD", "D")
+        build = spec.eigenvalues
+        monkeypatch.setattr(spec, "eigenvalues",
+                            lambda cutoff: calls.append(cutoff) or build(cutoff))
+        wide = spec.up_to(3000.0)
+        narrow = spec.up_to(1000.0)
+        assert calls == [3000.0]
+        assert np.array_equal(narrow, build(1000.0))
+        assert np.array_equal(wide[:narrow.size], narrow)
+        spec.up_to(4000.0)
+        assert calls == [3000.0, 4000.0]
 
-        class CountingCache(sf.BesselZeroCache):
-            puts = 0
 
-            def put(self, key, value):
-                self.puts += 1
-                super().put(key, value)
+MARCH_ZEROS = json.loads((Path(__file__).parent / "data" / "march_zeros.json").read_text())
 
-        cache = CountingCache()
-        computed = 0
 
-        def counting(lookup):
-            def wrapper(*args, **kwargs):
-                nonlocal computed
-                before = cache.puts
-                value = lookup(*args, **kwargs)
-                computed += cache.puts > before
-                return value
-            return wrapper
-
-        monkeypatch.setattr(sf, "bessel_j", counted(sf.bessel_j))
-        monkeypatch.setattr(sf, "bessel_j_prime", counted(sf.bessel_j_prime))
-        monkeypatch.setattr(es, "bessel_j_zero", counting(es.bessel_j_zero))
-        monkeypatch.setattr(es, "bessel_j_prime_zero", counting(es.bessel_j_prime_zero))
-        spec = es.sector_disk_spectrum(None, 1.0, None, arc, cache=cache)
-        assert sum(1 for _ in spec.up_to(6000.0)) > 1400
-        assert computed > 800
-        assert j_calls <= per_zero * computed
+@pytest.mark.parametrize("case", MARCH_ZEROS["cases"],
+                         ids=lambda c: f"{c['pair']}-{c['gamma']}-{c['arc']}")
+def test_zeros_equal_the_frozen_march(case):
+    # every zero below x = 20 of the sector ladders {DD, NN, DN} at pi/4,
+    # 0.75 pi and 1.95 pi and of the disk, each order marched on a pi/4 grid
+    # and refined by Brent's method (frozen from that code): the same count
+    # per order, each within 2e-15 relative
+    which, zeros = sf.bessel_j_zeros_below(np.array(case["orders"]), MARCH_ZEROS["x_max"],
+                                           case["arc"] == "N")
+    assert which.tolist() == case["which"]
+    expect = np.array(case["zeros"])
+    assert np.all(np.abs(zeros - expect) <= 2e-15 * expect)
 
 
 class TestPartialTrace:
@@ -405,6 +400,13 @@ class TestCSV:
         (lambda: es.sample_times((0.002, 0.05), 4), "n"),
         (lambda: es.partial_trace(es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D")),
                                   0.01, 100.0, tol=-1.0), "tol"),
+        (lambda: es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D")).tail_bound(0.0, 10.0),
+         "t"),
+        (lambda: es.fit_asymptotics([(0.01, 1.0, 0.0)] * 5), "samples"),
+        (lambda: es.fit_asymptotics([(t, 1.0, 0.0) for t in np.linspace(0.01, 0.3, 8)]),
+         "samples"),
+        (lambda: es.FitReport(1.0, 1.0, 1.0, {}, math.nan, (0.01, 0.1), 1.0), "residual_norm"),
+        (lambda: es.FitReport(1.0, 1.0, 1.0, {}, 0.0, (0.1, 0.01), 1.0), "window"),
     ],
 )
 def test_errors_name_the_field(build, field):

@@ -86,13 +86,13 @@ class TestModeOrder:
         assert corner == [sm.mode_order(pair, gamma, j) for j in range(len(corner))]
 
         families = []
-        bessel_family = es._bessel_family
+        zeros_below = es.bessel_j_zeros_below
 
-        def recorded(nu, *args):
-            families.append(nu)
-            return bessel_family(nu, *args)
+        def recorded(orders, *args):
+            families.extend(orders.tolist())
+            return zeros_below(orders, *args)
 
-        monkeypatch.setattr(es, "_bessel_family", recorded)
+        monkeypatch.setattr(es, "bessel_j_zeros_below", recorded)
         assert len(es.sector_disk_spectrum(gamma, 1.0, pair, "D").up_to(3000.0 / gamma)) >= 60
         assert len(families) >= 4
         assert families == ladder[:len(families)]
@@ -584,6 +584,17 @@ def test_bad_tol_names_the_field(call, tol):
     with pytest.raises(DomainError) as info:
         call(tol)
     assert info.value.field == "tol"
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: sm.laplace_consistency(sm.NEUMANN, 1.0, []), "points"),
+    (lambda: sm.model_residual("xx", ([0.5], [0.5])), "model"),
+    (lambda: sm.model_residual("td", ([0.5],)), "grid"),
+])
+def test_errors_name_the_field(build, field):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert info.value.field == field
 
 
 class TestLaplaceConsistency:

@@ -534,6 +534,14 @@ class TestBesselJHugeOrder:
         assert (sf.bessel_j(nu, x), sf.bessel_j_prime(nu, x)) == (j, jp)
 
 
+def _j_grid(nus, xs):
+    """[(nu, x, J_nu(x), J'_nu(x))] over the grid nus x xs, from one array
+    call of the J pair."""
+    nu, x = (a.ravel() for a in np.meshgrid(np.asarray(nus, dtype=float),
+                                            np.asarray(xs, dtype=float), indexing="ij"))
+    return list(zip(nu.tolist(), x.tolist(), *(a.tolist() for a in sf._bessel_j_pair(nu, x))))
+
+
 class TestBesselJ:
     def test_at_zero(self):
         assert sf.bessel_j(0.0, 0.0) == 1.0
@@ -564,12 +572,12 @@ class TestBesselJ:
     def test_against_extended_precision(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
-        for nu in (0.0, 0.5, 4.0, 17.3, 60.0):
-            for x in (0.2, 6.0, 11.9, 13.0, 26.0, 80.0):
-                ref = float(mp.besselj(nu, x))
-                if abs(ref) < 1e-13:
-                    continue
-                assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=2e-9, abs=1e-13)
+        grid = _j_grid((0.0, 0.5, 4.0, 17.3, 60.0), (0.2, 6.0, 11.9, 13.0, 26.0, 80.0))
+        for nu, x, j, _ in grid:
+            ref = float(mp.besselj(nu, x))
+            if abs(ref) < 1e-13:
+                continue
+            assert j == pytest.approx(ref, rel=2e-9, abs=1e-13)
 
     def test_prime_zeros(self):
         # j'_{1,1} = 1.8411837813406593, and J0' zeros are J1 zeros
@@ -579,13 +587,6 @@ class TestBesselJ:
         )
         z = sf.bessel_j_prime_zero(3.0, 2)
         assert abs(sf.bessel_j_prime(3.0, z)) < 1e-11
-
-    def test_zero_cache(self):
-        cache = sf.BesselZeroCache()
-        a = sf.bessel_j_zero(1.0, 3, cache=cache)
-        b = sf.bessel_j_zero(1.0, 3, cache=cache)
-        assert a == b
-        assert cache.get(("j", 1.0, 3)) == a
 
     def test_bad_index(self):
         with pytest.raises(DomainError):
@@ -617,10 +618,9 @@ class TestBesselJ:
         # The worst error seen here is 1.4e-14 relative, 2.7e-16 absolute
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
-        for nu in (0.0, 0.25, 0.5, 0.9, 1.3, 7.0):
-            for x in (12.01, 13.5, 15.0, 18.0, 21.0, 24.0, 24.99, 25.0):
-                ref = float(mp.besselj(nu, x))
-                assert sf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        for nu, x, j, _ in _j_grid((0.0, 0.25, 0.5, 0.9, 1.3, 7.0),
+                                   (12.01, 13.5, 15.0, 18.0, 21.0, 24.0, 24.99, 25.0)):
+            assert j == pytest.approx(float(mp.besselj(nu, x)), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("xs", [np.linspace(12.01, 24.99, 12), np.linspace(25.0, 200.0, 12)],
                              ids=["x-below-25", "x-from-25"])
@@ -630,20 +630,18 @@ class TestBesselJ:
         # 8.8e-15 from it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
-        for nu in (0.0, 0.3, 0.9, 1.0, 1.25, 1.5, 1.99):
-            for x in xs.tolist():
-                amp = math.sqrt(2.0 / (math.pi * x))
-                assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 5e-14 * amp
+        for nu, x, j, _ in _j_grid((0.0, 0.3, 0.9, 1.0, 1.25, 1.5, 1.99), xs):
+            amp = math.sqrt(2.0 / (math.pi * x))
+            assert abs(j - float(mp.besselj(nu, x))) <= 5e-14 * amp
 
     def test_low_orders_below_the_hankel_band_against_extended_precision(self):
         # J_nu for 1 <= nu < 2 at 12 < x < 25; worst seen 1.8e-15 of the
         # amplitude
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
-        for nu in (1.0, 1.1, 1.5, 1.77, 1.99):
-            for x in np.linspace(12.01, 24.99, 12).tolist():
-                amp = math.sqrt(2.0 / (math.pi * x))
-                assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 2e-13 * amp
+        for nu, x, j, _ in _j_grid((1.0, 1.1, 1.5, 1.77, 1.99), np.linspace(12.01, 24.99, 12)):
+            amp = math.sqrt(2.0 / (math.pi * x))
+            assert abs(j - float(mp.besselj(nu, x))) <= 2e-13 * amp
 
     @pytest.mark.parametrize("x", [126.4, 200.0, 230.0, 262.0, 300.0])
     def test_pair_at_large_arguments_against_extended_precision(self, x):
@@ -653,8 +651,7 @@ class TestBesselJ:
         mp = pytest.importorskip("mpmath")
         amp = math.sqrt(2.0 / (math.pi * x))
         with mp.workdps(25):
-            for nu in (1.0, 7.5, 30.0, 61.7):
-                j_nu, j_prime = sf._bessel_j_pair(nu, x)
+            for nu, _, j_nu, j_prime in _j_grid((1.0, 7.5, 30.0, 61.7), [x]):
                 assert abs(j_nu - float(mp.besselj(nu, x))) <= 5e-13 * amp, nu
                 assert abs(j_prime - float(mp.besselj(nu, x, derivative=1))) <= 5e-13 * amp, nu
                 assert sf.bessel_j(nu, x) == j_nu
@@ -665,23 +662,22 @@ class TestBesselJ:
         # recurrence; errors relative to the amplitude min(1, sqrt(2/(pi x))),
         # worst seen 7.9e-16 (J) and 3.7e-16 of max(1, |J'|) (J')
         mp = pytest.importorskip("mpmath")
-        xs = np.concatenate([np.linspace(0.05, 12.0, 24), [1e-3, 1.999, 2.0, 2.001]]).tolist()
+        xs = np.concatenate([np.linspace(0.05, 12.0, 24), [1e-3, 1.999, 2.0, 2.001]])
+        nus = (0.0, 0.25, 0.5, 0.9, 1.0, 4.0 / 3.0, 2.5, 7.5, 13.3, 30.0, 60.0)
         with mp.workdps(30):
-            for nu in (0.0, 0.25, 0.5, 0.9, 1.0, 4.0 / 3.0, 2.5, 7.5, 13.3, 30.0, 60.0):
-                for x in xs:
-                    amp = min(1.0, math.sqrt(2.0 / (math.pi * x)))
-                    assert abs(sf.bessel_j(nu, x) - float(mp.besselj(nu, x))) <= 5e-15 * amp
-                    ref = float(mp.besselj(nu, x, derivative=1))
-                    assert abs(sf.bessel_j_prime(nu, x) - ref) <= 5e-15 * max(1.0, abs(ref))
+            for nu, x, j, j_prime in _j_grid(nus, xs):
+                amp = min(1.0, math.sqrt(2.0 / (math.pi * x)))
+                assert abs(j - float(mp.besselj(nu, x))) <= 5e-15 * amp
+                ref = float(mp.besselj(nu, x, derivative=1))
+                assert abs(j_prime - ref) <= 5e-15 * max(1.0, abs(ref))
 
     def test_zeros_below_12_against_extended_precision(self):
         # worst seen 2.7e-15 (j) and 1.1e-14 (j')
         mp = pytest.importorskip("mpmath")
         for nu in (0.0, 0.25, 0.5, 1.0, 4.0 / 3.0, 2.5, 3.5, 5.5, 7.5):
-            cache = sf.BesselZeroCache()
             for zero, derivative in ((sf.bessel_j_zero, 0), (sf.bessel_j_prime_zero, 1)):
                 k = 1
-                while (z := zero(nu, k, cache=cache)) < 12.0:
+                while (z := zero(nu, k)) < 12.0:
                     # mpmath counts x = 0 as the first zero of J0'
                     m = k + 1 if nu == 0.0 and derivative else k
                     with mp.workdps(30):
@@ -713,14 +709,13 @@ class TestBesselJ:
             raise AssertionError("a J evaluation built a Gauss grid")
 
         monkeypatch.setattr(sf, "gauss_rule", refuse)  # the Gauss rules of the K contour
-        cache = sf.BesselZeroCache()
-        for nu in (0.0, 0.5, 1.0, 1.5, 7.0):
-            for x in (1.5, 7.0, 12.5, 18.0, 24.5):
-                sf.bessel_j(nu, x)
-                sf.bessel_j_prime(nu, x)
-            zeros = [sf.bessel_j_zero(nu, k, cache=cache) for k in range(1, 9)]
-            primes = [sf.bessel_j_prime_zero(nu, k, cache=cache) for k in range(1, 9)]
-            assert max(zeros + primes) > 24.0
+        nus, xs = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0, 1.5, 7.0],
+                                                  [1.5, 7.0, 12.5, 18.0, 24.5]))
+        sf._bessel_j_pair(nus, xs)
+        for derivative in (False, True):
+            which, zeros = sf.bessel_j_zeros_below(np.array([0.0, 0.5, 1.0, 1.5, 7.0]), 30.0,
+                                                   derivative)
+            assert np.unique(which).size == 5 and zeros.max() > 24.0
 
 
 @st.composite
@@ -740,6 +735,19 @@ def _j_points(draw):
 
 
 class TestBesselJProperties:
+    @given(points=st.lists(_j_points(), min_size=1, max_size=12),
+           below=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+           above=st.floats(min_value=2.0, max_value=120.0, exclude_min=True))
+    @settings(max_examples=30, deadline=None)
+    def test_array_call_equals_one_entry_calls(self, points, below, above):
+        # each entry takes its own series, or joins the recurrence at its own
+        # top index, so its bits do not depend on the other entries
+        nu, x = (np.array(v) for v in zip(*points, (points[0][0], below), (points[0][0], above)))
+        j, jp = sf._bessel_j_pair(nu, x)
+        for k in range(nu.size):
+            one = sf._bessel_j_pair(nu[k:k + 1], x[k:k + 1])
+            assert (j[k], jp[k]) == (one[0][0], one[1][0]), (nu[k], x[k])
+
     @given(point=_j_points())
     @settings(max_examples=60, deadline=None)
     def test_pair_against_extended_precision(self, point):
@@ -758,12 +766,10 @@ class TestBesselJProperties:
     @given(nu=st.floats(min_value=0.0, max_value=40.0), k=st.integers(min_value=1, max_value=15))
     @settings(max_examples=6, deadline=None)
     def test_resumed_march_against_extended_precision(self, nu, k):
-        # zeros 1..k in turn through a cache: zero k comes from a march
-        # resumed where the march for zero k - 1 stopped
+        # zeros 1..k in turn, each from its own enumeration
         mp = pytest.importorskip("mpmath")
-        cache = sf.BesselZeroCache()
-        zeros = [sf.bessel_j_zero(nu, i, cache=cache) for i in range(1, k + 1)]
-        primes = [sf.bessel_j_prime_zero(nu, i, cache=cache) for i in range(1, k + 1)]
+        zeros = [sf.bessel_j_zero(nu, i) for i in range(1, k + 1)]
+        primes = [sf.bessel_j_prime_zero(nu, i) for i in range(1, k + 1)]
         with mp.workdps(25):
             ref = float(mp.besseljzero(nu, k))
             # mpmath counts x = 0 as the first zero of J0'
@@ -772,31 +778,14 @@ class TestBesselJProperties:
         assert primes[-1] == pytest.approx(ref_prime, rel=0.0, abs=1e-11)
 
 
-# orders of disks, of quarter/half-integer sectors, and of sectors with
-# opening 0.7 (orders (j + 1/2) pi / 0.7), up to the largest the spectra reach
-MARCH_ORDERS = (0.0, 0.25, 0.5, 1.0, 4.0 / 3.0, 2.0, 7.5, 13.3, 30.0, 61.7, 100.0,
-                0.5 * math.pi / 0.7, 3.5 * math.pi / 0.7)
-
-
 class TestZeroMarch:
-    @pytest.mark.parametrize("zero", [sf.bessel_j_zero, sf.bessel_j_prime_zero])
-    def test_warm_cache_equals_cold_march(self, zero):
-        for nu in MARCH_ORDERS:
-            cache = sf.BesselZeroCache()
-            warm = [zero(nu, k, cache=cache) for k in range(1, 41)]
-            cold = [zero(nu, k) for k in range(1, 41)]
-            assert warm == cold, nu
-            assert all(a < b for a, b in zip(warm, warm[1:])), nu
-
     def test_zeros_near_260_against_extended_precision(self):
-        # the zeros of J_1 and J'_{7.5} up to x ~ 252, each march resumed
-        # through one shared cache; J's error near x ~ 250 moves them, by up
-        # to 5.4e-9 with a Miller start 15 + 2 x^{1/3} orders above the
-        # turning point
+        # the zeros of J_1 and J'_{7.5} up to x ~ 252; J's error near
+        # x ~ 250 moves them, by up to 5.4e-9 with a Miller start
+        # 15 + 2 x^{1/3} orders above the turning point
         mp = pytest.importorskip("mpmath")
-        cache = sf.BesselZeroCache()
-        zeros = [sf.bessel_j_zero(1.0, k, cache=cache) for k in range(1, 81)]
-        primes = [sf.bessel_j_prime_zero(7.5, k, cache=cache) for k in range(1, 78)]
+        zeros = [sf.bessel_j_zero(1.0, k) for k in range(1, 81)]
+        primes = [sf.bessel_j_prime_zero(7.5, k) for k in range(1, 78)]
         with mp.workdps(25):
             for k, z in enumerate(zeros, start=1):
                 assert z == pytest.approx(float(mp.besseljzero(1, k)), rel=0.0, abs=1e-11), k
@@ -808,11 +797,9 @@ class TestZeroMarch:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         for nu in (0.0, 0.25, 4.0 / 3.0, 7.5, 13.3, 30.0):
-            cache = sf.BesselZeroCache()
-            jp_cache = sf.BesselZeroCache()
             for k in range(1, 8):
-                z = sf.bessel_j_zero(nu, k, cache=cache)
-                zp = sf.bessel_j_prime_zero(nu, k, cache=jp_cache)
+                z = sf.bessel_j_zero(nu, k)
+                zp = sf.bessel_j_prime_zero(nu, k)
                 if k not in (1, 2, 7):
                     continue
                 assert z == pytest.approx(float(mp.besseljzero(nu, k)), abs=1e-11)
@@ -828,19 +815,6 @@ class TestZeroMarch:
             for nu in (1e-12, 1e-6, 1e-3):
                 ref = float(mp.besseljzero(nu, 1, derivative=1))
                 assert sf.bessel_j_prime_zero(nu, 1) == pytest.approx(ref, rel=0.0, abs=1e-11)
-
-    def test_resume_after_exact_grid_zero(self):
-        # zeros at 1.0 and 3.0 fall on the grid 0, 0.25, 0.5, ...; 2.1 does not
-        f = lambda x: (x - 1.0) * (x - 2.1) * (x - 3.0)
-        step = 0.25
-        expect = [(1.0, 1.0), (2.0, 2.25), (3.0, 3.0)]
-        state = (0.0, f(0.0))
-        for k, (a, b) in enumerate(expect, start=1):
-            bracket, state = sf._march_for_zero(f, *state, step, 1)
-            assert bracket[:2] == (a, b)
-            cold_bracket, cold_state = sf._march_for_zero(f, 0.0, f(0.0), step, k)
-            assert (cold_bracket, cold_state) == (bracket, state)
-        assert state[0] == 3.25
 
 
 class TestErfc:
@@ -931,6 +905,8 @@ class TestErfc:
     ("bessel_k_imag", (1.0, math.nan), "x"),
     ("erfc", (np.array([0.5, math.inf]),), "x"),
     ("erfcx", (-1.0,), "x"),
+    ("bessel_j_zeros_below", (np.array([1.0, -1.0]), 10.0, False), "orders"),
+    ("bessel_j_zeros_below", (np.array([1.0]), math.inf, True), "x_max"),
 ])
 def test_argument_errors_name_the_field(name, args, field):
     with pytest.raises(DomainError) as info:
