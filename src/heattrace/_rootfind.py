@@ -1,62 +1,32 @@
-"""Bracketed scalar root finding (Brent's method)."""
+"""Bracketed root finding: safeguarded Newton in many brackets at once."""
 
-import math
+import numpy as np
 
 from .errors import ConvergenceError
 
 
-def brent(f, a, b, fa=None, fb=None, xtol=1e-14, rtol=4e-16, max_iter=200):
-    """Root of f in [a, b] by Brent's method; f(a) and f(b) must differ in sign.
-
-    xtol is an absolute tolerance on the root, rtol a relative one.
-    """
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ConvergenceError(
-            "root not bracketed", {"a": a, "b": b, "fa": fa, "fb": fb}
-        )
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * rtol * abs(b) + 0.5 * xtol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-    raise ConvergenceError(
-        "Brent iteration limit reached", {"a": a, "b": b, "fb": fb}
-    )
+def bracketed_newton(fn, lo, hi, f_lo, f_hi):
+    """The root in each closed bracket [lo[i], hi[i]] where f changes sign
+    (or f_lo[i] = f(lo[i]) is 0), by Newton's method from the secant point,
+    all brackets stepping together: fn(x, live) returns (f, f') at the points
+    x of the brackets indexed by live, the ones still running.  A step out of
+    its bracket bisects it instead; a bracket stops at a Newton step below
+    1e-12 x (taking it), at f = 0, or when no double lies inside it."""
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    live, roots = np.arange(lo.size), np.empty(lo.size)
+    for _ in range(100):
+        if not live.size:
+            break
+        fx, slope = fn(x, live)
+        left = np.signbit(fx) == np.signbit(f_lo)  # the root lies right of x
+        lo, f_lo, hi = np.where(left, x, lo), np.where(left, fx, f_lo), np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - fx / slope
+        done = (fx == 0.0) | (np.abs(newton - x) <= 1e-12 * x) | (np.nextafter(lo, hi) >= hi)
+        roots[live[done]] = np.where(fx == 0.0, x, newton)[done]
+        x = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))[~done]
+        live, lo, hi, f_lo = (a[~done] for a in (live, lo, hi, f_lo))
+    if live.size:
+        raise ConvergenceError("Newton did not converge in its brackets",
+                               {"lo": lo.tolist(), "hi": hi.tolist()})
+    return roots

@@ -104,7 +104,7 @@ def _corner_orders(pair, alpha, z_max):
         below = np.flatnonzero(_log_mode_bound(orders, z_max) < log_tol)
         if below.size:
             return orders[:below[0]]
-    raise DomainError("mode ladder did not truncate; angle too large?")
+    raise DomainError("mode ladder did not truncate; angle too large?", field="alpha")
 
 
 def _radial_nodes(a, b):

@@ -2,10 +2,11 @@
 
 A spectrum is the sorted array of its eigenvalues up to a cutoff, with
 rigorous Weyl-type tail bounds for what lies above.  Rectangles with any mix
-of Dirichlet/Neumann/Robin sides take the outer sum of two 1D arrays;
-circular sectors and disks take every Bessel zero below the cutoff from one
-bessel_j_zeros_below pass.  Weighted least squares extracts the trace
-coefficients (a_{-1}, a_{-1/2}, a_0) from partial heat traces.
+of Dirichlet/Neumann/Robin sides take the outer sum of two 1D arrays, each
+side's Robin roots from one bracketed_newton pass; circular sectors and disks
+take every Bessel zero below the cutoff from one bessel_j_zeros_below pass,
+which refines its zeros with the same root finder.  Weighted least squares
+extracts the trace coefficients (a_{-1}, a_{-1/2}, a_0) from partial traces.
 """
 
 import functools
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import brent
+from ._rootfind import bracketed_newton
 from .errors import DomainError, TailBoundError, UnsupportedBCError
 from .quad_fp import weighted_lstsq
 from .sector_models import BoundaryCondition, check_angle, check_coordinate, mode_order
@@ -26,15 +27,19 @@ from .special_fns import (
     bessel_j_zeros_below,
 )
 
+brent = bracketed_newton  # unused here; the benchmark tracer patches it (ROADMAP item 1)
+
 
 # ---------------------------------------------------------------------------
 # 1D interval eigenvalues
 
 class _Interval1D:
-    """Eigenvalues of -u'' on [0, L] with D/N/Robin ends.  Each Robin
-    wavenumber is bracketed between consecutive multiples of pi/L (shifted
-    by pi/2 for a Dirichlet partner), so no root can be missed.  A bad
-    length raises DomainError with field `name`."""
+    """Eigenvalues of -u'' on [0, L] with D/N/Robin ends.  D/N wavenumbers
+    are closed forms.  The m-th Robin wavenumber lies in the cell
+    [(m - 1) pi/L, m pi/L] between the m-th N/N and D/D ones, in its right
+    half (from the m-th D/N one) for a Dirichlet partner, so no root can be
+    missed; the roots of all the cells come from one bracketed_newton call.
+    A bad length raises DomainError with field `name`."""
 
     def __init__(self, length, bc0, bc1, name="length"):
         check_coordinate(name, length, math.inf, False)
@@ -42,54 +47,44 @@ class _Interval1D:
         self.bc0 = BoundaryCondition.parse(bc0)
         self.bc1 = BoundaryCondition.parse(bc1)
 
-    def _wavenumber(self, m):
-        """m-th wavenumber (m >= 1)."""
+    def wavenumbers(self, count):
+        """The wavenumbers k_1 < ... < k_count, as an array.  Raises
+        DomainError with field "count" unless count is an integer >= 1."""
+        if not (isinstance(count, numbers.Integral) and count >= 1):
+            raise DomainError(f"count must be an integer >= 1, got {count!r}", field="count")
         ell = self.length
+        m = np.arange(1.0, count + 1.0)
+        dd, nn, dn = ((m - shift) * math.pi / ell for shift in (0.0, 1.0, 0.5))
         kinds = (self.bc0.kind, self.bc1.kind)
-        if kinds == ("D", "D"):
-            return m * math.pi / ell
-        if kinds == ("N", "N"):
-            return (m - 1) * math.pi / ell
-        if kinds in (("D", "N"), ("N", "D")):
-            return (m - 0.5) * math.pi / ell
-        if "D" in kinds:
-            kap = (self.bc0 if self.bc0.kind == "R" else self.bc1).robin_kappa
-            # u = sin(kx) up to reflection; -u'(L) = kappa u(L)
-            f = lambda k: k * math.cos(k * ell) + kap * math.sin(k * ell)
-            lo, hi = (m - 0.5) * math.pi / ell, m * math.pi / ell
-        elif "N" in kinds:
-            kap = (self.bc0 if self.bc0.kind == "R" else self.bc1).robin_kappa
-            # u = cos(kx) up to reflection; k sin(kL) = kappa cos(kL)
-            f = lambda k: k * math.sin(k * ell) - kap * math.cos(k * ell)
-            lo, hi = (m - 1) * math.pi / ell, m * math.pi / ell
-        else:
-            k0, k1 = self.bc0.robin_kappa, self.bc1.robin_kappa
-            f = lambda k: (k * k - k0 * k1) * math.sin(k * ell) - (k0 + k1) * k * math.cos(
-                k * ell
-            )
-            lo, hi = (m - 1) * math.pi / ell, m * math.pi / ell
-        lo = max(lo, 1e-12 / ell)
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo == 0.0:
-            return lo
-        if f_lo * f_hi > 0.0:
-            # the bracket is guaranteed by the sign pattern at the cell ends;
-            # equality at an endpoint is the only way this can trip
-            raise DomainError(
-                f"Robin root bracketing failed on [{lo}, {hi}] (f: {f_lo}, {f_hi})"
-            )
-        return brent(f, lo, hi, f_lo, f_hi, xtol=1e-15, rtol=1e-15)
+        closed = {("D", "D"): dd, ("N", "N"): nn, ("D", "N"): dn, ("N", "D"): dn}
+        if kinds in closed:
+            return closed[kinds]
+        # with (a, b) = (0, 1) for D, (1, 0) for N and (1, kappa) for R,
+        # u = a0 k cos(kx) + b0 sin(kx) meets a0 u'(0) = b0 u(0), and
+        # -a1 u'(L) = b1 u(L) is f(k) = 0
+        ends = {"D": (0.0, 1.0), "N": (1.0, 0.0)}
+        (a0, b0), (a1, b1) = (ends.get(bc.kind, (1.0, bc.robin_kappa))
+                              for bc in (self.bc0, self.bc1))
+        p, q, r = a0 * a1, b0 * b1, a0 * b1 + a1 * b0
 
-    def up_to(self, bound):
-        """Every eigenvalue k_m^2 <= bound, as an ascending array."""
-        values = (k * k for k in map(self._wavenumber, itertools.count(1)))
-        return np.fromiter(itertools.takewhile(lambda lam: lam <= bound, values), dtype=float)
+        def f(k, live):
+            c, s, g = np.cos(k * ell), np.sin(k * ell), p * k * k - q
+            return g * s - r * k * c, (2.0 * p + r * ell) * k * s + (g * ell - r) * c
+
+        lo, hi = np.maximum(dn if "D" in kinds else nn, 1e-12 / ell), dd
+        with np.errstate(over="ignore", invalid="ignore"):  # kappa near the double range
+            f_lo, f_hi = f(lo, None)[0], f(hi, None)[0]
+        # the sign pattern at the cell ends brackets every root, unless kappa
+        # is so small or so large that rounding hides it
+        if not (np.sign(f_lo) * np.sign(f_hi) <= 0.0).all():
+            raise DomainError(f"Robin kappa out of range for the ends {self.bc0}, {self.bc1}",
+                              field="robin_kappa")
+        return bracketed_newton(f, lo, hi, f_lo, f_hi)
 
 
 def interval_eigenvalues(length, bc0, bc1, count):
-    """First `count` eigenvalues of the 1D problem, ascending."""
-    wavenumber = _Interval1D(length, bc0, bc1)._wavenumber
-    return np.array([k * k for k in map(wavenumber, range(1, count + 1))])
+    """The first `count` eigenvalues, ascending; DomainError unless count is an integer >= 1."""
+    return _Interval1D(length, bc0, bc1).wavenumbers(count) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +123,9 @@ class Spectrum:
 
     def tail_bound(self, t, cutoff):
         """Upper bound on sum_{lambda > cutoff} e^{-lambda t}, from
-        integrating the counting bound against e^{-lambda t}."""
-        if t <= 0.0:
+        integrating the counting bound against e^{-lambda t}.  Raises
+        DomainError with field "t" unless t > 0."""
+        if not t > 0.0:
             raise DomainError(f"time must be positive, got {t}", field="t")
         c1, c2, c3 = self.counting_constants
         lam = cutoff
@@ -150,8 +146,12 @@ def rectangle_spectrum(a, b, bc_x, bc_y):
     fy = _Interval1D(b, *bc_y, name="b")
 
     def eigenvalues(cutoff):
-        # lambda_{k,j} = mu_x[k] + mu_y[j]; both are >= 0, so neither exceeds the cutoff
-        sums = (fx.up_to(cutoff)[None, :] + fy.up_to(cutoff)[:, None]).ravel()
+        # lambda_{k,j} = mu_x[k] + mu_y[j], both >= 0.  k_m >= (m - 1) pi/L, so
+        # no cell past L sqrt(cutoff)/pi + 1 holds one below the cutoff; one
+        # more cell absorbs the rounding of that count
+        root = math.sqrt(max(cutoff, 0.0)) / math.pi
+        mu_x, mu_y = (f.wavenumbers(int(f.length * root) + 2) ** 2 for f in (fx, fy))
+        sums = (mu_x[None, :] + mu_y[:, None]).ravel()
         return np.sort(sums[sums <= cutoff])
 
     # 1D counting: N_1D(mu) <= L sqrt(mu)/pi + 1 since k_m >= (m-1) pi / L
@@ -213,7 +213,10 @@ def partial_trace(spectrum, t, cutoff, tol=None):
 
     With tol given, raises TailBoundError, carrying choose_cutoff(spectrum,
     t, tol) as the suggested cutoff, when the rigorous tail bound exceeds it.
+    Raises DomainError with field "cutoff" unless 0 <= cutoff < inf.
     """
+    if not 0.0 <= cutoff < math.inf:
+        raise DomainError(f"cutoff must be finite and >= 0, got {cutoff}", field="cutoff")
     tail = spectrum.tail_bound(t, cutoff)  # raises DomainError unless t > 0
     if tol is not None and tail > tol:
         raise TailBoundError(
@@ -305,9 +308,7 @@ def fit_asymptotics(samples):
     samples = list(samples)
     if len(samples) < 8:
         raise DomainError("need at least 8 trace samples", field="samples")
-    ts = np.array([s[0] for s in samples])
-    vals = np.array([s[1] for s in samples])
-    tails = np.array([s[2] for s in samples])
+    ts, vals, tails = np.array(samples, dtype=float).T
     if ts[0] <= 0.0 or ts[-1] > 0.2:
         raise DomainError("sample times must lie in (0, 0.2]", field="samples")
     design = np.stack([ts**p for p in _FIT_POWERS], axis=1)

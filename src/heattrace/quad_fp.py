@@ -64,7 +64,7 @@ class QuadResult:
 
     def __post_init__(self):
         if self.abs_err_estimate < 0.0:
-            raise DomainError("abs_err_estimate must be >= 0")
+            raise DomainError("abs_err_estimate must be >= 0", field="abs_err_estimate")
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class FinitePartResult:
     def __post_init__(self):
         eps = self.epsilons_used
         if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
-            raise DomainError("epsilons_used must be strictly decreasing")
+            raise DomainError("epsilons_used must be strictly decreasing", field="epsilons_used")
         if self.condition_number < 1.0:
-            raise DomainError("condition_number must be >= 1")
+            raise DomainError("condition_number must be >= 1", field="condition_number")
 
 
 def _panel_estimates(f, panels):
@@ -104,7 +104,7 @@ def _panel_estimates(f, panels):
     if y.shape != x.shape:
         raise DomainError(
             f"integrand returned shape {y.shape} for nodes of shape {x.shape}; "
-            "it must map an array of nodes to an array of values"
+            "it must map an array of nodes to an array of values", field="f"
         )
     bad = ~np.isfinite(y)
     if bad.any():
@@ -137,16 +137,16 @@ def integrate(f, a, b, tol=1e-10, envelope=None, max_nodes=200_000):
     depending on its own node only.
     """
     if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+        raise DomainError(f"need a < b, got [{a}, {b}]", field="b")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be > 0 and finite, got {tol!r}", field="tol")
     tail = 0.0
     if math.isinf(b):
         if envelope is None:
-            raise DomainError("semi-infinite integrals need envelope=(C, delta)")
+            raise DomainError("semi-infinite integrals need envelope=(C, delta)", field="envelope")
         c_env, delta = envelope
         if not (c_env > 0.0 and delta > 0.0):
-            raise DomainError("envelope constants must be positive")
+            raise DomainError("envelope constants must be positive", field="envelope")
         # C e^{-delta b}/delta <= tol/2 at the truncation point
         b = a + max(1.0, (math.log(2.0 * c_env / (delta * tol))) / delta)
         tail = 0.5 * tol
@@ -261,14 +261,15 @@ def finite_part(eps, values, basis=DEFAULT_BASIS, value_errs=None):
     """
     basis = tuple(basis)
     if 0 not in basis:
-        raise DomainError("basis must contain the exponent 0")
+        raise DomainError("basis must contain the exponent 0", field="basis")
     if len(set(basis)) != len(basis):
-        raise DomainError("basis exponents must be distinct")
+        raise DomainError("basis exponents must be distinct", field="basis")
     eps = check_eps_schedule(eps, basis)
     values = np.asarray(values, dtype=float)
     errs = np.zeros(eps.size) if value_errs is None else np.asarray(value_errs, dtype=float)
     if values.shape != eps.shape or errs.shape != eps.shape:
-        raise DomainError(f"need one value and one error per cutoff, {eps.size} of each")
+        raise DomainError(f"need one value and one error per cutoff, {eps.size} of each",
+                          field="values" if values.shape != eps.shape else "value_errs")
     design = eps[:, None] ** np.asarray(basis, dtype=float)[None, :]
     w = 1.0 / np.sqrt(eps)  # squared weight 1/eps
     coef, cond, resid_norm = weighted_lstsq(design, values, w)

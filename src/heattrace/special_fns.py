@@ -9,7 +9,8 @@ e^{pi mu/2} K_{i mu}(x) by _k_imag_scaled_table (the power series for
 mu >= 0.5, x <= 4, a saddle-point contour elsewhere); (J_nu, J'_nu) by
 _bessel_j_pair (the power series for x <= 2, a recurrence normalized by
 Neumann's sum above).  One power series serves I_nu, I_{i mu} and J_nu.
-Bessel zeros come from bessel_j_zeros_below, for whole arrays of orders.
+Bessel zeros come from bessel_j_zeros_below, for whole arrays of orders,
+each refined in its bracket by _rootfind.bracketed_newton.
 """
 
 import functools
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._rootfind import brent  # unused here; the benchmark tracer patches it (ROADMAP item 1)
+from ._rootfind import bracketed_newton
 from .errors import (
     AccuracyLossError,
     ConvergenceError,
@@ -25,6 +26,8 @@ from .errors import (
     OverflowRangeError,
 )
 from .quad_fp import gauss_rule
+
+brent = bracketed_newton  # unused here; the benchmark tracer patches it (ROADMAP item 1)
 
 _LOG_HUGE = math.log(1.7976931348623157e308)  # ~709.78
 _TWO_PI = 2.0 * math.pi
@@ -596,10 +599,9 @@ def bessel_j_zeros_below(orders, x_max, derivative):
     A pi/4 grid per order starts below its first zero: for J at
     nu + nu^{1/3}/2 from nu = 1, else 0.05; for J' at nu + nu^{1/3}/10 while
     r = sqrt(nu (nu + 2)) >= 0.1, else r/2 (j'_{nu,1} > r, DLMF 10.21); J'_0
-    = -J_1 takes J_1's.  Sign changes bracket the zeros, and safeguarded
-    Newton runs in all brackets at once, one _bessel_j_pair call a step: a
-    step out of its closed bracket bisects it, and an entry stops at a step
-    below 1e-12 x, at f = 0 or when no double lies inside its bracket.
+    = -J_1 takes J_1's.  Sign changes bracket the zeros, and
+    _rootfind.bracketed_newton refines all of them at once from their secant
+    points, one _bessel_j_pair call a step.
     """
     nu = np.asarray(orders, dtype=float)
     _check_orders(nu, "orders")
@@ -618,24 +620,9 @@ def bessel_j_zeros_below(orders, x_max, derivative):
     f = _j_or_prime(nu[owner], grid, prime[owner])[0]
     # one zero per cell: at its left end where f is 0, else inside where f changes sign
     cell = np.flatnonzero((owner[1:] == owner[:-1]) & ((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)))
-    lo, hi, f_lo = grid[cell], grid[cell + 1], f[cell]
-    x = lo - f_lo * (hi - lo) / (f[cell + 1] - f_lo)  # the secant point
-    live, zeros = np.arange(cell.size), np.empty(cell.size)
-    for _ in range(100):
-        if not live.size:
-            break
-        fx, slope = _j_or_prime(nu[owner[cell[live]]], x, prime[owner[cell[live]]])
-        left = np.signbit(fx) == np.signbit(f_lo)  # the zero lies right of x
-        lo, f_lo, hi = np.where(left, x, lo), np.where(left, fx, f_lo), np.where(left, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - fx / slope
-        done = (fx == 0.0) | (np.abs(newton - x) <= 1e-12 * x) | (np.nextafter(lo, hi) >= hi)
-        zeros[live[done]] = np.where(fx == 0.0, x, newton)[done]
-        x = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))[~done]
-        live, lo, hi, f_lo = (a[~done] for a in (live, lo, hi, f_lo))
-    if live.size:
-        raise ConvergenceError("Newton did not converge in its Bessel-zero brackets",
-                               {"orders": nu[owner[cell[live]]].tolist()})
+    nu_cell, prime_cell = nu[owner[cell]], prime[owner[cell]]
+    zeros = bracketed_newton(lambda x, live: _j_or_prime(nu_cell[live], x, prime_cell[live]),
+                             grid[cell], grid[cell + 1], f[cell], f[cell + 1])
     keep = zeros <= x_max  # the cells, and so the zeros, run by order and then by x
     return owner[cell][keep], zeros[keep]
 

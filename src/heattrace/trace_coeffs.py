@@ -167,11 +167,11 @@ class TraceCoefficients:
                 f"trace coefficients {self.as_tuple()} are not all finite numbers"
             )
         if not self.a_minus1 > 0.0:
-            raise DomainError("a_minus1 must be positive (it is area / 4 pi)")
+            raise DomainError("a_minus1 must be positive (it is area / 4 pi)", field="a_minus1")
         if abs(self.a_0 - math.fsum(self.breakdown.values())) > 1e-14 * max(
             1.0, abs(self.a_0)
         ):
-            raise DomainError("a_0 must equal the sum of its breakdown entries")
+            raise DomainError("a_0 must equal the sum of its breakdown entries", field="a_0")
 
     def as_tuple(self):
         return (self.a_minus1, self.a_minus_half, self.a_0)
@@ -246,7 +246,8 @@ def coefficients_gb(spec):
     an Euler characteristic has no cone points.
     """
     if spec.euler_characteristic is None:
-        raise DomainError("coefficients_gb needs euler_characteristic")
+        raise DomainError("coefficients_gb needs euler_characteristic",
+                          field="euler_characteristic")
     spec.gauss_integral()  # raises on inconsistent redundant data
     return _assemble(
         spec,

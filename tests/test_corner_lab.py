@@ -84,6 +84,13 @@ def test_angle_errors_name_the_field(build, field):
     assert info.value.field == field
 
 
+def test_untruncated_mode_ladder_names_the_angle():
+    # at z = 1e7 the first 100,001 half-integer orders all stay above the mode tolerance
+    with pytest.raises(DomainError) as info:
+        cl._corner_orders("DD", 2.0 * PI, 1e7)
+    assert info.value.field == "alpha"
+
+
 class TestConePoints:
     def test_smooth_opening(self):
         assert cl.cone_point_coeff(2.0 * PI) == 0.0

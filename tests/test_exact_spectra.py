@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,6 +75,24 @@ class TestInterval1D:
         assert np.all(rr > nn)
         assert np.all(rr < dd)
 
+    @pytest.mark.parametrize("length", [0.37, 1.0, 7.3])
+    @pytest.mark.parametrize("kappa", [1e-3, 1.0, 50.0, 1e3])
+    @pytest.mark.parametrize("ends", ["RD", "DR", "RN", "NR", "RR"])
+    def test_robin_wavenumbers_against_extended_precision(self, ends, kappa, length):
+        # the second end of RR has twice the first's kappa
+        bc = {"R": ("R", kappa), "D": "D", "N": "N"}
+        bc1 = ("R", 2.0 * kappa) if ends == "RR" else bc[ends[1]]
+        got = es._Interval1D(length, bc[ends[0]], bc1).wavenumbers(40)
+        k0, k1, ell = mpmath.mpf(kappa), mpmath.mpf(2.0 * kappa), mpmath.mpf(length)
+        cos, sin = (lambda k: mpmath.cos(k * ell)), (lambda k: mpmath.sin(k * ell))
+        f = {"D": lambda k: k * cos(k) + k0 * sin(k),
+             "N": lambda k: k * sin(k) - k0 * cos(k),
+             "R": lambda k: (k * k - k0 * k1) * sin(k) - (k0 + k1) * k * cos(k),
+             }[ends.replace("R", "", 1)]  # keyed by the end besides the first R
+        with mpmath.workdps(40):
+            for k in got.tolist():
+                root = mpmath.findroot(f, mpmath.mpf(k))
+                assert abs(k - root) <= 4e-16 * root
 
 class TestRectangleSpectrum:
     def test_stream_sorted_and_correct(self):
@@ -114,6 +133,16 @@ class TestRectangleSpectrum:
         )
         assert value == pytest.approx(direct, abs=1e-12)
 
+
+    def test_robin_intervals_make_one_root_finder_call_each(self, monkeypatch):
+        # each side's Robin roots come from one call over all its cells
+        calls = []
+        newton = es.bracketed_newton
+        monkeypatch.setattr(es, "bracketed_newton",
+                            lambda fn, lo, *rest: calls.append(lo.size) or newton(fn, lo, *rest))
+        spec = es.rectangle_spectrum(1.0, 1.5, ("R:1.0", "R:2.0"), ("R:0.5", "R:3.0"))
+        assert len(spec.up_to(5e4)) > 5000
+        assert len(calls) == 2 and min(calls) > 70
 
     @pytest.mark.parametrize("bc_x, bc_y", [
         (("D", "D"), ("D", "D")),
@@ -402,6 +431,19 @@ class TestCSV:
                                   0.01, 100.0, tol=-1.0), "tol"),
         (lambda: es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D")).tail_bound(0.0, 10.0),
          "t"),
+        pytest.param(lambda: es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D"))
+                     .tail_bound(math.nan, 10.0), "t", id="tail_bound-nan"),
+        pytest.param(lambda: es.partial_trace(es.rectangle_spectrum(1.0, 1.0, ("D", "D"),
+                                                                    ("D", "D")),
+                                              math.nan, 100.0, tol=1e-12), "t",
+                     id="partial_trace-nan"),
+        *(pytest.param(lambda c=c: es.partial_trace(
+            es.rectangle_spectrum(1.0, 1.0, ("D", "D"), ("D", "D")), 0.01, c), "cutoff",
+            id=f"cutoff-{c}") for c in (math.nan, math.inf, -1.0)),
+        *(pytest.param(lambda n=n: es.interval_eigenvalues(1.0, "D", ("R", 1.0), n), "count",
+                       id=f"count-{n}") for n in (2.5, 3.0, 0, -1, math.nan)),
+        pytest.param(lambda: es.interval_eigenvalues(1.0, "N", ("R", 1e-300), 3), "robin_kappa",
+                     id="kappa-1e-300"),
         (lambda: es.fit_asymptotics([(0.01, 1.0, 0.0)] * 5), "samples"),
         (lambda: es.fit_asymptotics([(t, 1.0, 0.0) for t in np.linspace(0.01, 0.3, 8)]),
          "samples"),

@@ -332,3 +332,23 @@ class TestWeightedLstsq:
         coef, _, rms = quad_fp.weighted_lstsq(design, values, np.ones_like(taus))
         assert coef.tolist() == (plain / scale).tolist()
         assert rms > 0.0
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: quad_fp.integrate(np.exp, 1.0, 1.0, tol=1e-10), "b"),
+    (lambda: quad_fp.integrate(np.exp, 0.0, math.inf, tol=1e-10), "envelope"),
+    (lambda: quad_fp.integrate(np.exp, 0.0, math.inf, tol=1e-10, envelope=(1.0, 0.0)),
+     "envelope"),
+    (lambda: quad_fp.integrate(lambda x: 1.0, 0.0, 1.0, tol=1e-10), "f"),
+    (lambda: quad_fp.finite_part(EPS, samples(lambda lam: lam), basis=(-1, 1)), "basis"),
+    (lambda: quad_fp.finite_part(EPS, samples(lambda lam: lam), basis=(-1, 0, 0)), "basis"),
+    (lambda: quad_fp.finite_part(EPS, samples(lambda lam: lam)[1:]), "values"),
+    (lambda: quad_fp.finite_part(EPS, samples(lambda lam: lam), value_errs=[0.0]), "value_errs"),
+    (lambda: quad_fp.QuadResult(1.0, -1.0, 10), "abs_err_estimate"),
+    (lambda: quad_fp.FinitePartResult(1.0, {}, 1.0, (0.1, 0.2)), "epsilons_used"),
+    (lambda: quad_fp.FinitePartResult(1.0, {}, 0.5, (0.2, 0.1)), "condition_number"),
+])
+def test_errors_name_the_field(build, field):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert info.value.field == field

@@ -342,6 +342,19 @@ def test_constructor_errors_name_the_field(build, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: tc.coefficients_gb(tc.PolygonSpec(area=1.0, loops=(_loop(),),
+                                               gauss_curvature_integral=0.0)),
+     "euler_characteristic"),
+    (lambda: tc.TraceCoefficients(0.0, 0.0, 0.0), "a_minus1"),
+    (lambda: tc.TraceCoefficients(1.0, 0.0, 0.5, {"corners": 0.25}), "a_0"),
+])
+def test_errors_name_the_field(build, field):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert info.value.field == field
+
+
 def test_robin_edge_from_its_integral():
     edge = tc.EdgeSpec(2.0, "R", robin_integral=0.7)
     assert edge.bc == BoundaryCondition.robin(0.35)
